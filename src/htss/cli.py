@@ -161,11 +161,15 @@ def cmd_gen(cfg: dict, seed_override: int | None = None) -> None:
     log.info("wrote %s", out / "relations.tsv")
 
 
+def _build_taxonomy(spaces, relations):
+    atoms = build_semantic_atoms(spaces, relations)
+    return build_group_sets(atoms, spaces, relations)
+
+
 def cmd_taxonomy(cfg: dict) -> None:
     spaces = [formats.read_label_space(p) for p in _require_paths(cfg, "label_spaces")]
     relations = _read_relations(cfg["relations"])
-    atoms = build_semantic_atoms(spaces, relations)
-    tax = build_group_sets(atoms, spaces, relations)
+    tax = _build_taxonomy(spaces, relations)
     report = validate_taxonomy(tax, spaces)
     out = _out_dir(cfg)
     formats.write_taxonomy(out / "taxonomy.json", tax, spaces)
@@ -186,7 +190,7 @@ def cmd_taxonomy(cfg: dict) -> None:
             "parent_of": {part.atom_name(s): part.atom_name(p)
                           for s, p in sorted(part.parent_of.items())},
         })
-    log.info("taxonomy written to %s (%d atoms, valid=%s)", out, len(atoms),
+    log.info("taxonomy written to %s (%d atoms, valid=%s)", out, tax.atom_count,
              report.is_valid)
 
 
@@ -209,11 +213,6 @@ def cmd_pseudolabel(cfg: dict) -> None:
             formats.write_raster(out / ds.dataset_id / f"canvas_{i:05d}.rast",
                                  canvas.probs.astype(np.float32))
         log.info("wrote %d canvases for %s", len(ds.images), ds.dataset_id)
-
-
-def _build_taxonomy(spaces, relations):
-    atoms = build_semantic_atoms(spaces, relations)
-    return build_group_sets(atoms, spaces, relations)
 
 
 def cmd_train(cfg: dict) -> None:

@@ -54,17 +54,27 @@ def write_raster(path, array: np.ndarray) -> None:
         fh.write(array.astype(_DTYPE_CODES[code], copy=False).tobytes())
 
 
+def _unpack(fh, path, fmt: str) -> tuple:
+    """Read and unpack one fixed-size header field group; a short read
+    means the file ends inside its header."""
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(path, "truncated header")
+    return struct.unpack(fmt, raw)
+
+
 def read_raster(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != RASTER_MAGIC:
             raise FormatError(path, f"bad raster magic {magic!r}")
-        code, rank = struct.unpack("<II", fh.read(8))
+        code, rank = _unpack(fh, path, "<II")
         if code not in _DTYPE_CODES:
             raise FormatError(path, f"unknown raster dtype code {code}")
         if not 1 <= rank <= 4:
             raise FormatError(path, f"unsupported raster rank {rank}")
-        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        dims = _unpack(fh, path, f"<{rank}I")
         dtype = _DTYPE_CODES[code]
         count = int(np.prod(dims))
         payload = fh.read(count * dtype.itemsize)
@@ -91,15 +101,15 @@ def read_array_file(path) -> list[np.ndarray]:
         magic = fh.read(8)
         if magic != CKPT_MAGIC:
             raise FormatError(path, f"bad checkpoint magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = _unpack(fh, path, "<II")
         if version != CKPT_VERSION:
             raise FormatError(path, f"unsupported checkpoint version {version}")
         arrays = []
         for _ in range(count):
-            (rank,) = struct.unpack("<I", fh.read(4))
+            (rank,) = _unpack(fh, path, "<I")
             if not 1 <= rank <= 4:
                 raise FormatError(path, f"unsupported array rank {rank}")
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+            dims = _unpack(fh, path, f"<{rank}I")
             n = int(np.prod(dims))
             payload = fh.read(8 * n)
             if len(payload) != 8 * n:

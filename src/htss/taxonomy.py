@@ -16,7 +16,6 @@ Index conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -188,12 +187,25 @@ def build_semantic_atoms(spaces: Sequence[LabelSpace], relations: RelationTable)
     """Extract the atom vocabulary from all label spaces.
 
     Starts from the union of all non-void class names (duplicates
-    collapse to one atom) and repeatedly removes any label that is a
-    synonym, hypernym, or holonym of another surviving label, until a
-    fixed point is reached. Candidate pairs are scanned in lexicographic
-    (subject, object) order so that the result is independent of input
-    ordering; for a symmetric synonym pair the lexicographically larger
-    name is the one removed.
+    collapse to one atom) and removes every label that is a synonym,
+    hypernym, or holonym of another surviving label, until a fixed point
+    is reached. The result is that of this removal rule: take the
+    lexicographically first ordered pair (subject, object) of survivors
+    that are related; if the subject generalizes the object (hypernym or
+    holonym), remove the subject, otherwise (a synonym pair) remove the
+    larger name; repeat. The order matters: with hypernym(b, a) and
+    hypernym(a, c) the atoms are ['b', 'c'], not ['c'].
+
+    One pass over the sorted names reproduces that rule. A name's
+    partners are the names of the union it generalizes or is a synonym
+    of. Removing a name never gives another name a new partner, so once
+    a name has been visited and kept it has no surviving partner, and
+    the smallest subject with a surviving partner never decreases. Each
+    name therefore walks its surviving partners in sorted order: it
+    removes itself at the first one it generalizes (or the first synonym
+    smaller than itself) and otherwise removes each larger synonym.
+    Building the partner lists is linear in the relation count, so the
+    pass costs O(V log V + E log E) for V names and E relations.
 
     Returns the surviving atom names in canonical sorted order.
     """
@@ -204,22 +216,32 @@ def build_semantic_atoms(spaces: Sequence[LabelSpace], relations: RelationTable)
     if not any(sp.supervision in PIXEL_KINDS for sp in spaces):
         raise DataError("need at least one pixel-supervised label space")
 
-    survivors = {name for sp in spaces for name in sp.classes[1:]}
-    changed = True
-    while changed:
-        changed = False
-        for subject, obj in itertools.permutations(sorted(survivors), 2):
-            if relations.generalizes(subject, obj):
-                survivors.discard(subject)
-                changed = True
+    names = sorted({name for sp in spaces for name in sp.classes[1:]})
+    # partners[name][other] is True when name generalizes other, False
+    # when the two are only synonyms
+    partners: dict[str, dict[str, bool]] = {name: {} for name in names}
+    for subject, obj in relations.synonym_pairs:
+        if subject in partners and obj in partners:
+            partners[subject][obj] = False
+    for subject, obj in relations.hypernym_pairs | relations.holonym_pairs:
+        if subject in partners and obj in partners:
+            partners[subject][obj] = True
+
+    removed: set[str] = set()
+    for name in names:
+        if name in removed:
+            continue
+        for other in sorted(partners[name]):
+            if other in removed:
+                continue
+            if partners[name][other] or other < name:
+                removed.add(name)
                 break
-            if relations.synonymous(subject, obj):
-                survivors.discard(max(subject, obj))
-                changed = True
-                break
+            removed.add(other)
+    survivors = [name for name in names if name not in removed]
     if not survivors:
         raise EmptyResult()
-    return sorted(survivors)
+    return survivors
 
 
 @dataclass(frozen=True)

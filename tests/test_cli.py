@@ -278,3 +278,52 @@ def test_missing_manifest_is_data_error(tmp_path):
         "out": str(tmp_path / "o"),
     })
     assert main(["pseudolabel", "--config", cfg]) == 3
+
+
+def _header_prefix_lengths(shapes):
+    """Every length that ends a file inside one of its headers: the
+    16-byte file header, then each array's rank and dims before its
+    payload."""
+    lengths = list(range(16))
+    start = 16
+    for shape in shapes:
+        header = 4 + 4 * len(shape)
+        lengths.extend(range(start, start + header))
+        start += header + 8 * int(np.prod(shape))
+    return lengths
+
+
+def test_truncated_checkpoint_header_exits_3(tmp_path, gen_tree, capsys):
+    from htss.formats import write_array_file
+    shapes = [(3, 3, 2, 4), (4,), (3, 3, 4, 4), (4,), (4, 3), (3,)]
+    full = tmp_path / "full.ckpt"
+    write_array_file(full, [np.zeros(s) for s in shapes])
+    blob = full.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    cfg = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(cut),
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")],
+        "relations": str(gen_tree / "relations.tsv"),
+        "out": str(tmp_path / "eval_out"),
+    })
+    for n in _header_prefix_lengths(shapes):
+        cut.write_bytes(blob[:n])
+        assert main(["eval", "--config", cfg]) == 3, n
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err, (n, err)
+
+
+def test_truncated_raster_header_exits_3(tmp_path, gen_tree, capsys):
+    image = gen_tree / "boxes" / "img_00000.rast"
+    blob = image.read_bytes()
+    rank = int(np.frombuffer(blob[12:16], dtype="<u4")[0])
+    cfg = write_json(tmp_path / "pl.json", {
+        "manifests": [str(gen_tree / "boxes_manifest.json")],
+        "out": str(tmp_path / "pl_out"),
+    })
+    for n in range(16 + 4 * rank):
+        image.write_bytes(blob[:n])
+        assert main(["pseudolabel", "--config", cfg]) == 3, n
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err, (n, err)

@@ -185,6 +185,63 @@ def test_atoms_match_bruteforce_oracle_random():
         assert got == atoms_fixed_point_oracle(names, rel)
 
 
+def test_atoms_removal_order_decides():
+    # the first related pair is (a, c): a goes, so b no longer has a partner
+    rel = RelationTable.from_triples([(HYPERNYM, "b", "a"), (HYPERNYM, "a", "c")])
+    assert build_semantic_atoms([space("d0", ["a", "b", "c"])], rel) == ["b", "c"]
+
+
+def test_atoms_generalization_beats_synonym():
+    rel = RelationTable.from_triples([(SYNONYM, "a", "b"), (HYPERNYM, "a", "b")])
+    assert build_semantic_atoms([space("d0", ["a", "b"])], rel) == ["b"]
+
+
+def test_atoms_one_way_synonym_removes_larger_name():
+    rel = RelationTable(frozenset({("b", "a")}), frozenset(), frozenset())
+    spaces = [space("d0", ["a", "b"])]
+    assert build_semantic_atoms(spaces, rel) == atoms_fixed_point_oracle(["a", "b"], rel) == ["a"]
+
+
+def shuffled_relations_instance(rng, n_names):
+    """Random acyclic relations over names whose sort order is unrelated
+    to the edge direction, so a child can sort before its parent.
+
+    Hypernym/holonym edges run from lower to higher rank of a random
+    ranking, which keeps them acyclic. Synonym pairs are arbitrary, and a
+    few relations mention names outside the label union.
+    """
+    n_outside = int(rng.integers(0, 4))
+    ids = rng.choice(10 * (n_names + n_outside), size=n_names + n_outside, replace=False)
+    everything = [f"l{i}" for i in ids]
+    rank = {name: r for r, name in enumerate(rng.permutation(everything))}
+    triples = set()
+    for _ in range(int(rng.integers(0, 2 * len(everything)))):
+        a, b = rng.choice(everything, size=2, replace=False)
+        if rng.random() < 0.25:
+            triples.add((SYNONYM, a, b))
+        else:
+            hi, lo = (a, b) if rank[a] < rank[b] else (b, a)
+            triples.add((HYPERNYM if rng.random() < 0.6 else HOLONYM, hi, lo))
+    union = everything[:n_names]
+    spaces = []
+    for si in range(int(rng.integers(1, 4))):
+        picked = [n for n in union if rng.random() < 0.6] or [union[0]]
+        spaces.append(space(f"d{si}", picked, PIXEL_DENSE if si == 0 else BBOX))
+    covered = {n for sp in spaces for n in sp.classes[1:]}
+    if len(covered) < len(union):
+        spaces.append(space("rest", sorted(set(union) - covered), PIXEL_COARSE))
+    return spaces, RelationTable.from_triples(sorted(triples))
+
+
+def test_atoms_match_oracle_on_shuffled_relations():
+    rng = np.random.default_rng(7041)
+    sizes = [int(n) for n in rng.integers(2, 31, size=2000)] + [150]
+    for n_names in sizes:
+        spaces, rel = shuffled_relations_instance(rng, n_names)
+        names = {n for sp in spaces for n in sp.classes[1:]}
+        assert build_semantic_atoms(spaces, rel) == atoms_fixed_point_oracle(names, rel)
+
+
 # --- group sets ---
 
 def test_groups_parent_covers_children():
