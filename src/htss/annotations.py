@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeMismatch
+from .taxonomy import BBOX
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,21 @@ class WeakLabel:
         # canonical order, duplicates collapsed
         object.__setattr__(self, "tags", tuple(sorted(set(self.tags))))
 
+    def check_fits(self, height: int, width: int, num_classes: int) -> None:
+        """Reject a box outside a height x width image, or a box or tag
+        class index beyond a label space of num_classes classes."""
+        for cls, x0, y0, x1, y1 in self.boxes:
+            if cls > num_classes:
+                raise DataError(
+                    f"box class index {cls} outside label space of size {num_classes}")
+            if x1 > width or y1 > height:
+                raise DataError(
+                    f"box ({x0}, {y0}, {x1}, {y1}) exceeds {width}x{height} image")
+        for t in self.tags:
+            if t > num_classes:
+                raise DataError(
+                    f"tag class index {t} outside label space of size {num_classes}")
+
 
 @dataclass(frozen=True)
 class PseudoCanvas:
@@ -110,12 +126,9 @@ def canvas_from_boxes(label: WeakLabel, height: int, width: int,
     unlabeled vector."""
     if height < 1 or width < 1 or num_classes < 1:
         raise DataError("canvas dimensions and class count must be positive")
+    label.check_fits(height, width, num_classes)
     votes = np.zeros((height, width, num_classes), dtype=np.int64)
     for cls, x0, y0, x1, y1 in label.boxes:
-        if cls > num_classes:
-            raise DataError(f"box class index {cls} outside label space of size {num_classes}")
-        if x1 > width or y1 > height:
-            raise DataError(f"box ({x0}, {y0}, {x1}, {y1}) exceeds {width}x{height} image")
         votes[y0:y1, x0:x1, cls - 1] += 1
     total = votes.sum(axis=2)
     covered = total > 0
@@ -131,6 +144,14 @@ def canvas_from_tags(label: WeakLabel, height: int, width: int,
     """Tags are full-image boxes; delegates to the box path."""
     as_boxes = WeakLabel(boxes=tuple((t, 0, 0, width, height) for t in label.tags))
     return canvas_from_boxes(as_boxes, height, width, num_classes)
+
+
+def weak_canvas(label: WeakLabel, kind: str, height: int, width: int,
+                num_classes: int) -> PseudoCanvas:
+    """Canvas of a box or tag label, chosen by the dataset's supervision kind."""
+    if kind == BBOX:
+        return canvas_from_boxes(label, height, width, num_classes)
+    return canvas_from_tags(label, height, width, num_classes)
 
 
 def strong_to_canvas(label: StrongLabel, num_classes: int) -> PseudoCanvas:

@@ -25,7 +25,7 @@ import numpy as np
 from . import formats
 from .errors import ConfigError, DataError, HTSSError, NumericError
 from .lossgrad import merge_subclass_predictions, softmax_atoms
-from .metrics import ConfusionMatrix, MetricReport
+from .metrics import ConfusionMatrix, MetricReport, json_number
 from .model import (
     BatchPlan,
     OptimizerState,
@@ -34,9 +34,8 @@ from .model import (
     train_loop,
 )
 from .synthgen import View, WorldSpec, emit_dataset, load_dataset, relation_triples
-from .annotations import canvas_from_boxes, canvas_from_tags
+from .annotations import weak_canvas
 from .taxonomy import (
-    BBOX,
     PIXEL_KINDS,
     WEAK_KINDS,
     AtomPartition,
@@ -206,10 +205,7 @@ def cmd_pseudolabel(cfg: dict) -> None:
         num = ds.space.num_classes
         for i, (image, label) in enumerate(zip(ds.images, ds.labels)):
             h, w = image.shape[:2]
-            if ds.supervision == BBOX:
-                canvas = canvas_from_boxes(label, h, w, num)
-            else:
-                canvas = canvas_from_tags(label, h, w, num)
+            canvas = weak_canvas(label, ds.supervision, h, w, num)
             formats.write_raster(out / ds.dataset_id / f"canvas_{i:05d}.rast",
                                  canvas.probs.astype(np.float32))
         log.info("wrote %d canvases for %s", len(ds.images), ds.dataset_id)
@@ -307,7 +303,7 @@ def cmd_eval(cfg: dict) -> None:
                                                          encoding="utf-8")
     formats.write_manifest(out / "summary.json", {
         "datasets": [r.dataset_id for r in reports],
-        "mean_miou": float(np.mean([r.miou for r in reports])),
+        "mean_miou": json_number(float(np.mean([r.miou for r in reports]))),
     })
     for r in reports:
         log.info("%s mIoU %.4f", r.dataset_id, r.miou)

@@ -19,6 +19,8 @@ sorted keys so that a rerun writes byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -64,6 +66,18 @@ def _unpack(fh, path, fmt: str) -> tuple:
     return struct.unpack(fmt, raw)
 
 
+def _read_payload(fh, path, nbytes: int, what: str) -> bytes:
+    """Read a payload whose size a header claims, checking the claim
+    against the bytes left in the file before asking for that many."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    payload = fh.read(nbytes) if nbytes <= left else b""
+    if len(payload) != nbytes:
+        raise FormatError(
+            path, f"truncated {what} payload: header claims {nbytes} bytes, "
+            f"{left} left")
+    return payload
+
+
 def read_raster(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -76,10 +90,7 @@ def read_raster(path) -> np.ndarray:
             raise FormatError(path, f"unsupported raster rank {rank}")
         dims = _unpack(fh, path, f"<{rank}I")
         dtype = _DTYPE_CODES[code]
-        count = int(np.prod(dims))
-        payload = fh.read(count * dtype.itemsize)
-        if len(payload) != count * dtype.itemsize:
-            raise FormatError(path, "truncated raster payload")
+        payload = _read_payload(fh, path, math.prod(dims) * dtype.itemsize, "raster")
         if fh.read(1):
             raise FormatError(path, "trailing bytes after raster payload")
     return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
@@ -110,10 +121,7 @@ def read_array_file(path) -> list[np.ndarray]:
             if not 1 <= rank <= 4:
                 raise FormatError(path, f"unsupported array rank {rank}")
             dims = _unpack(fh, path, f"<{rank}I")
-            n = int(np.prod(dims))
-            payload = fh.read(8 * n)
-            if len(payload) != 8 * n:
-                raise FormatError(path, "truncated checkpoint payload")
+            payload = _read_payload(fh, path, 8 * math.prod(dims), "checkpoint")
             arrays.append(np.frombuffer(payload, dtype="<f8").reshape(dims).copy())
         if fh.read(1):
             raise FormatError(path, "trailing bytes after checkpoint payload")
@@ -157,8 +165,8 @@ def read_weak_label(path) -> WeakLabel:
 
 
 def _dump_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+                          + "\n", encoding="utf-8")
 
 
 def _load_json(path):

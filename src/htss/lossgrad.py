@@ -18,11 +18,30 @@ two only coincide when every group is a singleton, where the expression
 degenerates to the familiar softmax cross-entropy gradient. Finite
 differences are the authority used by the test suite.
 
+Class sums are index gathers, not products with a 0/1 group matrix.
+A GroupIndex holds two padded membership tables: per class its atoms,
+per atom the classes covering it, each list in ascending order and
+padded with the position of a zero column appended to the gathered
+array. The class sums s are built by gathering the k-th atom of every
+group and adding, k = 0, 1, ...; the gradient's back-projection
+sum_m [j in G_m] y_m / s_m is built the same way from the atom -> classes
+table. Sums therefore run in ascending index order, and adding a padding
+zero is exact. Because an atom lists every class that covers it,
+overlapping groups stay exact too: nothing assumes the groups form a
+partition. Per pixel, the gathers touch L*g + A*c entries, g being the
+largest group and c the most classes sharing an atom; for disjoint groups
+of even size that is O(A + sum_m |G_m|), so a dataset costs
+O(HW * (A + sum_m |G_m|)) where the matrix products cost O(HW * A * L).
+Build the index once per dataset (train_loop does) and pass it wherever
+a group map is accepted; a plain group map is converted by the same
+builder on every call.
+
 All math runs in float64; log arguments are clamped at 1e-12.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +62,29 @@ LOG_EPS = 1e-12
 # (H, W, A) float arrays; a group map is a sequence of frozensets of
 # zero-based atom indices, one entry per non-void class slot.
 GroupMap = Sequence[frozenset]
+
+
+@dataclass(frozen=True)
+class GroupIndex:
+    """Padded membership tables of one group map over atom_count atoms.
+
+    Column m of class_atoms (g, L) lists the atoms of group m in
+    ascending order, column j of atom_classes (c, A) the classes covering
+    atom j in ascending order; slots past the end of a list hold the
+    table's column count (atom_count, resp. L), where the gather appends
+    a zero column.
+    """
+
+    atom_count: int
+    class_atoms: np.ndarray
+    atom_classes: np.ndarray
+
+    @property
+    def num_classes(self) -> int:
+        return self.class_atoms.shape[1]
+
+
+Groups = GroupMap | GroupIndex
 
 
 def softmax_atoms(logits: np.ndarray) -> np.ndarray:
@@ -68,38 +110,78 @@ def group_matrix(groups: GroupMap, atom_count: int) -> np.ndarray:
     return mat
 
 
-def accumulate_groups(probs: np.ndarray, groups: GroupMap) -> np.ndarray:
+def _member_table(member: np.ndarray) -> np.ndarray:
+    """(depth, N) table whose column n lists the true entries of row n of
+    an (N, K) membership matrix in ascending order, padded with K."""
+    rows = [np.flatnonzero(r) for r in member]
+    depth = max([len(r) for r in rows] + [1])
+    table = np.full((depth, member.shape[0]), member.shape[1], dtype=np.intp)
+    for n, r in enumerate(rows):
+        table[:len(r), n] = r
+    return table
+
+
+def group_index(groups: GroupMap, atom_count: int) -> GroupIndex:
+    """Membership tables of a group map; atom indices are checked by
+    group_matrix."""
+    member = group_matrix(groups, atom_count) > 0.0
+    return GroupIndex(atom_count=atom_count, class_atoms=_member_table(member),
+                      atom_classes=_member_table(member.T))
+
+
+def _as_index(groups: Groups, atom_count: int) -> GroupIndex:
+    if not isinstance(groups, GroupIndex):
+        return group_index(groups, atom_count)
+    if groups.atom_count != atom_count:
+        raise ShapeMismatch(
+            f"group index over {groups.atom_count} atoms vs a distribution "
+            f"over {atom_count}")
+    return groups
+
+
+def _gather_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """out[..., n] = sum_k x[..., table[k, n]], added in k order, where
+    index x.shape[-1] reads an appended zero column."""
+    padded = np.concatenate((x, np.zeros(x.shape[:-1] + (1,))), axis=-1)
+    # np.take, not padded[..., row]: the fancy-index result is not
+    # C-contiguous, which slows every elementwise op that follows
+    out = np.take(padded, table[0], axis=-1)
+    for row in table[1:]:
+        out += np.take(padded, row, axis=-1)
+    return out
+
+
+def accumulate_groups(probs: np.ndarray, groups: Groups) -> np.ndarray:
     """Per-class probabilities as plain sums of atom probabilities."""
     probs = np.asarray(probs, dtype=np.float64)
-    mat = group_matrix(groups, probs.shape[-1])
-    return probs @ mat.T
+    return _gather_sum(probs, _as_index(groups, probs.shape[-1]).class_atoms)
 
 
-def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, groups: GroupMap):
+def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, groups: Groups):
     """Unscaled per-pixel losses, gradients and the supervised mask."""
     num = target.num_classes
-    if len(groups) != num:
-        raise ShapeMismatch(f"{len(groups)} groups for {num} class slots")
     probs = np.asarray(probs, dtype=np.float64)
+    index = _as_index(groups, probs.shape[-1])
+    if index.num_classes != num:
+        raise ShapeMismatch(f"{index.num_classes} groups for {num} class slots")
     if probs.shape[:2] != (target.height, target.width):
         raise ShapeMismatch(
             f"distribution grid {probs.shape[:2]} vs canvas "
             f"({target.height}, {target.width})")
-    mat = group_matrix(groups, probs.shape[-1])
     y = target.probs[:, :, :num]
-    s = probs @ mat.T
+    s = _gather_sum(probs, index.class_atoms)
     s_safe = np.maximum(s, LOG_EPS)
     mask = target.supervised_mask
     losses = -(y * np.log(s_safe)).sum(axis=2)
     losses[~mask] = 0.0
     ratio = y / s_safe
-    back = ratio @ mat
+    back = _gather_sum(ratio, index.atom_classes)
     grads = probs * (y.sum(axis=2)[:, :, None] - back)
     grads[~mask] = 0.0
     return losses, grads, mask
 
 
-def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, groups: GroupMap) -> float:
+def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, groups: Groups) -> float:
     """Cross-entropy between canvas and accumulated class probabilities,
     averaged over supervised pixels."""
     losses, _, mask = _pixel_terms(target, probs, groups)
@@ -109,7 +191,7 @@ def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, groups: GroupMap) -> 
     return float(losses.sum() / n)
 
 
-def grad_logits(target: PseudoCanvas, probs: np.ndarray, groups: GroupMap) -> np.ndarray:
+def grad_logits(target: PseudoCanvas, probs: np.ndarray, groups: Groups) -> np.ndarray:
     """Exact gradient of ce_loss_image with respect to the atom logits."""
     _, grads, mask = _pixel_terms(target, probs, groups)
     n = int(mask.sum())
@@ -121,12 +203,12 @@ def grad_logits(target: PseudoCanvas, probs: np.ndarray, groups: GroupMap) -> np
 def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
     """Mixed-batch loss with per-population normalizers.
 
-    Each item is (target canvas, atom distribution, group map,
-    supervision kind). Pixel-supervised items share one normalizer (the
-    total count of their supervised pixels across the batch), box/tag
-    items share the other; the loss is the sum of both normalized
-    populations. Returns the scalar loss and the per-item logit
-    gradients of that scalar. A population that contributes no
+    Each item is (target canvas, atom distribution, group map or
+    GroupIndex, supervision kind). Pixel-supervised items share one
+    normalizer (the total count of their supervised pixels across the
+    batch), box/tag items share the other; the loss is the sum of both
+    normalized populations. Returns the scalar loss and the per-item
+    logit gradients of that scalar. A population that contributes no
     supervised pixels simply drops out; if both are empty the batch is
     rejected.
     """

@@ -14,6 +14,7 @@ averaged, normalized by c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -77,6 +78,12 @@ def miou(m: ConfusionMatrix) -> float:
     return float(iou[present].mean())
 
 
+def json_number(value: float) -> float | None:
+    """A metric as a JSON value: None (null) when it is undefined (NaN),
+    since bare NaN is not standard JSON."""
+    return None if math.isnan(value) else value
+
+
 def knowledgeability(ious: Iterable[float], c: int, n_t: int) -> float:
     """Capacity-normalized average count of classes above each threshold.
 
@@ -133,7 +140,7 @@ class MetricReport:
                 {"name": n, "iou": self.iou[i], "present": self.present[i]}
                 for i, n in enumerate(self.class_names) if i > 0
             ],
-            "miou": self.miou,
+            "miou": json_number(self.miou),
             "knowledgeability": [
                 {"c": c, "n_t": n, "value": v} for c, n, v in self.knowledgeability
             ],

@@ -23,11 +23,9 @@ from . import formats
 from .annotations import (
     PseudoCanvas,
     StrongLabel,
-    WeakLabel,
-    canvas_from_boxes,
-    canvas_from_tags,
     refine_canvas,
     strong_to_canvas,
+    weak_canvas,
 )
 from .errors import (
     ConfigError,
@@ -38,9 +36,14 @@ from .errors import (
     StaleCache,
     UnsatisfiableQuota,
 )
-from .lossgrad import accumulate_groups, batch_loss, softmax_atoms
+from .lossgrad import (
+    GroupIndex,
+    accumulate_groups,
+    batch_loss,
+    group_index,
+    softmax_atoms,
+)
 from .taxonomy import (
-    BBOX,
     PIXEL_KINDS,
     AtomPartition,
     DatasetGroups,
@@ -333,7 +336,7 @@ class LoadedDataset:
         return self.space.supervision
 
 
-def _dataset_predictions(ap_probs: np.ndarray, groups) -> np.ndarray:
+def _dataset_predictions(ap_probs: np.ndarray, groups: GroupIndex) -> np.ndarray:
     """Prediction over one dataset's classes: accumulated atom mass,
     renormalized so it is a proper distribution over that label space.
     Pixels whose covered mass vanishes get all-zero confidence."""
@@ -360,13 +363,6 @@ def _refine_with_parent(canvas: PseudoCanvas, ap_probs: np.ndarray,
     probs[keep] = canvas.probs[keep]
     probs[:, :, num] = np.where(keep, canvas.probs[:, :, num], 1.0)
     return PseudoCanvas(probs)
-
-
-def _weak_canvas(label: WeakLabel, kind: str, height: int, width: int,
-                 num_classes: int) -> PseudoCanvas:
-    if kind == BBOX:
-        return canvas_from_boxes(label, height, width, num_classes)
-    return canvas_from_tags(label, height, width, num_classes)
 
 
 @dataclass
@@ -407,6 +403,9 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     params = init_micronet(in_ch, feature_width, n_ap + n_s, init_seed)
     sampler = BatchSampler(plan.quotas, {d: len(by_id[d].images) for d in by_id},
                            sample_seed)
+    indexes = {ds_id: group_index(heads[ds_id].loss_groups,
+                                  n_ap if heads[ds_id].head == "ap" else n_s)
+               for ds_id in sampler.ids}
 
     losses: list[float] = []
     total_steps = epochs * sampler.steps_per_epoch
@@ -417,6 +416,7 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         for ds_id in sampler.ids:
             ds = by_id[ds_id]
             dg = heads[ds_id]
+            index = indexes[ds_id]
             num = ds.space.num_classes
             for idx in picks[ds_id]:
                 logits, cache = forward(params, ds.images[idx])
@@ -426,16 +426,16 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                     head_probs = ap_probs
                 else:
                     h, w = ds.images[idx].shape[:2]
-                    canvas = _weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
+                    canvas = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
                     if dg.head == "s":
                         target = _refine_with_parent(canvas, ap_probs,
                                                      dg.parent_slots, refine_threshold)
                         head_probs = softmax_atoms(logits[:, :, n_ap:])
                     else:
-                        predicted = _dataset_predictions(ap_probs, dg.loss_groups)
+                        predicted = _dataset_predictions(ap_probs, index)
                         target = refine_canvas(canvas, predicted, refine_threshold)
                         head_probs = ap_probs
-                items.append((target, head_probs, dg.loss_groups, ds.supervision))
+                items.append((target, head_probs, index, ds.supervision))
                 routes.append((cache, dg.head))
         loss, grads = batch_loss(items)
         if not np.isfinite(loss):

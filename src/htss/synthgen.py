@@ -22,7 +22,7 @@ import numpy as np
 
 from . import formats
 from .annotations import StrongLabel, WeakLabel
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, FormatError
 from .model import LoadedDataset
 from .taxonomy import (
     BBOX,
@@ -328,5 +328,11 @@ def load_dataset(manifest_path) -> LoadedDataset:
             ids = formats.read_raster(root / lab_rel).astype(np.int64)
             labels.append(StrongLabel(class_ids=ids, num_classes=space.num_classes))
         else:
-            labels.append(formats.read_weak_label(root / lab_rel))
+            label = formats.read_weak_label(root / lab_rel)
+            height, width = images[-1].shape[:2]
+            try:
+                label.check_fits(height, width, space.num_classes)
+            except DataError as exc:
+                raise FormatError(root / lab_rel, str(exc)) from None
+            labels.append(label)
     return LoadedDataset(space=space, images=images, labels=labels)

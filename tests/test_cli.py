@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -327,3 +328,92 @@ def test_truncated_raster_header_exits_3(tmp_path, gen_tree, capsys):
         assert main(["pseudolabel", "--config", cfg]) == 3, n
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err, (n, err)
+
+
+def test_raster_dims_overflowing_int64_exit_3(tmp_path, gen_tree, capsys):
+    # rank 4 with dims 65536^4: the element count 2^64 wraps to 0 in int64
+    image = gen_tree / "boxes" / "img_00000.rast"
+    image.write_bytes(b"HTSSRAST" + struct.pack("<6I", 1, 4, *[65536] * 4))
+    assert image.stat().st_size == 32
+    cfg = write_json(tmp_path / "pl.json", {
+        "manifests": [str(gen_tree / "boxes_manifest.json")],
+        "out": str(tmp_path / "pl_out"),
+    })
+    assert main(["pseudolabel", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err, err
+
+
+def test_checkpoint_dims_overflowing_int64_exit_3(tmp_path, gen_tree, capsys):
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(b"HTSSCKPT" + struct.pack("<7I", 1, 1, 4, *[65536] * 4))
+    assert ckpt.stat().st_size == 36
+    cfg = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(ckpt),
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")],
+        "relations": str(gen_tree / "relations.tsv"),
+        "out": str(tmp_path / "eval_out"),
+    })
+    assert main(["eval", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err, err
+
+
+def test_eval_with_no_class_present_writes_null_miou(tmp_path, gen_tree):
+    from htss.formats import write_raster
+    from htss.model import init_micronet, save_checkpoint
+    manifest = read_manifest(gen_tree / "fine_px_manifest.json")
+    for _, label_rel in manifest["records"]:
+        path = gen_tree / label_rel
+        write_raster(path, np.zeros_like(read_raster(path)))  # all void
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(ckpt, init_micronet(2, 4, 3, seed=0))
+    cfg = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(ckpt),
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")],
+        "relations": str(gen_tree / "relations.tsv"),
+        "out": str(tmp_path / "eval_out"),
+    })
+    assert main(["eval", "--config", cfg]) == 0
+
+    def strict(text):
+        def reject(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+        return json.loads(text, parse_constant=reject)
+
+    report = strict((tmp_path / "eval_out" / "report_fine_px.json").read_text())
+    assert report["miou"] is None
+    assert not any(row["present"] for row in report["classes"])
+    summary = strict((tmp_path / "eval_out" / "summary.json").read_text())
+    assert summary["mean_miou"] is None
+
+
+@pytest.mark.parametrize("dataset, record", [
+    ("boxes", "1 0 0 9 4"),    # x_max beyond the 8-wide image
+    ("boxes", "1 0 0 4 9"),    # y_max beyond the 8-high image
+    ("boxes", "9 0 0 2 2"),    # class index beyond the label space
+    ("tags", "tags: 1 9"),     # tag index beyond the label space
+])
+def test_weak_records_checked_at_load(tmp_path, gen_tree, capsys, dataset, record):
+    label = gen_tree / dataset / "lab_00003.weak"
+    label.write_text(record + ("\n" if record.startswith("tags:") else "\ntags:\n"))
+    manifest = str(gen_tree / f"{dataset}_manifest.json")
+    pl = write_json(tmp_path / "pl.json", {"manifests": [manifest],
+                                           "out": str(tmp_path / "pl_out")})
+    train = write_json(tmp_path / "train.json", {
+        "manifests": [str(gen_tree / "fine_px_manifest.json"), manifest],
+        "relations": str(gen_tree / "relations.tsv"),
+        "quotas": {"fine_px": 1, dataset: 1},
+        "feature_width": 2,
+        "out": str(tmp_path / "run"),
+    })
+    for argv in (["pseudolabel", "--config", pl], ["train", "--config", train]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        # raised while loading, naming the file, not mid-run at canvas time
+        assert "data error" in err and "lab_00003.weak" in err, err
+        assert "Traceback" not in err, err
+    assert not (tmp_path / "pl_out" / dataset).exists()
+    assert not (tmp_path / "run").exists()

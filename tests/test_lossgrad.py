@@ -11,16 +11,31 @@ from htss.errors import (
     NoSupervisedPixels,
     ShapeMismatch,
 )
+from htss import lossgrad
+from htss.annotations import StrongLabel, WeakLabel
 from htss.lossgrad import (
+    _gather_sum,
     accumulate_groups,
     batch_loss,
     ce_loss_image,
     grad_logits,
+    group_index,
     group_matrix,
     merge_subclass_predictions,
     softmax_atoms,
 )
-from htss.taxonomy import BBOX, PIXEL_DENSE, AtomPartition
+from htss.model import BatchPlan, LoadedDataset, OptimizerState, train_loop
+from htss.taxonomy import (
+    BBOX,
+    HYPERNYM,
+    PIXEL_COARSE,
+    PIXEL_DENSE,
+    AtomPartition,
+    LabelSpace,
+    RelationTable,
+    build_group_sets,
+    build_semantic_atoms,
+)
 
 from oracles import fd_grad, ref_ce_loss_grad, ref_softmax
 
@@ -85,6 +100,112 @@ def test_group_matrix_rejects_out_of_range():
         group_matrix((frozenset({0, 3}),), atom_count=3)
     with pytest.raises(IndexOutOfRange):
         group_matrix((frozenset({-1}),), atom_count=3)
+
+
+def _random_group_maps(rng, atoms):
+    """Seeded group maps: disjoint groups, overlapping groups, and both
+    joined with an explicitly empty group."""
+    n = int(rng.integers(1, atoms + 1))
+    assign = rng.integers(-1, n, size=atoms)  # -1: the atom is in no group
+    disjoint = tuple(frozenset(np.flatnonzero(assign == m).tolist()) for m in range(n))
+    overlapping = tuple(frozenset(np.flatnonzero(rng.random(atoms) < 0.4).tolist())
+                        for _ in range(n))
+    return [disjoint, overlapping, overlapping[:1] + (frozenset(),) + disjoint]
+
+
+def test_gathers_match_group_matrix_products():
+    rng = np.random.default_rng(53)
+    overlapped = 0
+    for _ in range(200):
+        atoms = int(rng.integers(1, 13))
+        h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        for groups in _random_group_maps(rng, atoms):
+            mat = group_matrix(groups, atoms)
+            overlapped += int(mat.sum(axis=0).max() > 1)
+            probs = softmax_atoms(rng.standard_normal((h, w, atoms)))
+            np.testing.assert_allclose(accumulate_groups(probs, groups),
+                                       probs @ mat.T, rtol=0.0, atol=1e-12)
+            ratio = rng.random((h, w, len(groups))) * 10.0
+            back = _gather_sum(ratio, group_index(groups, atoms).atom_classes)
+            np.testing.assert_allclose(back, ratio @ mat, rtol=0.0, atol=1e-12)
+    assert overlapped > 100
+
+
+def test_gathers_add_in_ascending_index_order():
+    rng = np.random.default_rng(59)
+    atoms = 9
+    groups = (frozenset({7, 0, 4, 2}), frozenset(), frozenset({2, 3}), frozenset({8}))
+    probs = softmax_atoms(rng.standard_normal((3, 2, atoms)) * 4.0)
+    want = np.zeros((3, 2, len(groups)))
+    for m, g in enumerate(groups):
+        for a in sorted(g):
+            want[:, :, m] += probs[:, :, a]
+    np.testing.assert_array_equal(accumulate_groups(probs, groups), want)
+    ratio = rng.random((3, 2, len(groups)))
+    want = np.zeros((3, 2, atoms))
+    for m, g in enumerate(groups):  # ascending m: each atom adds its classes in order
+        for a in g:
+            want[:, :, a] += ratio[:, :, m]
+    back = _gather_sum(ratio, group_index(groups, atoms).atom_classes)
+    np.testing.assert_array_equal(back, want)
+
+
+def test_group_index_rejects_mismatched_atom_count():
+    groups = (frozenset({0, 1}), frozenset({2}))
+    index = group_index(groups, 3)
+    probs = softmax_atoms(np.zeros((1, 1, 4)))
+    with pytest.raises(ShapeMismatch):
+        accumulate_groups(probs, index)
+    with pytest.raises(ShapeMismatch):
+        ce_loss_image(one_pixel([1.0, 0.0, 0.0]), probs, index)
+    with pytest.raises(ShapeMismatch):
+        batch_loss([(one_pixel([1.0, 0.0, 0.0]), probs, index, PIXEL_DENSE)])
+    with pytest.raises(IndexOutOfRange):
+        group_index(groups, 2)
+
+
+def test_index_and_group_map_give_identical_loss_and_gradients():
+    rng = np.random.default_rng(61)
+    groups = (frozenset({0, 2, 5}), frozenset({1}), frozenset({2, 3}), frozenset())
+    raw = rng.random((4, 3, len(groups) + 1))
+    target = PseudoCanvas(probs=raw / raw.sum(axis=2, keepdims=True))
+    probs = softmax_atoms(rng.standard_normal((4, 3, 6)))
+    index = group_index(groups, 6)
+    assert ce_loss_image(target, probs, index) == ce_loss_image(target, probs, groups)
+    np.testing.assert_array_equal(grad_logits(target, probs, index),
+                                  grad_logits(target, probs, groups))
+
+
+def test_train_loop_builds_group_tables_once_per_dataset(monkeypatch):
+    calls = []
+    real = lossgrad.group_matrix
+
+    def counting(groups, atom_count):
+        calls.append(len(groups))
+        return real(groups, atom_count)
+
+    monkeypatch.setattr(lossgrad, "group_matrix", counting)
+    rng = np.random.default_rng(67)
+    spaces = [LabelSpace("fine", ("void", "cat", "dog", "grass"), PIXEL_DENSE),
+              LabelSpace("coarse", ("void", "animal", "grass"), PIXEL_COARSE),
+              LabelSpace("boxes", ("void", "cat", "dog"), BBOX)]
+    relations = RelationTable.from_triples(
+        [(HYPERNYM, "animal", "cat"), (HYPERNYM, "animal", "dog")])
+    tax = build_group_sets(build_semantic_atoms(spaces, relations), spaces, relations)
+    datasets = []
+    for space in spaces:
+        images = [rng.random((5, 4, 2)) for _ in range(4)]
+        if space.supervision == BBOX:
+            labels = [WeakLabel(boxes=((1, 0, 0, 3, 3), (2, 1, 1, 4, 5)))] * 4
+        else:
+            labels = [StrongLabel(rng.integers(0, space.num_classes + 1, size=(5, 4)),
+                                  space.num_classes) for _ in range(4)]
+        datasets.append(LoadedDataset(space=space, images=images, labels=labels))
+    plan = BatchPlan(quotas={"fine": 2, "coarse": 2, "boxes": 2}, seed=5)
+    res = train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
+                     epochs=2, refine_threshold=0.0, feature_width=3)
+    assert len(res.losses) == 4  # 4 steps, 6 items each
+    assert sorted(calls) == [2, 2, 3]  # one per dataset, not one per item
 
 
 # --- loss closed forms ---
