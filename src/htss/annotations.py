@@ -118,6 +118,11 @@ class PseudoCanvas:
     def supervised_mask(self) -> np.ndarray:
         return self.unlabeled < 0.5
 
+    @property
+    def class_argmax(self) -> np.ndarray:
+        """Per-pixel class slot holding the most mass, lowest on ties."""
+        return self.probs[:, :, :self.num_classes].argmax(axis=2)
+
 
 def canvas_from_boxes(label: WeakLabel, height: int, width: int,
                       num_classes: int) -> PseudoCanvas:
@@ -165,6 +170,21 @@ def strong_to_canvas(label: StrongLabel, num_classes: int) -> PseudoCanvas:
     return PseudoCanvas(probs)
 
 
+def gate_canvas(canvas: PseudoCanvas, probs: np.ndarray, expected: np.ndarray,
+                threshold: float) -> PseudoCanvas:
+    """The confidence gate: a labeled pixel keeps its canvas vector iff
+    the argmax of probs (H, W, K) is the expected column (H, W) and the
+    probability there is >= threshold; every other pixel becomes
+    unlabeled. Argmax ties resolve to the lowest column."""
+    conf = np.take_along_axis(probs, expected[:, :, None], axis=2)[:, :, 0]
+    keep = canvas.supervised_mask & (probs.argmax(axis=2) == expected) & (conf >= threshold)
+    num = canvas.num_classes
+    out = np.zeros_like(canvas.probs)
+    out[keep] = canvas.probs[keep]
+    out[:, :, num] = np.where(keep, canvas.probs[:, :, num], 1.0)
+    return PseudoCanvas(out)
+
+
 def refine_canvas(canvas: PseudoCanvas, predicted_probs: np.ndarray,
                   threshold: float) -> PseudoCanvas:
     """Keep a pixel's canvas vector only where the prediction agrees.
@@ -181,11 +201,4 @@ def refine_canvas(canvas: PseudoCanvas, predicted_probs: np.ndarray,
         raise ShapeMismatch(
             f"predictions {predicted_probs.shape} do not match canvas "
             f"({canvas.height}, {canvas.width}, {num})")
-    pred_arg = predicted_probs.argmax(axis=2)
-    pseudo_arg = canvas.probs[:, :, :num].argmax(axis=2)
-    conf = np.take_along_axis(predicted_probs, pred_arg[:, :, None], axis=2)[:, :, 0]
-    keep = canvas.supervised_mask & (pred_arg == pseudo_arg) & (conf >= threshold)
-    probs = np.zeros_like(canvas.probs)
-    probs[keep] = canvas.probs[keep]
-    probs[:, :, num] = np.where(keep, canvas.probs[:, :, num], 1.0)
-    return PseudoCanvas(probs)
+    return gate_canvas(canvas, predicted_probs, canvas.class_argmax, threshold)

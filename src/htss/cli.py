@@ -97,7 +97,7 @@ def _load_config(command: str, args) -> dict:
         raise ConfigError("missing --config (use --print-config to see defaults)")
     try:
         raw = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     try:
         user = json.loads(raw)
@@ -139,7 +139,7 @@ def cmd_gen(cfg: dict, seed_override: int | None = None) -> None:
     doc_path = cfg["world"]
     try:
         doc = json.loads(Path(doc_path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read world spec {doc_path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"world spec {doc_path} is not valid JSON: {exc}") from None
@@ -221,6 +221,10 @@ def cmd_train(cfg: dict) -> None:
     quotas = cfg["quotas"]
     if not isinstance(quotas, dict) or not quotas:
         raise ConfigError("config key 'quotas' must be a non-empty object")
+    # an unquoted dataset would shape the taxonomy without ever being trained on
+    unquoted = sorted({ds.dataset_id for ds in datasets} - {str(k) for k in quotas})
+    if unquoted:
+        raise ConfigError(f"datasets {unquoted} are listed in 'manifests' but have no quota")
     try:
         plan = BatchPlan(quotas={str(k): int(v) for k, v in quotas.items()},
                          seed=int(cfg["seed"]))

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import struct
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
@@ -128,6 +128,13 @@ def read_array_file(path) -> list[np.ndarray]:
     return arrays
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, f"not UTF-8 text: {exc}") from None
+
+
 def write_weak_label(path, label: WeakLabel) -> None:
     lines = [f"{c} {x0} {y0} {x1} {y1}" for c, x0, y0, x1, y1 in label.boxes]
     lines.append("tags: " + " ".join(str(t) for t in label.tags))
@@ -138,7 +145,7 @@ def read_weak_label(path) -> WeakLabel:
     boxes = []
     tags: tuple[int, ...] = ()
     saw_tags = False
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -171,7 +178,7 @@ def _dump_json(path, doc) -> None:
 
 def _load_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(path, f"invalid JSON: {exc}") from None
 
@@ -201,7 +208,7 @@ def write_relations(path, triples) -> None:
 
 def read_relations(path) -> RelationTable:
     triples = []
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
@@ -234,9 +241,35 @@ def write_manifest(path, doc: dict) -> None:
     _dump_json(path, doc)
 
 
+def _check_relative(path, rel: str) -> None:
+    """A path named by a manifest must stay under the manifest's directory."""
+    pure = PurePosixPath(rel)
+    if pure.is_absolute() or ".." in pure.parts:
+        raise FormatError(path, f"path {rel!r} must be relative and free of '..'")
+
+
 def read_manifest(path) -> dict:
+    """A manifest: string dataset_id and label_space, a known supervision
+    kind, and records as [image, label] pairs of relative paths."""
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(path, "manifest must be a JSON object")
     for key in ("dataset_id", "supervision", "granularity", "label_space", "records"):
         if key not in doc:
             raise FormatError(path, f"manifest missing key {key!r}")
+    for key in ("dataset_id", "label_space"):
+        if not isinstance(doc[key], str):
+            raise FormatError(path, f"manifest key {key!r} must be a string")
+    if doc["supervision"] not in SUPERVISION_KINDS:
+        raise FormatError(path, f"unknown supervision kind {doc['supervision']!r}")
+    records = doc["records"]
+    if not isinstance(records, list):
+        raise FormatError(path, "manifest key 'records' must be a list")
+    _check_relative(path, doc["label_space"])
+    for i, record in enumerate(records):
+        if not (isinstance(record, list) and len(record) == 2
+                and all(isinstance(p, str) for p in record)):
+            raise FormatError(path, f"record {i} must be an [image, label] pair of paths")
+        for rel in record:
+            _check_relative(path, rel)
     return doc

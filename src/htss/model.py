@@ -9,6 +9,29 @@ for a given seed.
 When an atom partition with weak-only subclasses is active, the head
 emits logits for the a+p atoms followed by the s atoms; the two
 segments are softmaxed separately.
+
+Patch layout: _im2col writes the (H, W, C) input into a zero-bordered
+(H+2, W+2, C) buffer and copies its 3x3 sliding windows, transposed to
+(H, W, dy, dx, C), into one (H*W, 9*C) array. Row y*W + x holds the
+patch centred on pixel (y, x), and column (3*dy + dx)*C + c holds
+channel c at offset (dy - 1, dx - 1); this matches the (3, 3, C, width)
+kernel reshaped to (9*C, width). Within one window row the dx and C
+axes are adjacent in memory on both sides, so the copy moves runs of
+3*C elements.
+
+Input gradient of conv 2: the plain form is one GEMM, dz @ W.T with W
+the (9*C, width) kernel, then a scatter of each (dy, dx) column block
+onto the bordered buffer. _conv_input_grad instead multiplies dz by
+each tap's (width, C) kernel slice, giving nine contiguous (H*W, C)
+planes, and adds them onto the buffer in the same (dy, dx) order. Every
+element is still one dot product over width, which OpenBLAS sums in the
+same order for the (H*W, C) product as for the (H*W, 9*C) one, and the
+scatter adds the same values in the same order. So the gradient keeps
+the plain form's bits; the tests check this against the slice-by-slice
+oracle at widths 1 to 16. The only difference is memory order: each
+scatter add now runs over whole contiguous rows. (With OpenBLAS 0.3.31
+on Haswell, widths of 32 or more on images under 64 pixels take a
+small-matrix path whose sums can differ in the last bit.)
 """
 
 from __future__ import annotations
@@ -23,6 +46,7 @@ from . import formats
 from .annotations import (
     PseudoCanvas,
     StrongLabel,
+    gate_canvas,
     refine_canvas,
     strong_to_canvas,
     weak_canvas,
@@ -127,21 +151,26 @@ def init_micronet(in_channels: int, width: int, out_channels: int,
 def _im2col(x: np.ndarray) -> np.ndarray:
     """(H, W, C) -> (H*W, 9*C) patches for a 3x3 same-padding conv."""
     h, w, c = x.shape
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    padded = np.zeros((h + 2, w + 2, c), dtype=np.float64)
+    padded[1:-1, 1:-1, :] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
     cols = np.empty((h, w, 3, 3, c), dtype=np.float64)
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, :, dy, dx, :] = padded[dy:dy + h, dx:dx + w, :]
+    cols[...] = windows.transpose(0, 1, 3, 4, 2)
     return cols.reshape(h * w, 9 * c)
 
 
-def _col2im(dcols: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter patch gradients back onto the image."""
+def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Gradient w.r.t. the (H, W, C) input of a 3x3 same-padding conv,
+    given dz = d(loss)/d(output) as (H*W, width) and kernel (3, 3, C, width).
+
+    Used for conv 2, where C == width. With C == 1 each tap's product
+    would be a matrix-vector one, which BLAS sums in another order."""
+    c, width = kernel.shape[2], kernel.shape[3]
+    taps = np.matmul(dz, kernel.reshape(9, c, width).transpose(0, 2, 1))
     dpadded = np.zeros((h + 2, w + 2, c), dtype=np.float64)
-    d5 = dcols.reshape(h, w, 3, 3, c)
-    for dy in range(3):
-        for dx in range(3):
-            dpadded[dy:dy + h, dx:dx + w, :] += d5[:, :, dy, dx, :]
+    for t in range(9):
+        dy, dx = divmod(t, 3)
+        dpadded[dy:dy + h, dx:dx + w, :] += taps[t].reshape(h, w, c)
     return dpadded[1:-1, 1:-1, :]
 
 
@@ -197,8 +226,7 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> MicroNetGrads:
 
     dw2 = (cache.cols2.T @ dz2).reshape(params.w2.shape)
     db2 = dz2.sum(axis=0)
-    dcols2 = dz2 @ params.w2.reshape(-1, params.width).T
-    da1 = _col2im(dcols2, h, w, params.width)
+    da1 = _conv_input_grad(dz2, params.w2, h, w)
     dz1 = (da1 * (cache.z1 > 0.0)).reshape(-1, params.width)
 
     dw1 = (cache.cols1.T @ dz1).reshape(params.w1.shape)
@@ -353,16 +381,8 @@ def _refine_with_parent(canvas: PseudoCanvas, ap_probs: np.ndarray,
     a+p head's argmax is the parent of the pseudo-label class and that
     parent's probability clears the threshold. Subclass identity stays
     with the box votes; only localization is gated."""
-    num = canvas.num_classes
-    pseudo_arg = canvas.probs[:, :, :num].argmax(axis=2)
-    pcol = np.asarray(parent_slots, dtype=np.int64)[pseudo_arg]
-    ap_arg = ap_probs.argmax(axis=2)
-    conf = np.take_along_axis(ap_probs, pcol[:, :, None], axis=2)[:, :, 0]
-    keep = canvas.supervised_mask & (ap_arg == pcol) & (conf >= threshold)
-    probs = np.zeros_like(canvas.probs)
-    probs[keep] = canvas.probs[keep]
-    probs[:, :, num] = np.where(keep, canvas.probs[:, :, num], 1.0)
-    return PseudoCanvas(probs)
+    expected = np.asarray(parent_slots, dtype=np.int64)[canvas.class_argmax]
+    return gate_canvas(canvas, ap_probs, expected, threshold)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 These deliberately re-derive expected values through a different route
 than the library: a restart-from-scratch fixed-point scan for atom
-extraction, central finite differences for gradients, and a textbook
-softmax cross-entropy for the singleton-group degeneracy.
+extraction, central finite differences for gradients, a textbook
+softmax cross-entropy for the singleton-group degeneracy, and the
+slice-by-slice patch layout the conv kernels must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,29 @@ def atoms_fixed_point_oracle(names, relations):
         if removed is None:
             return survivors
         survivors.remove(removed)
+
+
+def im2col_oracle(x):
+    """(H, W, C) -> (H*W, 9*C) 3x3 same-padding patches, one (dy, dx)
+    slice at a time, with columns ordered (dy, dx, c)."""
+    h, w, c = x.shape
+    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    cols = np.empty((h, w, 3, 3, c), dtype=np.float64)
+    for dy in range(3):
+        for dx in range(3):
+            cols[:, :, dy, dx, :] = padded[dy:dy + h, dx:dx + w, :]
+    return cols.reshape(h * w, 9 * c)
+
+
+def col2im_oracle(dcols, h, w, c):
+    """Adjoint of im2col_oracle: add patch gradients back onto the image,
+    one (dy, dx) slice at a time in row-major order."""
+    dpadded = np.zeros((h + 2, w + 2, c), dtype=np.float64)
+    d5 = dcols.reshape(h, w, 3, 3, c)
+    for dy in range(3):
+        for dx in range(3):
+            dpadded[dy:dy + h, dx:dx + w, :] += d5[:, :, dy, dx, :]
+    return dpadded[1:-1, 1:-1, :]
 
 
 def fd_grad(fn, x, eps=1e-4):

@@ -7,6 +7,7 @@ from htss.annotations import (
     WeakLabel,
     canvas_from_boxes,
     canvas_from_tags,
+    gate_canvas,
     refine_canvas,
     strong_to_canvas,
 )
@@ -192,6 +193,31 @@ def test_refine_monotone_in_threshold():
     kept = [refine_canvas(canvas, pred, t).supervised_mask.sum()
             for t in (0.0, 0.3, 0.6, 0.9, 1.0)]
     assert all(a >= b for a, b in zip(kept, kept[1:]))
+
+
+def test_gate_with_parent_columns_matches_pixel_loop():
+    # the two-head refinement: the expected column is the parent slot of
+    # each pixel's canvas class, over a distribution with more columns
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        h, w = (int(rng.integers(1, 5)) for _ in range(2))
+        n, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        raw = rng.random((h, w, n + 1))
+        raw[:, :, n] = np.where(rng.random((h, w)) < 0.3, 5.0, 0.0)
+        canvas = PseudoCanvas(probs=raw / raw.sum(axis=2, keepdims=True))
+        parent_slots = rng.integers(0, k, size=n)
+        predraw = rng.random((h, w, k))
+        pred = predraw / predraw.sum(axis=2, keepdims=True)
+        thr = float(rng.random())
+        out = gate_canvas(canvas, pred, parent_slots[canvas.class_argmax], thr)
+        for i in range(h):
+            for j in range(w):
+                row = canvas.probs[i, j]
+                col = parent_slots[int(np.argmax(row[:n]))]
+                keep = (row[n] < 0.5 and int(np.argmax(pred[i, j])) == col
+                        and pred[i, j, col] >= thr)
+                want = row if keep else np.eye(n + 1)[n]
+                assert np.array_equal(out.probs[i, j], want)
 
 
 def test_fuzz_canvases_are_valid(seed=20260822):

@@ -417,3 +417,96 @@ def test_weak_records_checked_at_load(tmp_path, gen_tree, capsys, dataset, recor
         assert "Traceback" not in err, err
     assert not (tmp_path / "pl_out" / dataset).exists()
     assert not (tmp_path / "run").exists()
+
+
+def _corrupt_boxes_manifest(gen_tree, edit):
+    path = gen_tree / "boxes_manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", [
+    "one_path_record", "numeric_paths", "records_not_list", "numeric_label_space",
+    "numeric_dataset_id", "absolute_record_path", "dotdot_record_path",
+    "dotdot_label_space", "unknown_supervision", "not_an_object",
+])
+def test_malformed_manifest_exits_3(tmp_path, gen_tree, capsys, case):
+    def edit(doc):
+        first = doc["records"][0]
+        if case == "one_path_record":
+            doc["records"][0] = first[:1]
+        elif case == "numeric_paths":
+            doc["records"][0] = [1, 2]
+        elif case == "records_not_list":
+            doc["records"] = {"img": first[0], "lab": first[1]}
+        elif case == "numeric_label_space":
+            doc["label_space"] = 7
+        elif case == "numeric_dataset_id":
+            doc["dataset_id"] = 7
+        elif case == "absolute_record_path":
+            # the file exists; the path is refused for leaving the manifest root
+            doc["records"][0] = [str(gen_tree / first[0]), first[1]]
+        elif case == "dotdot_record_path":
+            doc["records"][0] = [f"boxes/../{first[0]}", first[1]]
+        elif case == "dotdot_label_space":
+            doc["label_space"] = f"../{gen_tree.name}/{doc['label_space']}"
+        elif case == "unknown_supervision":
+            doc["supervision"] = ["bbox"]
+
+    if case == "not_an_object":
+        (gen_tree / "boxes_manifest.json").write_text("7\n")
+    else:
+        _corrupt_boxes_manifest(gen_tree, edit)
+    manifest = str(gen_tree / "boxes_manifest.json")
+    pl = write_json(tmp_path / "pl.json", {"manifests": [manifest],
+                                           "out": str(tmp_path / "pl_out")})
+    train = write_json(tmp_path / "train.json", {
+        "manifests": [str(gen_tree / "fine_px_manifest.json"), manifest],
+        "relations": str(gen_tree / "relations.tsv"),
+        "quotas": {"fine_px": 1, "boxes": 1},
+        "feature_width": 2,
+        "out": str(tmp_path / "run"),
+    })
+    for argv in (["pseudolabel", "--config", pl], ["train", "--config", train]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert "data error" in err and "boxes_manifest.json" in err, err
+        assert "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_manifest_without_quota_is_config_error(tmp_path, gen_tree, capsys):
+    cfg = write_json(tmp_path / "train.json", {
+        "manifests": [str(gen_tree / "fine_px_manifest.json"),
+                      str(gen_tree / "coarse_px_manifest.json"),
+                      str(gen_tree / "boxes_manifest.json")],
+        "relations": str(gen_tree / "relations.tsv"),
+        "quotas": {"fine_px": 1},
+        "feature_width": 2,
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "['boxes', 'coarse_px']" in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_utf8_inputs_exit_cleanly(tmp_path, gen_tree, capsys):
+    bad = b"\xff\xfe not utf-8\n"
+    config = tmp_path / "bad_config.json"
+    config.write_bytes(bad)
+    assert main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err, err
+
+    pl = write_json(tmp_path / "pl.json", {
+        "manifests": [str(gen_tree / "boxes_manifest.json")],
+        "out": str(tmp_path / "pl_out"),
+    })
+    for victim in ("boxes/lab_00002.weak", "boxes_space.json", "boxes_manifest.json"):
+        (gen_tree / victim).write_bytes(bad)
+        assert main(["pseudolabel", "--config", pl]) == 3, victim
+        err = capsys.readouterr().err
+        assert "data error" in err and victim.split("/")[-1] in err, err
+        assert "Traceback" not in err, err

@@ -170,7 +170,7 @@ def test_manifest_roundtrip(tmp_path):
         "supervision": BBOX,
         "granularity": "fine",
         "label_space": "space.json",
-        "records": [{"image": "img_00000.rast", "label": "lab_00000.weak"}],
+        "records": [["img_00000.rast", "lab_00000.weak"]],
     }
     write_manifest(p, doc)
     assert read_manifest(p) == doc

@@ -15,6 +15,8 @@ from htss.model import (
     MicroNetGrads,
     MicroNetParams,
     OptimizerState,
+    _conv_input_grad,
+    _im2col,
     backward,
     derive_train_seeds,
     forward,
@@ -24,7 +26,11 @@ from htss.model import (
     save_checkpoint,
 )
 
-from oracles import fd_grad
+from oracles import col2im_oracle, fd_grad, im2col_oracle
+
+# (H, W): single pixel, single row, single column, non-square both ways,
+# and the two workload image sizes
+PATCH_SHAPES = [(1, 1), (1, 6), (5, 1), (3, 7), (9, 4), (20, 20), (48, 48)]
 
 
 def test_init_shapes_and_bounds():
@@ -91,6 +97,28 @@ def test_backward_matches_finite_differences():
         got = getattr(grads, field)
         scale = max(1.0, np.abs(want).max())
         assert np.abs(got - want).max() / scale < 1e-5, field
+
+
+@pytest.mark.parametrize("h, w", PATCH_SHAPES)
+@pytest.mark.parametrize("c", [1, 3, 8, 16])
+def test_im2col_matches_slice_oracle_bit_for_bit(h, w, c):
+    rng = np.random.default_rng(1000 * h + 10 * w + c)
+    x = rng.standard_normal((h, w, c))
+    got = _im2col(x)
+    assert got.shape == (h * w, 9 * c) and got.flags.writeable
+    assert np.array_equal(got, im2col_oracle(x))
+
+
+@pytest.mark.parametrize("h, w", PATCH_SHAPES)
+@pytest.mark.parametrize("width", [1, 3, 8, 16])
+def test_conv2_input_grad_matches_gemm_then_col2im_bit_for_bit(h, w, width):
+    # conv 2 maps width channels to width channels
+    rng = np.random.default_rng(1000 * h + 10 * w + width)
+    for _ in range(3):
+        dz = rng.standard_normal((h * w, width))
+        kernel = rng.standard_normal((3, 3, width, width))
+        want = col2im_oracle(dz @ kernel.reshape(-1, width).T, h, w, width)
+        assert np.array_equal(_conv_input_grad(dz, kernel, h, w), want)
 
 
 def test_backward_rejects_stale_cache():
