@@ -32,9 +32,11 @@ from .model import (
     MicroNetParams,
     OptimizerState,
     backward,
+    evaluate,
     forward,
     init_micronet,
     load_checkpoint,
+    predict_atoms,
     save_checkpoint,
     sgd_step,
     train_loop,

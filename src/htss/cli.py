@@ -1,8 +1,9 @@
 """Command-line front end: gen, taxonomy, pseudolabel, train, eval.
 
-Every subcommand reads a flat JSON config (--config), with --seed and
---out overriding the corresponding config keys and --print-config
-dumping the defaults. Outputs are deterministic: rerunning a subcommand
+Every subcommand reads a flat JSON config (--config), with --out
+overriding the output directory and --print-config dumping the
+defaults; gen and train also take --seed, which overrides the world
+spec's seed and the training seed respectively. Outputs are deterministic: rerunning a subcommand
 with the same config writes byte-identical files.
 
 Exit codes: 0 success, 2 config error, 4 numeric failure, 3 any data
@@ -24,26 +25,17 @@ import numpy as np
 
 from . import formats
 from .errors import ConfigError, DataError, HTSSError, NumericError
-from .lossgrad import merge_subclass_predictions, softmax_atoms
-from .metrics import ConfusionMatrix, MetricReport, json_number
-from .model import (
-    BatchPlan,
-    OptimizerState,
-    forward,
-    load_checkpoint,
-    train_loop,
-)
+from .metrics import MetricReport, json_number
+from .model import BatchPlan, OptimizerState, evaluate, load_checkpoint, train_loop
 from .synthgen import View, WorldSpec, emit_dataset, load_dataset, relation_triples
 from .annotations import weak_canvas
 from .taxonomy import (
-    PIXEL_KINDS,
     WEAK_KINDS,
     AtomPartition,
     RelationTable,
     build_group_sets,
     build_semantic_atoms,
     partition_atoms,
-    semantic_closure,
     validate_taxonomy,
 )
 
@@ -111,7 +103,7 @@ def _load_config(command: str, args) -> dict:
     cfg.update(user)
     if args.out is not None:
         cfg["out"] = args.out
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     return cfg
 
@@ -135,7 +127,7 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def cmd_gen(cfg: dict, seed_override: int | None = None) -> None:
+def cmd_gen(cfg: dict) -> None:
     doc_path = cfg["world"]
     try:
         doc = json.loads(Path(doc_path).read_text(encoding="utf-8"))
@@ -147,8 +139,8 @@ def cmd_gen(cfg: dict, seed_override: int | None = None) -> None:
     if not views_doc:
         raise ConfigError("world spec needs a non-empty 'views' list")
     world = WorldSpec.from_dict(doc)
-    if seed_override is not None:
-        world = replace(world, seed=seed_override)
+    if "seed" in cfg:  # only --seed sets it: a gen config has no seed key
+        world = replace(world, seed=cfg["seed"])
     views = [View.from_dict(v) for v in views_doc]
     if len({v.dataset_id for v in views}) != len(views):
         raise ConfigError("duplicate dataset_id among views")
@@ -244,24 +236,6 @@ def cmd_train(cfg: dict) -> None:
              result.losses[-1])
 
 
-def _eval_class_lut(part: AtomPartition, space, relations) -> np.ndarray:
-    """Atom index -> class id of the evaluation label space (0 if none)."""
-    names = {part.atoms[i - 1]: i for i in range(1, part.atom_count + 1)}
-    lut = np.zeros(part.atom_count + 1, dtype=np.int64)
-    for m, cname in enumerate(space.classes[1:], start=1):
-        covered = [names[n] for n in semantic_closure(cname, relations) if n in names]
-        if not covered:
-            raise DataError(
-                f"evaluation class {cname!r} of {space.dataset_id!r} covers no atom")
-        for a in covered:
-            if lut[a] and lut[a] != m:
-                raise DataError(
-                    f"evaluation space {space.dataset_id!r} maps atom "
-                    f"{part.atom_name(a)!r} to two classes")
-            lut[a] = m
-    return lut
-
-
 def cmd_eval(cfg: dict) -> None:
     if not cfg["checkpoint"]:
         raise ConfigError("config key 'checkpoint' is required")
@@ -272,11 +246,11 @@ def cmd_eval(cfg: dict) -> None:
     tax = _build_taxonomy(spaces, relations)
     part = (partition_atoms(tax, spaces, relations) if cfg["partition"]
             else AtomPartition.trivial(tax))
-    n_ap, n_s = len(part.ap_atoms), len(part.s_atoms)
-    if params.out_channels != n_ap + n_s:
+    needed = len(part.ap_atoms) + len(part.s_atoms)
+    if params.out_channels != needed:
         raise DataError(
             f"checkpoint predicts {params.out_channels} atoms but the taxonomy "
-            f"needs {n_ap + n_s}")
+            f"needs {needed}")
     try:
         n_t = int(cfg["n_t"])
         c_values = [int(c) for c in cfg["c_values"]]
@@ -287,18 +261,7 @@ def cmd_eval(cfg: dict) -> None:
     reports = []
     for manifest_path in _require_paths(cfg, "manifests"):
         ds = load_dataset(manifest_path)
-        if ds.supervision not in PIXEL_KINDS:
-            raise DataError(
-                f"evaluation dataset {ds.dataset_id!r} must be pixel-supervised")
-        lut = _eval_class_lut(part, ds.space, relations)
-        cm = ConfusionMatrix(ds.space.num_classes)
-        for image, label in zip(ds.images, ds.labels):
-            logits, _ = forward(params, image)
-            ap_probs = softmax_atoms(logits[:, :, :n_ap])
-            s_probs = (softmax_atoms(logits[:, :, n_ap:]) if n_s
-                       else np.zeros(logits.shape[:2] + (0,)))
-            atom_ids = merge_subclass_predictions(ap_probs, s_probs, part)
-            cm.add(label.class_ids, lut[atom_ids])
+        cm = evaluate(params, part, ds, relations)
         report = MetricReport.build(ds.dataset_id, ds.space.classes, cm,
                                     c_values or [ds.space.num_classes], n_t)
         reports.append(report)
@@ -337,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in HANDLERS:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", help="path to a JSON config")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        if name in ("gen", "train"):  # the subcommands that draw random numbers
+            p.add_argument("--seed", type=int, help="override the seed")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--print-config", action="store_true",
                        help="print the default config and exit")
@@ -354,11 +318,7 @@ def main(argv=None) -> int:
         print(json.dumps(DEFAULTS[args.command], indent=2, sort_keys=True))
         return 0
     try:
-        cfg = _load_config(args.command, args)
-        if args.command == "gen":
-            cmd_gen(cfg, seed_override=args.seed)
-        else:
-            HANDLERS[args.command](cfg)
+        HANDLERS[args.command](_load_config(args.command, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -191,13 +191,20 @@ def write_label_space(path, space: LabelSpace) -> None:
 
 def read_label_space(path) -> LabelSpace:
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(path, "label space must be a JSON object")
     for key in ("dataset_id", "supervision", "classes"):
         if key not in doc:
             raise FormatError(path, f"label space missing key {key!r}")
+    if not isinstance(doc["dataset_id"], str):
+        raise FormatError(path, "label space key 'dataset_id' must be a string")
+    classes = doc["classes"]
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+        raise FormatError(path, "label space key 'classes' must be a list of strings")
     if doc["supervision"] not in SUPERVISION_KINDS:
         raise FormatError(path, f"unknown supervision kind {doc['supervision']!r}")
     return LabelSpace(dataset_id=doc["dataset_id"],
-                      classes=tuple(doc["classes"]),
+                      classes=tuple(classes),
                       supervision=doc["supervision"])
 
 

@@ -65,14 +65,18 @@ from .lossgrad import (
     accumulate_groups,
     batch_loss,
     group_index,
+    merge_subclass_predictions,
     softmax_atoms,
 )
+from .metrics import ConfusionMatrix
 from .taxonomy import (
     PIXEL_KINDS,
     AtomPartition,
     DatasetGroups,
     LabelSpace,
+    RelationTable,
     Taxonomy,
+    build_group_sets,
     dataset_heads,
 )
 
@@ -80,12 +84,8 @@ INIT_SCALE = 0.05
 
 
 @dataclass
-class MicroNetParams:
-    """Weights of the two-conv-plus-head network.
-
-    version counts in-place updates; forward caches remember the version
-    they saw so a backward pass against mutated weights is rejected.
-    """
+class MicroNetArrays:
+    """The six weight-shaped arrays of the network, in checkpoint order."""
 
     w1: np.ndarray  # (3, 3, in_ch, width)
     b1: np.ndarray  # (width,)
@@ -93,6 +93,19 @@ class MicroNetParams:
     b2: np.ndarray  # (width,)
     wh: np.ndarray  # (width, out_ch)
     bh: np.ndarray  # (out_ch,)
+
+    def arrays(self) -> list[np.ndarray]:
+        return [self.w1, self.b1, self.w2, self.b2, self.wh, self.bh]
+
+
+@dataclass
+class MicroNetParams(MicroNetArrays):
+    """Weights of the two-conv-plus-head network.
+
+    version counts in-place updates; forward caches remember the version
+    they saw so a backward pass against mutated weights is rejected.
+    """
+
     version: int = 0
 
     @property
@@ -107,25 +120,14 @@ class MicroNetParams:
     def out_channels(self) -> int:
         return self.wh.shape[1]
 
-    def arrays(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2, self.wh, self.bh]
-
 
 @dataclass
-class MicroNetGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    wh: np.ndarray
-    bh: np.ndarray
+class MicroNetGrads(MicroNetArrays):
+    """Gradients (or momentum velocities) shaped like the weights."""
 
     @classmethod
     def zeros_like(cls, params: MicroNetParams) -> "MicroNetGrads":
         return cls(*(np.zeros_like(a) for a in params.arrays()))
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2, self.wh, self.bh]
 
     def iadd(self, other: "MicroNetGrads") -> None:
         for mine, theirs in zip(self.arrays(), other.arrays()):
@@ -482,3 +484,44 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                 fh.write(f"{i},{value!r}\n")
     return TrainResult(params=params, losses=losses,
                        steps_per_epoch=sampler.steps_per_epoch)
+
+
+def predict_atoms(params: MicroNetParams, image: np.ndarray,
+                  part: AtomPartition) -> np.ndarray:
+    """Per-pixel atom index (1-based, into part.atoms) for one image: the
+    a+p and s heads are softmaxed separately, then merged."""
+    logits, _ = forward(params, image)
+    n_ap = len(part.ap_atoms)
+    ap_probs = softmax_atoms(logits[:, :, :n_ap])
+    s_probs = (softmax_atoms(logits[:, :, n_ap:]) if part.s_atoms
+               else np.zeros(logits.shape[:2] + (0,)))
+    return merge_subclass_predictions(ap_probs, s_probs, part)
+
+
+def evaluate(params: MicroNetParams, part: AtomPartition, dataset: LoadedDataset,
+             relations: RelationTable) -> ConfusionMatrix:
+    """Confusion counts of a pixel-supervised dataset against the
+    predicted atoms, each mapped to the class of the dataset that covers
+    it (void when none does).
+
+    Coverage is the taxonomy's: build_group_sets over the partition's
+    atoms. Raises UncoveredClass when a class covers no atom, and
+    DataError when two classes cover one atom.
+    """
+    space = dataset.space
+    if space.supervision not in PIXEL_KINDS:
+        raise DataError(
+            f"evaluation dataset {space.dataset_id!r} must be pixel-supervised")
+    groups = build_group_sets(part.atoms, [space], relations).groups_for(space)
+    lut = np.zeros(part.atom_count + 1, dtype=np.int64)
+    for m, group in enumerate(groups[1:], start=1):
+        for a in sorted(group):
+            if lut[a]:
+                raise DataError(
+                    f"evaluation space {space.dataset_id!r} maps atom "
+                    f"{part.atom_name(a)!r} to two classes")
+            lut[a] = m
+    cm = ConfusionMatrix(space.num_classes)
+    for image, label in zip(dataset.images, dataset.labels):
+        cm.add(label.class_ids, lut[predict_atoms(params, image, part)])
+    return cm

@@ -28,8 +28,7 @@ from .taxonomy import (
     BBOX,
     HYPERNYM,
     IMAGE_TAG,
-    PIXEL_COARSE,
-    PIXEL_DENSE,
+    PIXEL_KINDS,
     SUPERVISION_KINDS,
     LabelSpace,
 )
@@ -266,7 +265,7 @@ def emit_dataset(world: WorldSpec, view: View, out_dir) -> DatasetManifest:
         img_rel = f"{view.dataset_id}/img_{i:05d}.rast"
         formats.write_raster(root / img_rel, scene.features.astype(np.float32))
 
-        if view.supervision in (PIXEL_DENSE, PIXEL_COARSE):
+        if view.supervision in PIXEL_KINDS:
             lut = np.array([0] + [to_view.get(view_name(n), 0) for n in fine_names],
                            dtype=np.uint16)
             lab_rel = f"{view.dataset_id}/lab_{i:05d}.rast"
@@ -320,11 +319,15 @@ def load_dataset(manifest_path) -> LoadedDataset:
         raise DataError(
             f"manifest {doc['dataset_id']!r} points at label space "
             f"{space.dataset_id!r}")
+    if space.supervision != doc["supervision"]:
+        raise FormatError(
+            path, f"supervision {doc['supervision']!r} disagrees with "
+            f"{space.supervision!r} in its label space {doc['label_space']}")
     images = []
     labels = []
     for img_rel, lab_rel in doc["records"]:
         images.append(formats.read_raster(root / img_rel).astype(np.float64))
-        if doc["supervision"] in (PIXEL_DENSE, PIXEL_COARSE):
+        if space.supervision in PIXEL_KINDS:
             ids = formats.read_raster(root / lab_rel).astype(np.int64)
             labels.append(StrongLabel(class_ids=ids, num_classes=space.num_classes))
         else:

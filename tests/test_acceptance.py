@@ -20,13 +20,8 @@ from htss.annotations import (
     refine_canvas,
 )
 from htss.cli import main as cli_main
-from htss.lossgrad import (
-    ce_loss_image,
-    grad_logits,
-    merge_subclass_predictions,
-    softmax_atoms,
-)
-from htss.metrics import ConfusionMatrix, iou_per_class, knowledgeability, miou
+from htss.lossgrad import ce_loss_image, grad_logits, softmax_atoms
+from htss.metrics import iou_per_class, knowledgeability, miou
 from htss.model import (
     BatchPlan,
     BatchSampler,
@@ -35,8 +30,10 @@ from htss.model import (
     OptimizerState,
     backward,
     derive_train_seeds,
+    evaluate,
     forward,
     init_micronet,
+    predict_atoms,
     train_loop,
 )
 from htss.synthgen import (
@@ -53,7 +50,6 @@ from htss.taxonomy import (
     build_group_sets,
     build_semantic_atoms,
     partition_atoms,
-    semantic_closure,
     validate_taxonomy,
 )
 
@@ -107,33 +103,6 @@ def build_tax(world, datasets):
     spaces = [ds.space for ds in datasets]
     atoms = build_semantic_atoms(spaces, rel)
     return build_group_sets(atoms, spaces, rel), rel
-
-
-def eval_lut(part, space, rel):
-    """Atom index -> class id of the eval space; unreached atoms to void."""
-    names = {part.atoms[i - 1]: i for i in range(1, part.atom_count + 1)}
-    lut = np.zeros(part.atom_count + 1, dtype=np.int64)
-    for m, cname in enumerate(space.classes[1:], start=1):
-        for n in semantic_closure(cname, rel):
-            if n in names:
-                lut[names[n]] = m
-    return lut
-
-
-def run_eval(params, part, eval_ds, rel):
-    """Confusion matrix of merged predictions against dense labels."""
-    space = eval_ds.space
-    lut = eval_lut(part, space, rel)
-    n_ap, n_s = len(part.ap_atoms), len(part.s_atoms)
-    cm = ConfusionMatrix(space.num_classes)
-    for img, lab in zip(eval_ds.images, eval_ds.labels):
-        logits, _ = forward(params, img)
-        ap = softmax_atoms(logits[:, :, :n_ap])
-        s = (softmax_atoms(logits[:, :, n_ap:]) if n_s
-             else np.zeros(logits.shape[:2] + (0,)))
-        ids = merge_subclass_predictions(ap, s, part)
-        cm.add(lab.class_ids, lut[ids])
-    return cm
 
 
 def mask_iou(gt, pred):
@@ -427,19 +396,14 @@ def test_criterion_6_joint_training_closes_gap_to_fine_oracle():
 
     def fine_miou(params, tax):
         part = AtomPartition.trivial(tax)
-        return miou(run_eval(params, part, ds_eval, rel))
+        return miou(evaluate(params, part, ds_eval, rel))
 
     def coarse_credit_miou(params, tax):
         # the coarse-only net is asked for fine classes: credit each fine
         # class with the region predicted as its parent
         part = AtomPartition.trivial(tax)
         atom_pos = {n: i + 1 for i, n in enumerate(tax.atoms)}
-        preds = []
-        for img in ds_eval.images:
-            logits, _ = forward(params, img)
-            probs = softmax_atoms(logits)
-            preds.append(merge_subclass_predictions(
-                probs, np.zeros(logits.shape[:2] + (0,)), part))
+        preds = [predict_atoms(params, img, part) for img in ds_eval.images]
         per_class = []
         for m, cname in enumerate(ds_eval.space.classes[1:], start=1):
             pa = atom_pos[world.parent_of[cname]]
@@ -483,8 +447,8 @@ def test_criterion_7_boxes_recover_class_missing_from_strong_data():
                        OptimizerState(learning_rate=0.2, momentum=0.9),
                        epochs=20, refine_threshold=0.9, feature_width=8)
 
-    iou_a = iou_per_class(run_eval(res_a.params, part, ds_eval, rel))[0]
-    iou_b = iou_per_class(run_eval(res_b.params, part, ds_eval, rel))[0]
+    iou_a = iou_per_class(evaluate(res_a.params, part, ds_eval, rel))[0]
+    iou_b = iou_per_class(evaluate(res_b.params, part, ds_eval, rel))[0]
     i_cat = ds_eval.space.class_index("cat")
     rest = [ds_eval.space.class_index("field"), ds_eval.space.class_index("bus")]
     gain = iou_b[i_cat] - iou_a[i_cat]
@@ -520,18 +484,18 @@ def test_criterion_8_subclass_boxes_split_parent_without_degrading_it():
                      OptimizerState(learning_rate=0.3, momentum=0.9),
                      epochs=20, refine_threshold=0.7, feature_width=8)
 
-    iou_sub = iou_per_class(run_eval(res.params, part, ds_eval_sub, rel))[0]
+    iou_sub = iou_per_class(evaluate(res.params, part, ds_eval_sub, rel))[0]
     i_cat = ds_eval_sub.space.class_index("cat")
     i_dog = ds_eval_sub.space.class_index("dog")
 
-    miou_with = miou(run_eval(res.params, part, ds_eval_par, rel))
+    miou_with = miou(evaluate(res.params, part, ds_eval_par, rel))
     base_tax = build_group_sets(
         build_semantic_atoms([ds_coarse.space], rel), [ds_coarse.space], rel)
     base = train_loop([ds_coarse], base_tax, None,
                       BatchPlan(quotas={"coarse_px": 4}, seed=1),
                       OptimizerState(learning_rate=0.3, momentum=0.9),
                       epochs=20, refine_threshold=0.7, feature_width=8)
-    miou_without = miou(run_eval(base.params, AtomPartition.trivial(base_tax),
+    miou_without = miou(evaluate(base.params, AtomPartition.trivial(base_tax),
                                  ds_eval_par, rel))
 
     print(f"[criterion 8] subclass IoU cat {iou_sub[i_cat]:.3f} "

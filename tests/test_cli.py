@@ -110,6 +110,9 @@ def test_gen_seed_override_changes_data(tmp_path, gen_tree):
     a = (gen_tree / "fine_px" / "img_00000.rast").read_bytes()
     b = (tmp_path / "data3" / "fine_px" / "img_00000.rast").read_bytes()
     assert a != b
+    # the override comes from the command line only, never from a gen config
+    cfg = write_json(tmp_path / "gen4.json", {"world": world, "seed": 123})
+    assert main(["gen", "--config", cfg]) == 2
 
 
 def test_taxonomy_command(tmp_path, gen_tree):
@@ -510,3 +513,94 @@ def test_non_utf8_inputs_exit_cleanly(tmp_path, gen_tree, capsys):
         err = capsys.readouterr().err
         assert "data error" in err and victim.split("/")[-1] in err, err
         assert "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", ["taxonomy", "pseudolabel", "eval"])
+def test_seed_rejected_where_no_seed_is_read(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "c.json", {})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--seed", "9"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dataset, claimed", [
+    ("fine_px", "bbox"), ("boxes", "pixel_dense")])
+def test_manifest_supervision_must_match_label_space(tmp_path, gen_tree, capsys,
+                                                     dataset, claimed):
+    path = gen_tree / f"{dataset}_manifest.json"
+    doc = json.loads(path.read_text())
+    actual = doc["supervision"]
+    doc["supervision"] = claimed
+    path.write_text(json.dumps(doc))
+    manifests = [str(gen_tree / "fine_px_manifest.json")]
+    if dataset != "fine_px":
+        manifests.append(str(path))
+    cfg = write_json(tmp_path / "train.json", {
+        "manifests": manifests,
+        "relations": str(gen_tree / "relations.tsv"),
+        "quotas": {"fine_px": 1, dataset: 1},
+        "feature_width": 2,
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["train", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{dataset}_manifest.json" in err, err
+    assert repr(claimed) in err and repr(actual) in err, err
+    assert "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, detail", [
+    (["void", "cat"], "must be a JSON object"),
+    ({"dataset_id": "fine_px", "supervision": "pixel_dense",
+      "classes": ["void", 1, 2]}, "list of strings"),
+    ({"dataset_id": "fine_px", "supervision": "pixel_dense",
+      "classes": ["void", ["cat"]]}, "list of strings"),
+    ({"dataset_id": "fine_px", "supervision": "pixel_dense",
+      "classes": "void"}, "list of strings"),
+    ({"dataset_id": 7, "supervision": "pixel_dense",
+      "classes": ["void", "cat"]}, "'dataset_id' must be a string"),
+])
+def test_malformed_label_space_exits_3(tmp_path, gen_tree, capsys, doc, detail):
+    space = gen_tree / "fine_px_space.json"
+    cfg = write_json(tmp_path / "tax.json", {
+        "label_spaces": [str(space), str(gen_tree / "coarse_px_space.json")],
+        "relations": str(gen_tree / "relations.tsv"),
+        "out": str(tmp_path / "tax_out"),
+    })
+    assert main(["taxonomy", "--config", cfg]) == 0  # as gen wrote it
+    space.write_text(json.dumps(doc))
+    assert main(["taxonomy", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "fine_px_space.json" in err and detail in err, err
+    assert "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("classes, detail", [
+    (["void", "animal", "cat", "field"], "maps atom 'cat' to two classes"),
+    (["void", "cat", "dog", "bird"], "class 'bird' of dataset 'mixed' maps to no atom"),
+])
+def test_eval_rejects_ambiguous_or_uncovered_class(tmp_path, gen_tree, capsys,
+                                                   classes, detail):
+    from htss.model import init_micronet, save_checkpoint
+    # the fine_px records under another label space of three classes
+    write_json(gen_tree / "mixed_space.json", {
+        "dataset_id": "mixed", "supervision": "pixel_dense", "classes": classes})
+    manifest = read_manifest(gen_tree / "fine_px_manifest.json")
+    write_json(gen_tree / "mixed_manifest.json",
+               dict(manifest, dataset_id="mixed", label_space="mixed_space.json"))
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(ckpt, init_micronet(2, 4, 3, seed=0))
+    cfg = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(ckpt),
+        "manifests": [str(gen_tree / "mixed_manifest.json")],
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")],
+        "relations": str(gen_tree / "relations.tsv"),
+        "out": str(tmp_path / "eval_out"),
+    })
+    assert main(["eval", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and detail in err, err
+    assert "Traceback" not in err, err
+

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from htss.annotations import StrongLabel, WeakLabel
 from htss.errors import (
     ConfigError,
+    DataError,
     FormatError,
     ShapeMismatch,
     StaleCache,
+    UncoveredClass,
     UnsatisfiableQuota,
 )
 from htss.model import (
     BatchSampler,
+    LoadedDataset,
     MicroNetGrads,
     MicroNetParams,
     OptimizerState,
@@ -19,12 +23,15 @@ from htss.model import (
     _im2col,
     backward,
     derive_train_seeds,
+    evaluate,
     forward,
     init_micronet,
     load_checkpoint,
+    predict_atoms,
     sgd_step,
     save_checkpoint,
 )
+from htss.taxonomy import AtomPartition, LabelSpace, RelationTable
 
 from oracles import col2im_oracle, fd_grad, im2col_oracle
 
@@ -256,3 +263,61 @@ def test_sampler_discards_short_tail():
 def test_sampler_steps_per_epoch_takes_largest_dataset():
     s = BatchSampler({"d0": 2, "d1": 3}, {"d0": 10, "d1": 6}, seed=0)
     assert s.steps_per_epoch == max(math.ceil(10 / 2), math.ceil(6 / 3))
+
+
+def constant_net(bias):
+    """A net whose logits are `bias` at every pixel."""
+    p = init_micronet(2, 3, len(bias), seed=0)
+    p.wh[...] = 0.0
+    p.bh[...] = bias
+    return p
+
+
+ANIMALS = RelationTable.from_triples([("hypernym", "animal", "cat"),
+                                      ("hypernym", "animal", "dog")])
+CAT_DOG_FIELD = AtomPartition(atoms=("cat", "dog", "field"),
+                              a_set=frozenset({1, 2, 3}), s_set=frozenset(),
+                              p_set=frozenset())
+
+
+def test_predict_atoms_splits_heads_and_merges_subclasses():
+    # a+p head: the parent "animal" (atom 3) alone; s head: cat, dog
+    part = AtomPartition(atoms=("cat", "dog", "animal"), a_set=frozenset(),
+                         s_set=frozenset({1, 2}), p_set=frozenset({3}),
+                         parent_of={1: 3, 2: 3})
+    image = np.zeros((2, 3, 2))
+    assert np.all(predict_atoms(constant_net([0.0, 0.0, 4.0]), image, part) == 2)
+    assert np.all(predict_atoms(constant_net([9.0, 4.0, 0.0]), image, part) == 1)
+    assert np.all(predict_atoms(constant_net([0.0, 0.0, 4.0]), image,
+                                CAT_DOG_FIELD) == 3)
+
+
+def eval_dataset(classes, supervision="pixel_dense"):
+    space = LabelSpace("ev", tuple(classes), supervision)
+    label = (StrongLabel(class_ids=np.array([[0, 1, 2], [2, 2, 1]]),
+                         num_classes=space.num_classes)
+             if supervision == "pixel_dense" else WeakLabel(tags=(1,)))
+    return LoadedDataset(space=space, images=[np.zeros((2, 3, 2))], labels=[label])
+
+
+def test_evaluate_maps_atoms_to_covering_classes():
+    ds = eval_dataset(["void", "animal", "field"])
+    dog = evaluate(constant_net([0.0, 4.0, 0.0]), CAT_DOG_FIELD, ds, ANIMALS)
+    np.testing.assert_array_equal(dog.counts[1:], [[0, 2, 0], [0, 3, 0]])
+    field = evaluate(constant_net([0.0, 0.0, 4.0]), CAT_DOG_FIELD, ds, ANIMALS)
+    np.testing.assert_array_equal(field.counts[1:], [[0, 0, 2], [0, 0, 3]])
+    # an atom no class covers is predicted as void
+    cats = eval_dataset(["void", "cat", "field"])
+    dog = evaluate(constant_net([0.0, 4.0, 0.0]), CAT_DOG_FIELD, cats, ANIMALS)
+    np.testing.assert_array_equal(dog.counts[1:], [[2, 0, 0], [3, 0, 0]])
+
+
+def test_evaluate_rejects_weak_overlapping_and_uncovered_spaces():
+    net = constant_net([0.0, 0.0, 0.0])
+    with pytest.raises(DataError, match="pixel-supervised"):
+        evaluate(net, CAT_DOG_FIELD, eval_dataset(["void", "cat", "dog"], "image_tag"),
+                 ANIMALS)
+    with pytest.raises(DataError, match="maps atom 'cat' to two classes"):
+        evaluate(net, CAT_DOG_FIELD, eval_dataset(["void", "animal", "cat"]), ANIMALS)
+    with pytest.raises(UncoveredClass):
+        evaluate(net, CAT_DOG_FIELD, eval_dataset(["void", "cat", "bird"]), ANIMALS)
