@@ -23,6 +23,7 @@ from .lossgrad import (
     batch_loss,
     ce_loss_image,
     grad_logits,
+    group_index,
     merge_subclass_predictions,
     softmax_atoms,
 )

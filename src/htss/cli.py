@@ -66,7 +66,6 @@ DEFAULTS: dict[str, dict] = {
         "refine_threshold": 0.9,
         "feature_width": 8,
         "partition": False,
-        "checkpoint_every": 0,
         "seed": 0,
         "out": "train_out",
     },
@@ -225,13 +224,11 @@ def cmd_train(cfg: dict) -> None:
         epochs = int(cfg["epochs"])
         threshold = float(cfg["refine_threshold"])
         width = int(cfg["feature_width"])
-        every = int(cfg["checkpoint_every"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad training config value: {exc}") from None
     out = _out_dir(cfg)
     result = train_loop(datasets, tax, partition, plan, optimizer, epochs,
-                        threshold, feature_width=width, out_dir=out,
-                        checkpoint_every=every)
+                        threshold, feature_width=width, out_dir=out)
     log.info("trained %d steps, final loss %.6f", len(result.losses),
              result.losses[-1])
 
@@ -246,34 +243,28 @@ def cmd_eval(cfg: dict) -> None:
     tax = _build_taxonomy(spaces, relations)
     part = (partition_atoms(tax, spaces, relations) if cfg["partition"]
             else AtomPartition.trivial(tax))
-    needed = len(part.ap_atoms) + len(part.s_atoms)
-    if params.out_channels != needed:
-        raise DataError(
-            f"checkpoint predicts {params.out_channels} atoms but the taxonomy "
-            f"needs {needed}")
     try:
         n_t = int(cfg["n_t"])
         c_values = [int(c) for c in cfg["c_values"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad eval config value: {exc}") from None
 
-    out = _out_dir(cfg)
     reports = []
     for manifest_path in _require_paths(cfg, "manifests"):
         ds = load_dataset(manifest_path)
         cm = evaluate(params, part, ds, relations)
-        report = MetricReport.build(ds.dataset_id, ds.space.classes, cm,
-                                    c_values or [ds.space.num_classes], n_t)
-        reports.append(report)
-        formats.write_manifest(out / f"report_{ds.dataset_id}.json", report.to_dict())
-        (out / f"report_{ds.dataset_id}.txt").write_text(report.to_text(),
-                                                         encoding="utf-8")
+        reports.append(MetricReport.build(ds.dataset_id, ds.space.classes, cm,
+                                          c_values or [ds.space.num_classes], n_t))
+    # every manifest is evaluated first: a failed eval leaves no output tree
+    out = _out_dir(cfg)
+    for r in reports:
+        formats.write_manifest(out / f"report_{r.dataset_id}.json", r.to_dict())
+        (out / f"report_{r.dataset_id}.txt").write_text(r.to_text(), encoding="utf-8")
+        log.info("%s mIoU %.4f", r.dataset_id, r.miou)
     formats.write_manifest(out / "summary.json", {
         "datasets": [r.dataset_id for r in reports],
         "mean_miou": json_number(float(np.mean([r.miou for r in reports]))),
     })
-    for r in reports:
-        log.info("%s mIoU %.4f", r.dataset_id, r.miou)
 
 
 HANDLERS = {

@@ -27,7 +27,7 @@ from pathlib import Path, PurePosixPath
 import numpy as np
 
 from .annotations import WeakLabel
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .taxonomy import (
     RELATION_KINDS,
     SUPERVISION_KINDS,
@@ -201,11 +201,11 @@ def read_label_space(path) -> LabelSpace:
     classes = doc["classes"]
     if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
         raise FormatError(path, "label space key 'classes' must be a list of strings")
-    if doc["supervision"] not in SUPERVISION_KINDS:
-        raise FormatError(path, f"unknown supervision kind {doc['supervision']!r}")
-    return LabelSpace(dataset_id=doc["dataset_id"],
-                      classes=tuple(classes),
-                      supervision=doc["supervision"])
+    try:
+        return LabelSpace(dataset_id=doc["dataset_id"], classes=tuple(classes),
+                          supervision=doc["supervision"])
+    except DataError as exc:
+        raise FormatError(path, str(exc)) from None
 
 
 def write_relations(path, triples) -> None:

@@ -32,9 +32,8 @@ partition. Per pixel, the gathers touch L*g + A*c entries, g being the
 largest group and c the most classes sharing an atom; for disjoint groups
 of even size that is O(A + sum_m |G_m|), so a dataset costs
 O(HW * (A + sum_m |G_m|)) where the matrix products cost O(HW * A * L).
-Build the index once per dataset (train_loop does) and pass it wherever
-a group map is accepted; a plain group map is converted by the same
-builder on every call.
+The loss functions take only a GroupIndex: callers build it once per
+group map with group_index (train_loop does so per dataset) and reuse it.
 
 All math runs in float64; log arguments are clamped at 1e-12.
 """
@@ -84,9 +83,6 @@ class GroupIndex:
         return self.class_atoms.shape[1]
 
 
-Groups = GroupMap | GroupIndex
-
-
 def softmax_atoms(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the trailing atom axis, max-shifted for
     stability. Softmax is invariant under per-pixel constant shifts."""
@@ -129,39 +125,36 @@ def group_index(groups: GroupMap, atom_count: int) -> GroupIndex:
                       atom_classes=_member_table(member.T))
 
 
-def _as_index(groups: Groups, atom_count: int) -> GroupIndex:
-    if not isinstance(groups, GroupIndex):
-        return group_index(groups, atom_count)
-    if groups.atom_count != atom_count:
-        raise ShapeMismatch(
-            f"group index over {groups.atom_count} atoms vs a distribution "
-            f"over {atom_count}")
-    return groups
-
-
 def _gather_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """out[..., n] = sum_k x[..., table[k, n]], added in k order, where
     index x.shape[-1] reads an appended zero column."""
     padded = np.concatenate((x, np.zeros(x.shape[:-1] + (1,))), axis=-1)
-    # np.take, not padded[..., row]: the fancy-index result is not
+    # take, not padded[..., row]: the fancy-index result is not
     # C-contiguous, which slows every elementwise op that follows
-    out = np.take(padded, table[0], axis=-1)
+    out = padded.take(table[0], axis=-1)
     for row in table[1:]:
-        out += np.take(padded, row, axis=-1)
+        out += padded.take(row, axis=-1)
     return out
 
 
-def accumulate_groups(probs: np.ndarray, groups: Groups) -> np.ndarray:
+def _class_sums(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
+    """Class sums of a float64 distribution whose atom axis the index spans."""
+    if index.atom_count != probs.shape[-1]:
+        raise ShapeMismatch(
+            f"group index over {index.atom_count} atoms vs a distribution "
+            f"over {probs.shape[-1]}")
+    return _gather_sum(probs, index.class_atoms)
+
+
+def accumulate_groups(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     """Per-class probabilities as plain sums of atom probabilities."""
-    probs = np.asarray(probs, dtype=np.float64)
-    return _gather_sum(probs, _as_index(groups, probs.shape[-1]).class_atoms)
+    return _class_sums(np.asarray(probs, dtype=np.float64), index)
 
 
-def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, groups: Groups):
+def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex):
     """Unscaled per-pixel losses, gradients and the supervised mask."""
     num = target.num_classes
     probs = np.asarray(probs, dtype=np.float64)
-    index = _as_index(groups, probs.shape[-1])
     if index.num_classes != num:
         raise ShapeMismatch(f"{index.num_classes} groups for {num} class slots")
     if probs.shape[:2] != (target.height, target.width):
@@ -169,7 +162,7 @@ def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, groups: Groups):
             f"distribution grid {probs.shape[:2]} vs canvas "
             f"({target.height}, {target.width})")
     y = target.probs[:, :, :num]
-    s = _gather_sum(probs, index.class_atoms)
+    s = _class_sums(probs, index)
     s_safe = np.maximum(s, LOG_EPS)
     mask = target.supervised_mask
     losses = -(y * np.log(s_safe)).sum(axis=2)
@@ -181,19 +174,19 @@ def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, groups: Groups):
     return losses, grads, mask
 
 
-def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, groups: Groups) -> float:
+def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex) -> float:
     """Cross-entropy between canvas and accumulated class probabilities,
     averaged over supervised pixels."""
-    losses, _, mask = _pixel_terms(target, probs, groups)
+    losses, _, mask = _pixel_terms(target, probs, index)
     n = int(mask.sum())
     if n == 0:
         raise NoSupervisedPixels()
     return float(losses.sum() / n)
 
 
-def grad_logits(target: PseudoCanvas, probs: np.ndarray, groups: Groups) -> np.ndarray:
+def grad_logits(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     """Exact gradient of ce_loss_image with respect to the atom logits."""
-    _, grads, mask = _pixel_terms(target, probs, groups)
+    _, grads, mask = _pixel_terms(target, probs, index)
     n = int(mask.sum())
     if n == 0:
         raise NoSupervisedPixels()
@@ -203,8 +196,8 @@ def grad_logits(target: PseudoCanvas, probs: np.ndarray, groups: Groups) -> np.n
 def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
     """Mixed-batch loss with per-population normalizers.
 
-    Each item is (target canvas, atom distribution, group map or
-    GroupIndex, supervision kind). Pixel-supervised items share one
+    Each item is (target canvas, atom distribution, GroupIndex,
+    supervision kind). Pixel-supervised items share one
     normalizer (the total count of their supervised pixels across the
     batch), box/tag items share the other; the loss is the sum of both
     normalized populations. Returns the scalar loss and the per-item
@@ -215,10 +208,10 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
     per_item = []
     strong_count = 0
     weak_count = 0
-    for target, probs, groups, kind in items:
+    for target, probs, index, kind in items:
         if kind not in SUPERVISION_KINDS:
             raise ShapeMismatch(f"unknown supervision kind {kind!r}")
-        losses, grads, mask = _pixel_terms(target, probs, groups)
+        losses, grads, mask = _pixel_terms(target, probs, index)
         n = int(mask.sum())
         strong = kind in PIXEL_KINDS
         if strong:

@@ -397,15 +397,16 @@ class TrainResult:
 def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                partition: AtomPartition | None, plan: BatchPlan,
                optimizer: OptimizerState, epochs: int, refine_threshold: float,
-               feature_width: int = 8, out_dir=None,
-               checkpoint_every: int = 0) -> TrainResult:
+               feature_width: int = 8, out_dir=None) -> TrainResult:
     """Deterministic joint training over heterogeneous datasets.
 
     Every step draws each dataset's quota of images, runs the forward
     pass, converts labels to canvases (weak ones refined against the
     current predictions), applies the mixed-batch loss, backpropagates
     and takes one momentum-SGD step. An epoch is the number of steps the
-    largest dataset needs for a full pass.
+    largest dataset needs for a full pass. The plan must draw at least
+    one pixel-supervised dataset: box/tag canvases are gated against the
+    net's own predictions, which only pixel labels anchor.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -425,6 +426,9 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     params = init_micronet(in_ch, feature_width, n_ap + n_s, init_seed)
     sampler = BatchSampler(plan.quotas, {d: len(by_id[d].images) for d in by_id},
                            sample_seed)
+    if not any(by_id[ds_id].supervision in PIXEL_KINDS for ds_id in sampler.ids):
+        raise ConfigError("batch plan draws only box/tag datasets; "
+                          "give a pixel-supervised dataset a quota")
     indexes = {ds_id: group_index(heads[ds_id].loss_groups,
                                   n_ap if heads[ds_id].head == "ap" else n_s)
                for ds_id in sampler.ids}
@@ -473,8 +477,6 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
             total.iadd(backward(cache, upstream))
         sgd_step(params, total, optimizer)
         losses.append(loss)
-        if out_dir is not None and checkpoint_every > 0 and (step + 1) % checkpoint_every == 0:
-            save_checkpoint(f"{out_dir}/ckpt_{step + 1:06d}.ckpt", params)
 
     if out_dir is not None:
         save_checkpoint(f"{out_dir}/final.ckpt", params)
@@ -489,9 +491,15 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
 def predict_atoms(params: MicroNetParams, image: np.ndarray,
                   part: AtomPartition) -> np.ndarray:
     """Per-pixel atom index (1-based, into part.atoms) for one image: the
-    a+p and s heads are softmaxed separately, then merged."""
-    logits, _ = forward(params, image)
+    a+p and s heads are softmaxed separately, then merged. Raises
+    DataError when the net's output width is not the a+p plus s atom
+    count."""
     n_ap = len(part.ap_atoms)
+    if params.out_channels != n_ap + len(part.s_atoms):
+        raise DataError(
+            f"net predicts {params.out_channels} atoms but the partition "
+            f"needs {n_ap + len(part.s_atoms)}")
+    logits, _ = forward(params, image)
     ap_probs = softmax_atoms(logits[:, :, :n_ap])
     s_probs = (softmax_atoms(logits[:, :, n_ap:]) if part.s_atoms
                else np.zeros(logits.shape[:2] + (0,)))
@@ -506,7 +514,8 @@ def evaluate(params: MicroNetParams, part: AtomPartition, dataset: LoadedDataset
 
     Coverage is the taxonomy's: build_group_sets over the partition's
     atoms. Raises UncoveredClass when a class covers no atom, and
-    DataError when two classes cover one atom.
+    DataError when two classes cover one atom or when the net's output
+    width does not fit the partition (checked by predict_atoms).
     """
     space = dataset.space
     if space.supervision not in PIXEL_KINDS:

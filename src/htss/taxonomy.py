@@ -273,14 +273,6 @@ class Taxonomy:
         """Groups of one dataset as a list over class indices 0..L."""
         return [self.groups[(space.dataset_id, m)] for m in range(space.num_classes + 1)]
 
-    def loss_groups(self, space: LabelSpace) -> tuple[frozenset[int], ...]:
-        """Non-void groups re-indexed to the zero-based atom axis used by
-        the loss (class slot j covers the atoms of class j + 1)."""
-        return tuple(
-            frozenset(i - 1 for i in self.groups[(space.dataset_id, m)])
-            for m in range(1, space.num_classes + 1)
-        )
-
 
 def build_group_sets(atoms: Sequence[str], spaces: Sequence[LabelSpace],
                      relations: RelationTable) -> Taxonomy:

@@ -20,7 +20,7 @@ from htss.annotations import (
     refine_canvas,
 )
 from htss.cli import main as cli_main
-from htss.lossgrad import ce_loss_image, grad_logits, softmax_atoms
+from htss.lossgrad import ce_loss_image, grad_logits, group_index, softmax_atoms
 from htss.metrics import iou_per_class, knowledgeability, miou
 from htss.model import (
     BatchPlan,
@@ -49,6 +49,7 @@ from htss.taxonomy import (
     RelationTable,
     build_group_sets,
     build_semantic_atoms,
+    dataset_heads,
     partition_atoms,
     validate_taxonomy,
 )
@@ -204,11 +205,12 @@ def test_criterion_1_group_ce_gradients_match_finite_differences():
     worst = 0.0
     for _ in range(200):
         target, z, groups = random_group_instance(rng)
+        index = group_index(groups, z.shape[-1])
 
         def f(logits):
-            return ce_loss_image(target, softmax_atoms(logits), groups)
+            return ce_loss_image(target, softmax_atoms(logits), index)
 
-        got = grad_logits(target, softmax_atoms(z), groups)
+        got = grad_logits(target, softmax_atoms(z), index)
         fd = fd_grad(f, z, eps=1e-4)
         err = np.abs(got - fd).max() / max(1.0, np.abs(fd).max())
         worst = max(worst, err)
@@ -218,23 +220,23 @@ def test_criterion_1_group_ce_gradients_match_finite_differences():
     # closed forms
     target = one_pixel([1.0, 0.0, 0.0])
     probs = softmax_atoms(np.zeros((1, 1, 2)))
-    groups = (frozenset({0}), frozenset({1}))
-    assert abs(ce_loss_image(target, probs, groups) - math.log(2.0)) < 1e-12
-    np.testing.assert_allclose(grad_logits(target, probs, groups)[0, 0],
+    index = group_index((frozenset({0}), frozenset({1})), 2)
+    assert abs(ce_loss_image(target, probs, index) - math.log(2.0)) < 1e-12
+    np.testing.assert_allclose(grad_logits(target, probs, index)[0, 0],
                                [-0.5, 0.5], atol=1e-12)
 
     probs = softmax_atoms(np.zeros((1, 1, 3)))
-    groups = (frozenset({0, 1}), frozenset({2}))
-    assert abs(ce_loss_image(target, probs, groups)
+    index = group_index((frozenset({0, 1}), frozenset({2})), 3)
+    assert abs(ce_loss_image(target, probs, index)
                - (-math.log(2.0 / 3.0))) < 1e-12
-    np.testing.assert_allclose(grad_logits(target, probs, groups)[0, 0],
+    np.testing.assert_allclose(grad_logits(target, probs, index)[0, 0],
                                [-1.0 / 6.0, -1.0 / 6.0, 1.0 / 3.0], atol=1e-12)
 
     target = one_pixel([1.0, 0.0])
     probs = softmax_atoms(np.array([[[0.3, -1.2, 2.0]]]))
-    groups = (frozenset({0, 1, 2}),)
-    assert ce_loss_image(target, probs, groups) == 0.0
-    np.testing.assert_allclose(grad_logits(target, probs, groups), 0.0,
+    index = group_index((frozenset({0, 1, 2}),), 3)
+    assert ce_loss_image(target, probs, index) == 0.0
+    np.testing.assert_allclose(grad_logits(target, probs, index), 0.0,
                                atol=1e-12)
 
 
@@ -245,7 +247,7 @@ def test_criterion_2_singleton_groups_match_plain_softmax_ce_trainer():
     ds = memory_dataset(world, View("px", "pixel_dense", "fine", 10, 0))
     tax, _ = build_tax(world, [ds])
     assert tax.atoms == ds.space.classes[1:]
-    groups = tax.loss_groups(ds.space)
+    groups = dataset_heads(tax, AtomPartition.trivial(tax), ds.space).loss_groups
     assert groups == tuple(frozenset({i}) for i in range(3))
 
     lr, mom, width, seed = 0.1, 0.5, 6, 202

@@ -72,6 +72,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_removed_checkpoint_every_key_rejected(tmp_path, capsys):
+    assert main(["train", "--print-config"]) == 0
+    assert "checkpoint_every" not in json.loads(capsys.readouterr().out)
+    cfg = write_json(tmp_path / "t.json", {"checkpoint_every": 5,
+                                           "out": str(tmp_path / "run")})
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "checkpoint_every" in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_malformed_config_json(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text("{nope")
@@ -256,6 +267,7 @@ def test_eval_checkpoint_atom_mismatch(tmp_path, gen_tree):
         "out": str(tmp_path / "eval_out"),
     })
     assert main(["eval", "--config", cfg]) == 3
+    assert not (tmp_path / "eval_out").exists()
 
 
 def test_eval_rejects_weak_dataset(tmp_path, gen_tree):
@@ -561,6 +573,10 @@ def test_manifest_supervision_must_match_label_space(tmp_path, gen_tree, capsys,
       "classes": "void"}, "list of strings"),
     ({"dataset_id": 7, "supervision": "pixel_dense",
       "classes": ["void", "cat"]}, "'dataset_id' must be a string"),
+    ({"dataset_id": "fine_px", "supervision": "pixel_dense",
+      "classes": ["void", "cat", "cat"]}, "duplicate class names"),
+    ({"dataset_id": "fine_px", "supervision": "pixel_dense",
+      "classes": ["cat", "void"]}, "must reserve index 0 for 'void'"),
 ])
 def test_malformed_label_space_exits_3(tmp_path, gen_tree, capsys, doc, detail):
     space = gen_tree / "fine_px_space.json"

@@ -83,15 +83,15 @@ def test_softmax_rejects_nonfinite():
 
 def test_accumulate_known():
     probs = np.array([[[0.2, 0.3, 0.5]]])
-    groups = (frozenset({0, 1}), frozenset({2}))
-    got = accumulate_groups(probs, groups)
+    index = group_index((frozenset({0, 1}), frozenset({2})), 3)
+    got = accumulate_groups(probs, index)
     np.testing.assert_allclose(got[0, 0], [0.5, 0.5], atol=1e-15)
 
 
 def test_accumulate_all_atoms_is_one():
     rng = np.random.default_rng(0)
     probs = ref_softmax(rng.standard_normal((3, 3, 5)))
-    got = accumulate_groups(probs, (frozenset(range(5)),))
+    got = accumulate_groups(probs, group_index((frozenset(range(5)),), 5))
     np.testing.assert_allclose(got, 1.0, atol=1e-12)
 
 
@@ -121,12 +121,13 @@ def test_gathers_match_group_matrix_products():
         h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         for groups in _random_group_maps(rng, atoms):
             mat = group_matrix(groups, atoms)
+            index = group_index(groups, atoms)
             overlapped += int(mat.sum(axis=0).max() > 1)
             probs = softmax_atoms(rng.standard_normal((h, w, atoms)))
-            np.testing.assert_allclose(accumulate_groups(probs, groups),
+            np.testing.assert_allclose(accumulate_groups(probs, index),
                                        probs @ mat.T, rtol=0.0, atol=1e-12)
             ratio = rng.random((h, w, len(groups))) * 10.0
-            back = _gather_sum(ratio, group_index(groups, atoms).atom_classes)
+            back = _gather_sum(ratio, index.atom_classes)
             np.testing.assert_allclose(back, ratio @ mat, rtol=0.0, atol=1e-12)
     assert overlapped > 100
 
@@ -135,18 +136,19 @@ def test_gathers_add_in_ascending_index_order():
     rng = np.random.default_rng(59)
     atoms = 9
     groups = (frozenset({7, 0, 4, 2}), frozenset(), frozenset({2, 3}), frozenset({8}))
+    index = group_index(groups, atoms)
     probs = softmax_atoms(rng.standard_normal((3, 2, atoms)) * 4.0)
     want = np.zeros((3, 2, len(groups)))
     for m, g in enumerate(groups):
         for a in sorted(g):
             want[:, :, m] += probs[:, :, a]
-    np.testing.assert_array_equal(accumulate_groups(probs, groups), want)
+    np.testing.assert_array_equal(accumulate_groups(probs, index), want)
     ratio = rng.random((3, 2, len(groups)))
     want = np.zeros((3, 2, atoms))
     for m, g in enumerate(groups):  # ascending m: each atom adds its classes in order
         for a in g:
             want[:, :, a] += ratio[:, :, m]
-    back = _gather_sum(ratio, group_index(groups, atoms).atom_classes)
+    back = _gather_sum(ratio, index.atom_classes)
     np.testing.assert_array_equal(back, want)
 
 
@@ -162,18 +164,6 @@ def test_group_index_rejects_mismatched_atom_count():
         batch_loss([(one_pixel([1.0, 0.0, 0.0]), probs, index, PIXEL_DENSE)])
     with pytest.raises(IndexOutOfRange):
         group_index(groups, 2)
-
-
-def test_index_and_group_map_give_identical_loss_and_gradients():
-    rng = np.random.default_rng(61)
-    groups = (frozenset({0, 2, 5}), frozenset({1}), frozenset({2, 3}), frozenset())
-    raw = rng.random((4, 3, len(groups) + 1))
-    target = PseudoCanvas(probs=raw / raw.sum(axis=2, keepdims=True))
-    probs = softmax_atoms(rng.standard_normal((4, 3, 6)))
-    index = group_index(groups, 6)
-    assert ce_loss_image(target, probs, index) == ce_loss_image(target, probs, groups)
-    np.testing.assert_array_equal(grad_logits(target, probs, index),
-                                  grad_logits(target, probs, groups))
 
 
 def test_train_loop_builds_group_tables_once_per_dataset(monkeypatch):
@@ -214,10 +204,10 @@ def test_loss_singleton_groups_uniform():
     # two atoms, logits (0, 0), target class 1 -> plain CE = ln 2
     target = one_pixel([1.0, 0.0, 0.0])
     probs = softmax_atoms(np.zeros((1, 1, 2)))
-    groups = (frozenset({0}), frozenset({1}))
-    loss = ce_loss_image(target, probs, groups)
+    index = group_index((frozenset({0}), frozenset({1})), 2)
+    loss = ce_loss_image(target, probs, index)
     assert abs(loss - math.log(2.0)) < 1e-12
-    g = grad_logits(target, probs, groups)
+    g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g[0, 0], [-0.5, 0.5], atol=1e-12)
 
 
@@ -225,10 +215,10 @@ def test_loss_two_atom_group_of_three():
     # uniform over three atoms, target group {a0, a1}: mass 2/3
     target = one_pixel([1.0, 0.0, 0.0])
     probs = softmax_atoms(np.zeros((1, 1, 3)))
-    groups = (frozenset({0, 1}), frozenset({2}))
-    loss = ce_loss_image(target, probs, groups)
+    index = group_index((frozenset({0, 1}), frozenset({2})), 3)
+    loss = ce_loss_image(target, probs, index)
     assert abs(loss - (-math.log(2.0 / 3.0))) < 1e-12
-    g = grad_logits(target, probs, groups)
+    g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g[0, 0],
                                [-1.0 / 6.0, -1.0 / 6.0, 1.0 / 3.0], atol=1e-12)
 
@@ -236,19 +226,19 @@ def test_loss_two_atom_group_of_three():
 def test_loss_all_atom_group_is_zero():
     target = one_pixel([1.0, 0.0])
     probs = softmax_atoms(np.array([[[0.3, -1.2, 2.0]]]))
-    groups = (frozenset({0, 1, 2}),)
-    assert ce_loss_image(target, probs, groups) == 0.0
-    g = grad_logits(target, probs, groups)
+    index = group_index((frozenset({0, 1, 2}),), 3)
+    assert ce_loss_image(target, probs, index) == 0.0
+    g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
 def test_loss_averages_over_supervised_pixels_only():
     target = canvas([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
     probs = softmax_atoms(np.zeros((1, 2, 2)))
-    groups = (frozenset({0}), frozenset({1}))
-    loss = ce_loss_image(target, probs, groups)
+    index = group_index((frozenset({0}), frozenset({1})), 2)
+    loss = ce_loss_image(target, probs, index)
     assert abs(loss - math.log(2.0)) < 1e-12  # |P| = 1
-    g = grad_logits(target, probs, groups)
+    g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g[0, 1], 0.0, atol=1e-15)
     np.testing.assert_allclose(g[0, 0], [-0.5, 0.5], atol=1e-12)
 
@@ -258,26 +248,26 @@ def test_loss_soft_targets_mix():
     target = one_pixel([0.5, 0.5, 0.0])
     z = np.array([[[0.7, -0.4]]])
     probs = softmax_atoms(z)
-    groups = (frozenset({0}), frozenset({1}))
+    index = group_index((frozenset({0}), frozenset({1})), 2)
     s = probs[0, 0]
     expect = -0.5 * math.log(s[0]) - 0.5 * math.log(s[1])
-    assert abs(ce_loss_image(target, probs, groups) - expect) < 1e-12
+    assert abs(ce_loss_image(target, probs, index) - expect) < 1e-12
 
 
 def test_loss_no_supervised_pixels():
     target = one_pixel([0.0, 0.0, 1.0])
     probs = softmax_atoms(np.zeros((1, 1, 2)))
-    groups = (frozenset({0}), frozenset({1}))
+    index = group_index((frozenset({0}), frozenset({1})), 2)
     with pytest.raises(NoSupervisedPixels):
-        ce_loss_image(target, probs, groups)
+        ce_loss_image(target, probs, index)
 
 
 def test_loss_shape_mismatch():
     target = one_pixel([1.0, 0.0, 0.0])
     probs = softmax_atoms(np.zeros((2, 1, 2)))
-    groups = (frozenset({0}), frozenset({1}))
+    index = group_index((frozenset({0}), frozenset({1})), 2)
     with pytest.raises(ShapeMismatch):
-        ce_loss_image(target, probs, groups)
+        ce_loss_image(target, probs, index)
 
 
 # --- gradient properties ---
@@ -288,8 +278,8 @@ def test_grad_rows_sum_to_zero():
     probs = softmax_atoms(z)
     raw = rng.random((3, 4, 4))
     target = PseudoCanvas(probs=raw / raw.sum(axis=2, keepdims=True))
-    groups = (frozenset({0, 1}), frozenset({2}), frozenset({3, 4}))
-    g = grad_logits(target, probs, groups)
+    index = group_index((frozenset({0, 1}), frozenset({2}), frozenset({3, 4})), 5)
+    g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g.sum(axis=2), 0.0, atol=1e-12)
 
 
@@ -303,6 +293,7 @@ def test_grad_matches_finite_differences():
         groups = tuple(frozenset(np.flatnonzero(assign == gi).tolist())
                        for gi in range(n_groups))
         groups = tuple(g for g in groups if g)
+        index = group_index(groups, atoms)
         h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         raw = rng.random((h, w, len(groups) + 1))
         raw[..., -1] *= 0.3
@@ -312,9 +303,9 @@ def test_grad_matches_finite_differences():
         z = rng.standard_normal((h, w, atoms))
 
         def f(logits):
-            return ce_loss_image(target, softmax_atoms(logits), groups)
+            return ce_loss_image(target, softmax_atoms(logits), index)
 
-        got = grad_logits(target, softmax_atoms(z), groups)
+        got = grad_logits(target, softmax_atoms(z), index)
         want = fd_grad(f, z, eps=1e-5)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
@@ -326,16 +317,16 @@ def test_naive_indicator_gradient_is_wrong_for_merged_groups():
     target = one_pixel([1.0, 0.0])
     z = np.array([[[0.4, -0.2, 0.9]]])
     probs = softmax_atoms(z)
-    groups = (frozenset({0, 1}),)
+    index = group_index((frozenset({0, 1}),), 3)
 
     def f(logits):
-        return ce_loss_image(target, softmax_atoms(logits), groups)
+        return ce_loss_image(target, softmax_atoms(logits), index)
 
     fd = fd_grad(f, z, eps=1e-5)
     naive = probs.copy()
     naive[0, 0, [0, 1]] -= 1.0  # indicator of the target group
     assert np.abs(naive - fd).max() > 1e-2
-    np.testing.assert_allclose(grad_logits(target, probs, groups), fd,
+    np.testing.assert_allclose(grad_logits(target, probs, index), fd,
                                rtol=1e-5, atol=1e-8)
 
 
@@ -350,39 +341,41 @@ def test_singleton_groups_equal_plain_ce():
             ids[0, 0] = 0
         rows = np.eye(n + 1)[ids]
         target = PseudoCanvas(probs=rows)
-        groups = tuple(frozenset({i}) for i in range(n))
+        index = group_index(tuple(frozenset({i}) for i in range(n)), n)
         probs = softmax_atoms(z)
         mask = ids < n
         ref_targets = np.eye(n)[np.where(mask, ids, 0)] * mask[..., None]
         want_loss, want_grad = ref_ce_loss_grad(z, ref_targets, mask)
-        assert abs(ce_loss_image(target, probs, groups) - want_loss) < 1e-12
-        np.testing.assert_allclose(grad_logits(target, probs, groups),
+        assert abs(ce_loss_image(target, probs, index) - want_loss) < 1e-12
+        np.testing.assert_allclose(grad_logits(target, probs, index),
                                    want_grad, atol=1e-12)
 
 
 # --- batch pooling ---
 
-def _item(vecs, logits, groups, kind=PIXEL_DENSE):
+# two singleton groups over two atoms
+PAIR = group_index((frozenset({0}), frozenset({1})), 2)
+
+
+def _item(vecs, logits, index=PAIR, kind=PIXEL_DENSE):
     return (canvas(vecs), softmax_atoms(np.asarray(logits, dtype=np.float64)),
-            groups, kind)
+            index, kind)
 
 
 def test_batch_single_item_matches_image_loss():
-    groups = (frozenset({0}), frozenset({1}))
-    item = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]], groups)
+    item = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]])
     loss, grads = batch_loss([item])
     assert abs(loss - math.log(2.0)) < 1e-12
     np.testing.assert_allclose(grads[0][0, 0], [-0.5, 0.5], atol=1e-12)
 
 
 def test_batch_pools_pixel_counts_within_population():
-    groups = (frozenset({0}), frozenset({1}))
     # one image with 2 supervised pixels vs two images with 1 each:
     # pooled normalization makes them identical
     two_px = _item([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
-                   [[[0.2, -0.1], [0.4, 0.3]]], groups)
-    split_a = _item([[[1.0, 0.0, 0.0]]], [[[0.2, -0.1]]], groups)
-    split_b = _item([[[0.0, 1.0, 0.0]]], [[[0.4, 0.3]]], groups)
+                   [[[0.2, -0.1], [0.4, 0.3]]])
+    split_a = _item([[[1.0, 0.0, 0.0]]], [[[0.2, -0.1]]])
+    split_b = _item([[[0.0, 1.0, 0.0]]], [[[0.4, 0.3]]])
     la, _ = batch_loss([two_px])
     lb, _ = batch_loss([split_a, split_b])
     assert abs(la - lb) < 1e-12
@@ -390,25 +383,24 @@ def test_batch_pools_pixel_counts_within_population():
 
 def test_batch_mean_property_for_equal_counts():
     rng = np.random.default_rng(31)
-    groups = (frozenset({0, 1}), frozenset({2}))
+    index = group_index((frozenset({0, 1}), frozenset({2})), 3)
     items = []
     per_image = []
     for _ in range(4):
         z = rng.standard_normal((2, 2, 3))
         ids = rng.integers(0, 2, size=(2, 2))
         target = PseudoCanvas(probs=np.eye(3)[ids])  # fully supervised: equal counts
-        items.append((target, softmax_atoms(z), groups, PIXEL_DENSE))
-        per_image.append(ce_loss_image(target, softmax_atoms(z), groups))
+        items.append((target, softmax_atoms(z), index, PIXEL_DENSE))
+        per_image.append(ce_loss_image(target, softmax_atoms(z), index))
     loss, _ = batch_loss(items)
     assert abs(loss - float(np.mean(per_image))) < 1e-12
 
 
 def test_batch_strong_and_weak_normalized_separately():
-    groups = (frozenset({0}), frozenset({1}))
-    strong = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]], groups, PIXEL_DENSE)
+    strong = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]], kind=PIXEL_DENSE)
     # weak image with two supervised pixels, same per-pixel loss ln 2
     weak = _item([[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
-                 [[[0.0, 0.0], [0.0, 0.0]]], groups, BBOX)
+                 [[[0.0, 0.0], [0.0, 0.0]]], kind=BBOX)
     loss, grads = batch_loss([strong, weak])
     # ln2 (strong pool, 1 px) + ln2 (weak pool, 2 px averaged)
     assert abs(loss - 2.0 * math.log(2.0)) < 1e-12
@@ -416,25 +408,23 @@ def test_batch_strong_and_weak_normalized_separately():
 
 
 def test_batch_empty_population_drops_out():
-    groups = (frozenset({0}), frozenset({1}))
-    strong = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]], groups, PIXEL_DENSE)
-    empty_weak = _item([[[0.0, 0.0, 1.0]]], [[[0.0, 0.0]]], groups, BBOX)
+    strong = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]], kind=PIXEL_DENSE)
+    empty_weak = _item([[[0.0, 0.0, 1.0]]], [[[0.0, 0.0]]], kind=BBOX)
     loss, grads = batch_loss([strong, empty_weak])
     assert abs(loss - math.log(2.0)) < 1e-12
     np.testing.assert_allclose(grads[1], 0.0, atol=1e-15)
 
 
 def test_batch_all_unsupervised_raises():
-    groups = (frozenset({0}), frozenset({1}))
-    item = _item([[[0.0, 0.0, 1.0]]], [[[0.0, 0.0]]], groups, PIXEL_DENSE)
+    item = _item([[[0.0, 0.0, 1.0]]], [[[0.0, 0.0]]], kind=PIXEL_DENSE)
     with pytest.raises(NoSupervisedPixels):
         batch_loss([item])
 
 
 def test_batch_gradient_matches_finite_differences():
     rng = np.random.default_rng(41)
-    groups_a = (frozenset({0, 1}), frozenset({2}))
-    groups_b = (frozenset({0}), frozenset({1, 2}))
+    index_a = group_index((frozenset({0, 1}), frozenset({2})), 3)
+    index_b = group_index((frozenset({0}), frozenset({1, 2})), 3)
     z1 = rng.standard_normal((2, 2, 3))
     z2 = rng.standard_normal((1, 3, 3))
     raw1 = rng.random((2, 2, 3))
@@ -446,13 +436,13 @@ def test_batch_gradient_matches_finite_differences():
     def f(flat):
         a = flat[:n1].reshape(z1.shape)
         b = flat[n1:].reshape(z2.shape)
-        items = [(t1, softmax_atoms(a), groups_a, PIXEL_DENSE),
-                 (t2, softmax_atoms(b), groups_b, BBOX)]
+        items = [(t1, softmax_atoms(a), index_a, PIXEL_DENSE),
+                 (t2, softmax_atoms(b), index_b, BBOX)]
         return batch_loss(items)[0]
 
     flat = np.concatenate([z1.ravel(), z2.ravel()])
-    items = [(t1, softmax_atoms(z1), groups_a, PIXEL_DENSE),
-             (t2, softmax_atoms(z2), groups_b, BBOX)]
+    items = [(t1, softmax_atoms(z1), index_a, PIXEL_DENSE),
+             (t2, softmax_atoms(z2), index_b, BBOX)]
     _, grads = batch_loss(items)
     got = np.concatenate([grads[0].ravel(), grads[1].ravel()])
     want = fd_grad(f, flat, eps=1e-5)

@@ -14,6 +14,7 @@ from htss.errors import (
     UnsatisfiableQuota,
 )
 from htss.model import (
+    BatchPlan,
     BatchSampler,
     LoadedDataset,
     MicroNetGrads,
@@ -30,8 +31,15 @@ from htss.model import (
     predict_atoms,
     sgd_step,
     save_checkpoint,
+    train_loop,
 )
-from htss.taxonomy import AtomPartition, LabelSpace, RelationTable
+from htss.taxonomy import (
+    AtomPartition,
+    LabelSpace,
+    RelationTable,
+    build_group_sets,
+    build_semantic_atoms,
+)
 
 from oracles import col2im_oracle, fd_grad, im2col_oracle
 
@@ -321,3 +329,28 @@ def test_evaluate_rejects_weak_overlapping_and_uncovered_spaces():
         evaluate(net, CAT_DOG_FIELD, eval_dataset(["void", "animal", "cat"]), ANIMALS)
     with pytest.raises(UncoveredClass):
         evaluate(net, CAT_DOG_FIELD, eval_dataset(["void", "cat", "bird"]), ANIMALS)
+
+
+def test_evaluate_rejects_net_of_another_width():
+    part = AtomPartition(atoms=("cat", "field"), a_set=frozenset({1, 2}),
+                         s_set=frozenset(), p_set=frozenset())
+    ds = eval_dataset(["void", "cat", "field"])
+    # the strongest logit sits on a channel the partition has no atom for
+    with pytest.raises(DataError, match="predicts 4 atoms but the partition needs 2"):
+        evaluate(constant_net([0.0, 0.0, 0.0, 4.0]), part, ds, RelationTable.empty())
+
+
+def test_train_loop_rejects_plan_without_pixel_dataset():
+    spaces = [LabelSpace("px", ("void", "cat", "field"), "pixel_dense"),
+              LabelSpace("boxes", ("void", "cat"), "bbox")]
+    rel = RelationTable.empty()
+    tax = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    images = [np.zeros((4, 4, 2))] * 2
+    px = LoadedDataset(spaces[0], images,
+                       [StrongLabel(np.ones((4, 4), dtype=np.int64), 2)] * 2)
+    boxes = LoadedDataset(spaces[1], images, [WeakLabel(boxes=((1, 0, 0, 2, 2),))] * 2)
+    for threshold in (0.0, 0.9):
+        with pytest.raises(ConfigError, match="only box/tag datasets"):
+            train_loop([px, boxes], tax, None, BatchPlan({"boxes": 1}, seed=0),
+                       OptimizerState(learning_rate=0.1), epochs=1,
+                       refine_threshold=threshold)

@@ -260,7 +260,8 @@ def test_groups_parent_covers_children():
     assert t.groups[("d0", 1)] == frozenset({1, 2})
     assert t.groups[("d1", 1)] == frozenset({2})
     assert t.groups[("d0", 0)] == frozenset({0})
-    assert t.loss_groups(spaces[0]) == (frozenset({0, 1}),)
+    assert dataset_heads(t, AtomPartition.trivial(t), spaces[0]).loss_groups == (
+        frozenset({0, 1}),)
 
 
 def test_groups_synonym_class_maps_to_kept_atom():
@@ -427,8 +428,9 @@ def test_heads_trivial_partition_keeps_groups():
     dg = dataset_heads(t, part, spaces[0])
     assert dg.head == "ap"
     assert dg.parent_slots is None
-    # head-local positions are zero-based atom indices here
-    assert dg.loss_groups == t.loss_groups(spaces[0])
+    # head-local positions are zero-based atom indices here: atom a -> a - 1
+    assert dg.loss_groups == tuple(frozenset(a - 1 for a in t.groups[("d0", m)])
+                                   for m in (1, 2))
 
 
 def test_heads_parent_class_remaps_to_p_atom():
