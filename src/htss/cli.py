@@ -99,6 +99,8 @@ def _load_config(command: str, args) -> dict:
     unknown = set(user) - set(cfg)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    for key, value in user.items():
+        _check_type(key, value, cfg[key])
     cfg.update(user)
     if args.out is not None:
         cfg["out"] = args.out
@@ -107,11 +109,31 @@ def _load_config(command: str, args) -> dict:
     return cfg
 
 
+def _has_type(value, kind: type) -> bool:
+    """isinstance, where a bool is never a number and an int may stand for a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
+
+
+def _check_type(key: str, value, default) -> None:
+    """A config value has the type of its default. Path lists hold
+    strings; c_values items and quotas values are integers."""
+    if isinstance(default, (list, dict)):
+        kind = int if key in ("c_values", "quotas") else str
+        items = value.values() if isinstance(value, dict) else value
+        ok = isinstance(value, type(default)) and all(_has_type(v, kind) for v in items)
+        want = f"a {type(default).__name__} of {kind.__name__}"
+    else:
+        ok, want = _has_type(value, type(default)), f"of type {type(default).__name__}"
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def _require_paths(cfg: dict, key: str) -> list[str]:
-    value = cfg.get(key)
-    if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
+    if not cfg[key]:
         raise ConfigError(f"config key {key!r} must be a non-empty list of paths")
-    return value
+    return cfg[key]
 
 
 def _read_relations(path: str) -> RelationTable:
@@ -134,6 +156,8 @@ def cmd_gen(cfg: dict) -> None:
         raise ConfigError(f"cannot read world spec {doc_path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"world spec {doc_path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"world spec {doc_path} must be a JSON object")
     views_doc = doc.pop("views", None)
     if not views_doc:
         raise ConfigError("world spec needs a non-empty 'views' list")
@@ -209,26 +233,18 @@ def cmd_train(cfg: dict) -> None:
     tax = _build_taxonomy(spaces, relations)
     partition = partition_atoms(tax, spaces, relations) if cfg["partition"] else None
 
-    quotas = cfg["quotas"]
-    if not isinstance(quotas, dict) or not quotas:
+    if not cfg["quotas"]:
         raise ConfigError("config key 'quotas' must be a non-empty object")
     # an unquoted dataset would shape the taxonomy without ever being trained on
-    unquoted = sorted({ds.dataset_id for ds in datasets} - {str(k) for k in quotas})
+    unquoted = sorted({ds.dataset_id for ds in datasets} - set(cfg["quotas"]))
     if unquoted:
         raise ConfigError(f"datasets {unquoted} are listed in 'manifests' but have no quota")
-    try:
-        plan = BatchPlan(quotas={str(k): int(v) for k, v in quotas.items()},
-                         seed=int(cfg["seed"]))
-        optimizer = OptimizerState(learning_rate=float(cfg["learning_rate"]),
-                                   momentum=float(cfg["momentum"]))
-        epochs = int(cfg["epochs"])
-        threshold = float(cfg["refine_threshold"])
-        width = int(cfg["feature_width"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad training config value: {exc}") from None
+    plan = BatchPlan(quotas=cfg["quotas"], seed=cfg["seed"])
+    optimizer = OptimizerState(learning_rate=cfg["learning_rate"], momentum=cfg["momentum"])
     out = _out_dir(cfg)
-    result = train_loop(datasets, tax, partition, plan, optimizer, epochs,
-                        threshold, feature_width=width, out_dir=out)
+    result = train_loop(datasets, tax, partition, plan, optimizer, cfg["epochs"],
+                        cfg["refine_threshold"], feature_width=cfg["feature_width"],
+                        out_dir=out)
     log.info("trained %d steps, final loss %.6f", len(result.losses),
              result.losses[-1])
 
@@ -243,18 +259,14 @@ def cmd_eval(cfg: dict) -> None:
     tax = _build_taxonomy(spaces, relations)
     part = (partition_atoms(tax, spaces, relations) if cfg["partition"]
             else AtomPartition.trivial(tax))
-    try:
-        n_t = int(cfg["n_t"])
-        c_values = [int(c) for c in cfg["c_values"]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad eval config value: {exc}") from None
 
     reports = []
     for manifest_path in _require_paths(cfg, "manifests"):
         ds = load_dataset(manifest_path)
         cm = evaluate(params, part, ds, relations)
         reports.append(MetricReport.build(ds.dataset_id, ds.space.classes, cm,
-                                          c_values or [ds.space.num_classes], n_t))
+                                          cfg["c_values"] or [ds.space.num_classes],
+                                          cfg["n_t"]))
     # every manifest is evaluated first: a failed eval leaves no output tree
     out = _out_dir(cfg)
     for r in reports:

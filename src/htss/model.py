@@ -292,6 +292,8 @@ class BatchPlan:
         for ds, q in self.quotas.items():
             if q < 1:
                 raise ConfigError(f"quota for {ds!r} must be >= 1, got {q}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def derive_train_seeds(seed: int) -> tuple[int, int]:

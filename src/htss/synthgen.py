@@ -94,6 +94,8 @@ class WorldSpec:
             raise ConfigError("size_max exceeds the canvas")
         if self.box_pad < 0:
             raise ConfigError("box_pad must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"world seed must be >= 0, got {self.seed}")
 
     @property
     def fine_names(self) -> tuple[str, ...]:

@@ -6,7 +6,9 @@ survive after removing every label that is a synonym, hypernym (more
 generic term), or holonym (whole of a part) of another surviving label.
 Each dataset class is then associated with the group of atoms it covers,
 and the atoms are split by supervision reach so that weakly-labeled
-subclasses can be trained under a pixel-labeled parent.
+subclasses can be trained under a pixel-labeled parent. The relations
+are kept as two adjacency maps (narrower: hypernym and holonym edges;
+synonyms: synonym edges both ways), walked by one closure function.
 
 Index conventions used throughout the toolkit:
   * class index 0 of every label space is the void class;
@@ -75,112 +77,94 @@ class LabelSpace:
 
 @dataclass(frozen=True)
 class RelationTable:
-    """Lexico-semantic relations between label names.
+    """Lexico-semantic relations between label names, as two adjacency maps.
 
-    Synonym pairs are stored in both directions. The union of the
-    hypernym and holonym edges (read subject -> object, subject being the
-    more generic term or the whole) must be acyclic since group building
-    walks those edges.
+    narrower maps a name to the names it directly generalizes: the
+    objects of its hypernym and holonym relations (read subject ->
+    object, the subject being the more generic term or the whole).
+    synonyms maps a name to its synonyms; from_triples stores every
+    synonym pair in both directions. Targets are sorted tuples. The
+    narrower edges must be acyclic since group building walks them.
     """
 
-    synonym_pairs: frozenset[tuple[str, str]]
-    hypernym_pairs: frozenset[tuple[str, str]]
-    holonym_pairs: frozenset[tuple[str, str]]
+    narrower: Mapping[str, tuple[str, ...]]
+    synonyms: Mapping[str, tuple[str, ...]]
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[str, str, str]]) -> "RelationTable":
-        syn, hyp, hol = set(), set(), set()
+        narrower: dict[str, set[str]] = {}
+        synonyms: dict[str, set[str]] = {}
         for kind, subject, obj in triples:
             if subject == obj:
                 raise DataError(f"self-relation {kind}({subject}, {obj}) is not allowed")
             if kind == SYNONYM:
-                syn.add((subject, obj))
-                syn.add((obj, subject))
-            elif kind == HYPERNYM:
-                hyp.add((subject, obj))
-            elif kind == HOLONYM:
-                hol.add((subject, obj))
+                synonyms.setdefault(subject, set()).add(obj)
+                synonyms.setdefault(obj, set()).add(subject)
+            elif kind in (HYPERNYM, HOLONYM):
+                narrower.setdefault(subject, set()).add(obj)
             else:
                 raise DataError(f"unknown relation kind {kind!r}")
-        table = cls(frozenset(syn), frozenset(hyp), frozenset(hol))
+        table = cls({s: tuple(sorted(os)) for s, os in narrower.items()},
+                    {s: tuple(sorted(os)) for s, os in synonyms.items()})
         table._check_acyclic()
         return table
 
     @classmethod
     def empty(cls) -> "RelationTable":
-        return cls(frozenset(), frozenset(), frozenset())
+        return cls({}, {})
 
     def _check_acyclic(self):
-        graph: dict[str, list[str]] = {}
-        for s, o in sorted(self.hypernym_pairs | self.holonym_pairs):
-            graph.setdefault(s, []).append(o)
-        # iterative DFS with a path stack so the offending cycle can be reported
-        state: dict[str, int] = {}  # 1 = on stack, 2 = done
-        for root in sorted(graph):
+        # iterative DFS; the stack holds the current path, so a cycle can be reported
+        state: dict[str, int] = {}  # 1 = on the stack, 2 = done
+        for root in sorted(self.narrower):
             if state.get(root):
                 continue
-            stack = [(root, iter(graph.get(root, ())))]
             state[root] = 1
-            path = [root]
+            stack = [(root, iter(self.narrower[root]))]
             while stack:
                 node, it = stack[-1]
-                advanced = False
                 for nxt in it:
                     if state.get(nxt) == 1:
+                        path = [n for n, _ in stack]
                         raise CyclicRelations(path[path.index(nxt):] + [nxt])
                     if state.get(nxt) != 2:
                         state[nxt] = 1
-                        path.append(nxt)
-                        stack.append((nxt, iter(graph.get(nxt, ()))))
-                        advanced = True
+                        stack.append((nxt, iter(self.narrower.get(nxt, ()))))
                         break
-                if not advanced:
+                else:
                     state[node] = 2
-                    path.pop()
                     stack.pop()
 
     def generalizes(self, subject: str, obj: str) -> bool:
         """True when subject is a hypernym or holonym of obj."""
-        return (subject, obj) in self.hypernym_pairs or (subject, obj) in self.holonym_pairs
+        return obj in self.narrower.get(subject, ())
 
     def synonymous(self, a: str, b: str) -> bool:
-        return (a, b) in self.synonym_pairs
-
-    def narrower(self, name: str) -> list[str]:
-        """Direct hypernym/holonym targets of name, sorted."""
-        out = {o for s, o in self.hypernym_pairs if s == name}
-        out |= {o for s, o in self.holonym_pairs if s == name}
-        return sorted(out)
-
-    def synonyms_of(self, name: str) -> list[str]:
-        return sorted({o for s, o in self.synonym_pairs if s == name})
+        return b in self.synonyms.get(a, ())
 
 
-def synonym_closure(name: str, relations: RelationTable) -> set[str]:
-    """All names reachable from name through synonym edges alone."""
+def _closure(name: str, *edges: Mapping[str, tuple[str, ...]]) -> set[str]:
+    """name and every name reachable from it along the given edge maps."""
     seen = {name}
     frontier = [name]
     while frontier:
         cur = frontier.pop()
-        for nxt in relations.synonyms_of(cur):
+        for nxt in (n for adjacency in edges for n in adjacency.get(cur, ())):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def synonym_closure(name: str, relations: RelationTable) -> set[str]:
+    """All names reachable from name through synonym edges alone."""
+    return _closure(name, relations.synonyms)
 
 
 def semantic_closure(name: str, relations: RelationTable) -> set[str]:
     """Names covered by name: itself, everything reachable through
     hypernym/holonym edges, and synonyms of any of those."""
-    seen = {name}
-    frontier = [name]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in relations.narrower(cur) + relations.synonyms_of(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    return _closure(name, relations.narrower, relations.synonyms)
 
 
 def build_semantic_atoms(spaces: Sequence[LabelSpace], relations: RelationTable) -> list[str]:
@@ -220,12 +204,12 @@ def build_semantic_atoms(spaces: Sequence[LabelSpace], relations: RelationTable)
     # partners[name][other] is True when name generalizes other, False
     # when the two are only synonyms
     partners: dict[str, dict[str, bool]] = {name: {} for name in names}
-    for subject, obj in relations.synonym_pairs:
-        if subject in partners and obj in partners:
-            partners[subject][obj] = False
-    for subject, obj in relations.hypernym_pairs | relations.holonym_pairs:
-        if subject in partners and obj in partners:
-            partners[subject][obj] = True
+    # synonyms first, so a generalization edge overrides a synonym edge
+    for edges, generalizes in ((relations.synonyms, False), (relations.narrower, True)):
+        for subject, objs in edges.items():
+            for obj in objs:
+                if subject in partners and obj in partners:
+                    partners[subject][obj] = generalizes
 
     removed: set[str] = set()
     for name in names:
@@ -428,35 +412,32 @@ def partition_atoms(t: Taxonomy, spaces: Sequence[LabelSpace],
     form a_set. Raises NoStrongParent for a weak-only atom with no
     pixel-supervised ancestor.
     """
-    names = {i + 1: name for i, name in enumerate(t.atoms)}
+    index = {name: i + 1 for i, name in enumerate(t.atoms)}
     pixel_exact: set[int] = set()
     weak_exact: set[int] = set()
+    covers: dict[str, set[str]] = {}  # pixel class -> its semantic closure
     for sp in spaces:
+        pixel = sp.supervision in PIXEL_KINDS
         for cname in sp.classes[1:]:
             aliases = synonym_closure(cname, relations)
-            for idx, aname in names.items():
-                if aname in aliases:
-                    (pixel_exact if sp.supervision in PIXEL_KINDS else weak_exact).add(idx)
+            (pixel_exact if pixel else weak_exact).update(index[n] for n in aliases if n in index)
+            if pixel and cname not in covers:
+                covers[cname] = semantic_closure(cname, relations)
 
+    # a candidate lies in no pixel class's synonym closure (that would make
+    # it pixel-exact), so a pixel class covering it does so through a
+    # hypernym/holonym step
     candidates = sorted(weak_exact - pixel_exact)
     parent_name_of: dict[int, str] = {}
     for idx in candidates:
-        ancestors = set()
-        for sp in spaces:
-            if sp.supervision not in PIXEL_KINDS:
-                continue
-            for cname in sp.classes[1:]:
-                direct = synonym_closure(cname, relations)
-                if names[idx] not in direct and names[idx] in semantic_closure(cname, relations):
-                    ancestors.add(cname)
+        ancestors = [cname for cname, names in covers.items() if t.atoms[idx - 1] in names]
         if not ancestors:
-            raise NoStrongParent(names[idx])
+            raise NoStrongParent(t.atoms[idx - 1])
         parent_name_of[idx] = min(ancestors)
 
     appended = sorted(set(parent_name_of.values()))
-    existing = set(t.atoms)
     for pname in appended:
-        if pname in existing:
+        if pname in index:
             raise DataError(f"parent class {pname!r} collides with an existing atom")
     full = t.atoms + tuple(appended)
     parent_index = {pname: t.atom_count + 1 + i for i, pname in enumerate(appended)}
@@ -496,43 +477,32 @@ def dataset_heads(t: Taxonomy, part: AtomPartition, space: LabelSpace) -> Datase
     s_pos = part.s_local()
     base = [t.groups[(space.dataset_id, m)] for m in range(1, space.num_classes + 1)]
 
-    heads: list[str] = []
     local: list[frozenset[int]] = []
-    parents: list[int] = []
+    parents: list[int] = []  # the parent slot of each s-head class
     for m, g in enumerate(base, start=1):
         in_s = g & part.s_set
-        if in_s and in_s != g:
+        if not in_s:
+            local.append(frozenset(ap_pos[a] for a in g))
+            continue
+        if in_s != g:
             raise DataError(
                 f"class {space.classes[m]!r} of dataset {space.dataset_id!r} mixes "
                 "weak-only atoms with others; unsupported grouping")
-        if in_s:
-            if space.supervision in PIXEL_KINDS:
-                remapped = frozenset(part.parent_of[a] for a in g)
-                if len(remapped) != 1:
-                    raise DataError(
-                        f"parent class {space.classes[m]!r} of dataset "
-                        f"{space.dataset_id!r} spans several parents")
-                heads.append("ap")
-                local.append(frozenset(ap_pos[a] for a in remapped))
-                parents.append(-1)
-            else:
-                pset = {part.parent_of[a] for a in g}
-                if len(pset) != 1:
-                    raise DataError(
-                        f"class {space.classes[m]!r} of dataset {space.dataset_id!r} "
-                        "spans several parents")
-                heads.append("s")
-                local.append(frozenset(s_pos[a] for a in g))
-                parents.append(ap_pos[pset.pop()])
+        parent = {part.parent_of[a] for a in g}
+        if len(parent) != 1:
+            raise DataError(
+                f"class {space.classes[m]!r} of dataset {space.dataset_id!r} "
+                "spans several parents")
+        parent_slot = ap_pos[parent.pop()]
+        if space.supervision in PIXEL_KINDS:  # a parent class: its p_set atom
+            local.append(frozenset({parent_slot}))
         else:
-            heads.append("ap")
-            local.append(frozenset(ap_pos[a] for a in g))
-            parents.append(-1)
+            local.append(frozenset(s_pos[a] for a in g))
+            parents.append(parent_slot)
 
-    kinds = set(heads)
-    if kinds == {"s"}:
-        return DatasetGroups("s", tuple(local), tuple(parents))
-    if "s" in kinds:
+    if not parents:
+        return DatasetGroups("ap", tuple(local), None)
+    if len(parents) != len(local):
         raise DataError(
             f"dataset {space.dataset_id!r} mixes a+p-head and s-head classes; unsupported")
-    return DatasetGroups("ap", tuple(local), None)
+    return DatasetGroups("s", tuple(local), tuple(parents))

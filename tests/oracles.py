@@ -37,6 +37,68 @@ def atoms_fixed_point_oracle(names, relations):
         survivors.remove(removed)
 
 
+def partition_oracle(atoms, spaces, relations, universe):
+    """Brute-force parent class name of every weak-only atom.
+
+    Closures are fixed points over the point queries
+    relations.synonymous and relations.generalizes, scanned across
+    universe (every name the classes and relations mention). An atom is
+    weak-only when the classes whose synonym closure holds it are all
+    box/tag classes, and there is at least one. Its ancestors are the
+    pixel classes whose semantic closure holds it and whose synonym
+    closure does not; its parent is the smallest ancestor. Atoms are
+    visited in the given order: the first weak-only atom without an
+    ancestor raises NoStrongParent, and a parent name that is itself an
+    atom raises DataError.
+    """
+    from functools import cache
+
+    from htss.errors import DataError, NoStrongParent
+    from htss.taxonomy import PIXEL_KINDS
+
+    def fixed_point(name, related):
+        seen = {name}
+        while True:
+            grown = {other for n in seen for other in universe if related(n, other)} - seen
+            if not grown:
+                return seen
+            seen |= grown
+
+    @cache
+    def synonyms(name):
+        return fixed_point(name, relations.synonymous)
+
+    @cache
+    def covered(name):
+        return fixed_point(name, lambda a, b: (relations.generalizes(a, b)
+                                               or relations.synonymous(a, b)))
+
+    pixel_exact, weak_exact = set(), set()
+    for sp in spaces:
+        for cname in sp.classes[1:]:
+            for atom in atoms:
+                if atom in synonyms(cname):
+                    (pixel_exact if sp.supervision in PIXEL_KINDS else weak_exact).add(atom)
+    parents = {}
+    for atom in atoms:
+        if atom not in weak_exact or atom in pixel_exact:
+            continue
+        ancestors = set()
+        for sp in spaces:
+            if sp.supervision not in PIXEL_KINDS:
+                continue
+            for cname in sp.classes[1:]:
+                if atom not in synonyms(cname) and atom in covered(cname):
+                    ancestors.add(cname)
+        if not ancestors:
+            raise NoStrongParent(atom)
+        parents[atom] = min(ancestors)
+    for pname in sorted(set(parents.values())):
+        if pname in atoms:
+            raise DataError(f"parent class {pname!r} collides with an existing atom")
+    return parents
+
+
 def im2col_oracle(x):
     """(H, W, C) -> (H*W, 9*C) 3x3 same-padding patches, one (dy, dx)
     slice at a time, with columns ordered (dy, dx, c)."""

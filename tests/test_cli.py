@@ -83,6 +83,76 @@ def test_removed_checkpoint_every_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("gen", "world", 5),
+    ("gen", "out", 7),
+    ("taxonomy", "relations", 5),
+    ("taxonomy", "relations", ["relations.tsv"]),
+    ("taxonomy", "partition", "no"),
+    ("train", "epochs", 1.9),
+    ("train", "feature_width", True),
+    ("train", "quotas", {"fine_px": 2.9}),
+    ("eval", "n_t", 2.5),
+    ("eval", "c_values", "12"),
+    ("eval", "checkpoint", 5),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, gen_tree, capsys, monkeypatch,
+                                            command, key, value):
+    from htss.formats import write_array_file
+    ckpt = tmp_path / "zero.ckpt"  # a valid net for the fine_px atoms (cat, dog, field)
+    write_array_file(ckpt, [np.zeros(s) for s in
+                            [(3, 3, 2, 4), (4,), (3, 3, 4, 4), (4,), (4, 3), (3,)]])
+    fine = [str(gen_tree / "fine_px_manifest.json")]
+    spaces = [str(gen_tree / "fine_px_space.json")]
+    relations = str(gen_tree / "relations.tsv")
+    valid = {
+        "gen": {"world": str(tmp_path / "world.json")},
+        "taxonomy": {"label_spaces": spaces, "relations": relations},
+        "train": {"manifests": fine, "relations": relations, "quotas": {"fine_px": 2},
+                  "feature_width": 2},
+        "eval": {"checkpoint": str(ckpt), "manifests": fine, "train_label_spaces": spaces,
+                 "relations": relations},
+    }[command]
+    cfg = write_json(tmp_path / "bad.json", {**valid, "out": "out", key: value})
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "7").exists()
+
+
+def test_config_int_stands_for_float(tmp_path, gen_tree):
+    cfg = write_json(tmp_path / "train.json", {
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "quotas": {"fine_px": 2}, "feature_width": 2,
+        "momentum": 0, "refine_threshold": 1, "out": str(tmp_path / "run"),
+    })
+    assert main(["train", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("case", ["gen --seed", "train --seed", "world seed", "world list"])
+def test_negative_seed_or_non_object_world_exits_2(tmp_path, gen_tree, capsys, case):
+    world = tmp_path / "world.json"
+    if case == "world seed":
+        write_json(world, world_doc(seed=-1))
+    elif case == "world list":
+        write_json(world, [world_doc()])
+    if case == "train --seed":
+        cfg = write_json(tmp_path / "train.json", {
+            "manifests": [str(gen_tree / "fine_px_manifest.json")],
+            "quotas": {"fine_px": 2}, "feature_width": 2, "out": str(tmp_path / "out"),
+        })
+        argv = ["train", "--config", cfg, "--seed", "-1"]
+    else:
+        cfg = write_json(tmp_path / "gen.json", {"world": str(world),
+                                                 "out": str(tmp_path / "out")})
+        argv = ["gen", "--config", cfg] + (["--seed", "-3"] if case == "gen --seed" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config_json(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text("{nope")
@@ -343,6 +413,50 @@ def test_truncated_raster_header_exits_3(tmp_path, gen_tree, capsys):
         assert main(["pseudolabel", "--config", cfg]) == 3, n
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err, (n, err)
+
+
+def test_checkpoint_header_bit_flips_exit_3(tmp_path, gen_tree, capsys):
+    from htss.formats import write_array_file
+    shapes = [(3, 3, 2, 4), (4,), (3, 3, 4, 4), (4,), (4, 3), (3,)]
+    full = tmp_path / "full.ckpt"
+    write_array_file(full, [np.zeros(s) for s in shapes])
+    blob = full.read_bytes()
+    flipped = tmp_path / "flipped.ckpt"
+    cfg = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(flipped),
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")],
+        "relations": str(gen_tree / "relations.tsv"),
+        "out": str(tmp_path / "eval_out"),
+    })
+    rng = np.random.default_rng(61)
+    for offset in _header_prefix_lengths(shapes):
+        bit = int(rng.integers(8))
+        data = bytearray(blob)
+        data[offset] ^= 1 << bit
+        flipped.write_bytes(bytes(data))
+        assert main(["eval", "--config", cfg]) == 3, (offset, bit)
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err, (offset, bit, err)
+
+
+def test_raster_header_bit_flips_exit_3(tmp_path, gen_tree, capsys):
+    image = gen_tree / "boxes" / "img_00000.rast"
+    blob = image.read_bytes()
+    rank = int(np.frombuffer(blob[12:16], dtype="<u4")[0])
+    cfg = write_json(tmp_path / "pl.json", {
+        "manifests": [str(gen_tree / "boxes_manifest.json")],
+        "out": str(tmp_path / "pl_out"),
+    })
+    rng = np.random.default_rng(62)
+    for offset in range(16 + 4 * rank):
+        bit = int(rng.integers(8))
+        data = bytearray(blob)
+        data[offset] ^= 1 << bit
+        image.write_bytes(bytes(data))
+        assert main(["pseudolabel", "--config", cfg]) == 3, (offset, bit)
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err, (offset, bit, err)
 
 
 def test_raster_dims_overflowing_int64_exit_3(tmp_path, gen_tree, capsys):

@@ -23,7 +23,7 @@ from htss.taxonomy import (
     validate_taxonomy,
 )
 
-from oracles import atoms_fixed_point_oracle, random_taxonomy_instance
+from oracles import atoms_fixed_point_oracle, partition_oracle, random_taxonomy_instance
 
 
 def space(ds, names, kind=PIXEL_DENSE):
@@ -197,7 +197,7 @@ def test_atoms_generalization_beats_synonym():
 
 
 def test_atoms_one_way_synonym_removes_larger_name():
-    rel = RelationTable(frozenset({("b", "a")}), frozenset(), frozenset())
+    rel = RelationTable(narrower={}, synonyms={"b": ("a",)})
     spaces = [space("d0", ["a", "b"])]
     assert build_semantic_atoms(spaces, rel) == atoms_fixed_point_oracle(["a", "b"], rel) == ["a"]
 
@@ -412,6 +412,30 @@ def test_partition_parent_tiebreak_smallest_name():
     assert part.atom_name(parent) == "marker_front"
 
 
+def test_partition_matches_oracle_on_shuffled_relations():
+    rng = np.random.default_rng(31)
+    outcomes = {"partition": 0, "raise": 0}
+    for _ in range(300):
+        spaces, rel = shuffled_relations_instance(rng, int(rng.integers(2, 31)))
+        t = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+        universe = {n for sp in spaces for n in sp.classes[1:]}
+        universe |= {n for edges in (rel.narrower, rel.synonyms)
+                     for subject, objs in edges.items() for n in (subject, *objs)}
+        try:
+            expected = partition_oracle(t.atoms, spaces, rel, universe)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                partition_atoms(t, spaces, rel)
+            assert type(got.value) is type(exc), (got.value, exc)
+            outcomes["raise"] += 1
+            continue
+        part = partition_atoms(t, spaces, rel)
+        assert {part.atom_name(s): part.atom_name(p)
+                for s, p in part.parent_of.items()} == expected
+        outcomes["partition"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_partition_rejects_overlapping_sets():
     with pytest.raises(DataError):
         AtomPartition(atoms=("a", "b"), a_set=frozenset({1}),
@@ -477,3 +501,29 @@ def test_heads_straddling_group_rejected():
     part = partition_atoms(t, spaces, rel)
     with pytest.raises(DataError):
         dataset_heads(t, part, spaces[0])
+
+
+def test_heads_reject_class_spanning_several_parents():
+    triples = [
+        (HYPERNYM, "abc", "a"), (HYPERNYM, "sign", "a"), (HYPERNYM, "sign", "b"),
+        (HYPERNYM, "both", "a"), (HYPERNYM, "both", "b"),
+    ]
+    rel = RelationTable.from_triples(triples)
+    spaces = [space("p1", ["abc"]), space("p2", ["sign"]),
+              space("boxes", ["a", "b", "both"], BBOX)]
+    t = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    part = partition_atoms(t, spaces, rel)
+    assert {part.atom_name(s): part.atom_name(p) for s, p in part.parent_of.items()} == {
+        "a": "abc", "b": "sign"}
+    assert dataset_heads(t, part, spaces[0]).head == "ap"
+    # a pixel parent class covering a and b, and a box class covering both
+    for sp in spaces[1:]:
+        with pytest.raises(DataError, match="spans several parents"):
+            dataset_heads(t, part, sp)
+
+    spaces[2] = space("boxes", ["a", "b"], BBOX)
+    t = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    part = partition_atoms(t, spaces, rel)
+    dg = dataset_heads(t, part, spaces[2])
+    assert dg.head == "s"
+    assert dg.parent_slots == (0, 1)
