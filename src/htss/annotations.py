@@ -22,6 +22,24 @@ from .errors import DataError, ShapeMismatch
 from .taxonomy import BBOX
 
 
+def reduce_last(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(x, axis=-1) with the same bits, for np.add or np.maximum.
+
+    Below 8 trailing entries the slices x[..., k] are folded in index
+    order: K whole-array calls cost less than numpy's per-pixel loop, and
+    numpy adds in that order there. From 8 on numpy sums pairwise (other
+    bits) and its own loop wins, so it is called. A sum starts from
+    x[..., 0] + 0, not a copy: numpy starts from +0.0, so an all -0.0
+    row sums to +0.0."""
+    k = x.shape[-1]
+    if not 0 < k < 8:
+        return ufunc.reduce(x, axis=-1)
+    out = x[..., 0] + 0 if ufunc is np.add else x[..., 0].copy()
+    for i in range(1, k):
+        ufunc(out, x[..., i], out=out)
+    return out
+
+
 @dataclass(frozen=True)
 class StrongLabel:
     """Dense per-pixel class ids over one label space (0 = void)."""
@@ -95,7 +113,7 @@ class PseudoCanvas:
             raise ShapeMismatch(f"canvas must be (H, W, L+1) with L >= 1, got {p.shape}")
         if np.any(p < 0.0):
             raise DataError("canvas has negative entries")
-        if np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-6):
+        if np.any(np.abs(reduce_last(np.add, p) - 1.0) > 1e-6):
             raise DataError("canvas rows must sum to 1 within 1e-6")
 
     @property
@@ -135,7 +153,7 @@ def canvas_from_boxes(label: WeakLabel, height: int, width: int,
     votes = np.zeros((height, width, num_classes), dtype=np.int64)
     for cls, x0, y0, x1, y1 in label.boxes:
         votes[y0:y1, x0:x1, cls - 1] += 1
-    total = votes.sum(axis=2)
+    total = reduce_last(np.add, votes)
     covered = total > 0
     probs = np.zeros((height, width, num_classes + 1), dtype=np.float64)
     np.divide(votes, total[:, :, None], out=probs[:, :, :num_classes],

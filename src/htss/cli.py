@@ -27,7 +27,7 @@ from . import formats
 from .errors import ConfigError, DataError, HTSSError, NumericError
 from .metrics import MetricReport, json_number
 from .model import BatchPlan, OptimizerState, evaluate, load_checkpoint, train_loop
-from .synthgen import View, WorldSpec, emit_dataset, load_dataset, relation_triples
+from .synthgen import View, WorldSpec, emit_dataset, has_type, load_dataset, relation_triples
 from .annotations import weak_canvas
 from .taxonomy import (
     WEAK_KINDS,
@@ -109,23 +109,16 @@ def _load_config(command: str, args) -> dict:
     return cfg
 
 
-def _has_type(value, kind: type) -> bool:
-    """isinstance, where a bool is never a number and an int may stand for a float."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, kind) or (kind is float and isinstance(value, int))
-
-
 def _check_type(key: str, value, default) -> None:
     """A config value has the type of its default. Path lists hold
     strings; c_values items and quotas values are integers."""
     if isinstance(default, (list, dict)):
         kind = int if key in ("c_values", "quotas") else str
         items = value.values() if isinstance(value, dict) else value
-        ok = isinstance(value, type(default)) and all(_has_type(v, kind) for v in items)
+        ok = isinstance(value, type(default)) and all(has_type(v, kind) for v in items)
         want = f"a {type(default).__name__} of {kind.__name__}"
     else:
-        ok, want = _has_type(value, type(default)), f"of type {type(default).__name__}"
+        ok, want = has_type(value, type(default)), f"of type {type(default).__name__}"
     if not ok:
         raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
 

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import PseudoCanvas
+from .annotations import PseudoCanvas, reduce_last
 from .errors import (
     IndexOutOfRange,
     MissingChildren,
@@ -86,12 +86,12 @@ class GroupIndex:
 def softmax_atoms(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the trailing atom axis, max-shifted for
     stability. Softmax is invariant under per-pixel constant shifts."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise NonFiniteInput("logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - reduce_last(np.maximum, logits)[..., None]
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / reduce_last(np.add, e)[..., None]
 
 
 def group_matrix(groups: GroupMap, atom_count: int) -> np.ndarray:
@@ -163,13 +163,15 @@ def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex):
             f"({target.height}, {target.width})")
     y = target.probs[:, :, :num]
     s = _class_sums(probs, index)
-    s_safe = np.maximum(s, LOG_EPS)
+    np.maximum(s, LOG_EPS, out=s)
     mask = target.supervised_mask
-    losses = -(y * np.log(s_safe)).sum(axis=2)
+    terms = np.log(s)
+    terms *= y
+    losses = -reduce_last(np.add, terms)
     losses[~mask] = 0.0
-    ratio = y / s_safe
-    back = _gather_sum(ratio, index.atom_classes)
-    grads = probs * (y.sum(axis=2)[:, :, None] - back)
+    back = _gather_sum(np.divide(y, s, out=terms), index.atom_classes)
+    grads = np.subtract(reduce_last(np.add, y)[:, :, None], back, out=back)
+    grads *= probs
     grads[~mask] = 0.0
     return losses, grads, mask
 

@@ -11,27 +11,29 @@ emits logits for the a+p atoms followed by the s atoms; the two
 segments are softmaxed separately.
 
 Patch layout: _im2col writes the (H, W, C) input into a zero-bordered
-(H+2, W+2, C) buffer and copies its 3x3 sliding windows, transposed to
-(H, W, dy, dx, C), into one (H*W, 9*C) array. Row y*W + x holds the
-patch centred on pixel (y, x), and column (3*dy + dx)*C + c holds
-channel c at offset (dy - 1, dx - 1); this matches the (3, 3, C, width)
-kernel reshaped to (9*C, width). Within one window row the dx and C
-axes are adjacent in memory on both sides, so the copy moves runs of
-3*C elements.
+(H+2, W+2, C) buffer and copies its 3x3 windows, one (H, W, dy, dx, C)
+as_strided view with the buffer's strides (sy, sx, sy, sx, sc), into one
+(H*W, 9*C) array. Row y*W + x holds the patch centred on pixel (y, x),
+and column (3*dy + dx)*C + c holds channel c at offset (dy - 1, dx - 1);
+this matches the (3, 3, C, width) kernel reshaped to (9*C, width).
+Within one window row the dx and C axes are adjacent in memory on both
+sides, so the copy moves runs of 3*C elements.
 
 Input gradient of conv 2: the plain form is one GEMM, dz @ W.T with W
 the (9*C, width) kernel, then a scatter of each (dy, dx) column block
-onto the bordered buffer. _conv_input_grad instead multiplies dz by
-each tap's (width, C) kernel slice, giving nine contiguous (H*W, C)
-planes, and adds them onto the buffer in the same (dy, dx) order. Every
-element is still one dot product over width, which OpenBLAS sums in the
-same order for the (H*W, C) product as for the (H*W, 9*C) one, and the
-scatter adds the same values in the same order. So the gradient keeps
-the plain form's bits; the tests check this against the slice-by-slice
-oracle at widths 1 to 16. The only difference is memory order: each
-scatter add now runs over whole contiguous rows. (With OpenBLAS 0.3.31
-on Haswell, widths of 32 or more on images under 64 pixels take a
-small-matrix path whose sums can differ in the last bit.)
+onto the bordered buffer. _conv_input_grad instead multiplies dz by a
+contiguous per-call copy of the nine (width, C) tap kernels, giving nine
+contiguous (H*W, C) planes, and adds them onto the buffer in the same
+(dy, dx) order. Every element is still one dot product over width, which
+OpenBLAS sums in the same order for the (H*W, C) product as for the
+(H*W, 9*C) one, and the scatter adds the same values in the same order.
+So the gradient keeps the plain form's bits; the tests check this
+against the slice-by-slice oracle at widths 1 to 16. The exception is a
+one-pixel image, where numpy takes a vector-matrix path that sums a
+C-ordered kernel in another order, so there the kernel stays a
+transposed view. (With OpenBLAS 0.3.31 on Haswell, widths of 32 or more
+on images under 64 pixels take a small-matrix path whose sums can differ
+in the last bit.)
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .annotations import (
     PseudoCanvas,
     StrongLabel,
     gate_canvas,
+    reduce_last,
     refine_canvas,
     strong_to_canvas,
     weak_canvas,
@@ -155,9 +158,11 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     h, w, c = x.shape
     padded = np.zeros((h + 2, w + 2, c), dtype=np.float64)
     padded[1:-1, 1:-1, :] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
+    sy, sx, sc = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (h, w, 3, 3, c), (sy, sx, sy, sx, sc), writeable=False)
     cols = np.empty((h, w, 3, 3, c), dtype=np.float64)
-    cols[...] = windows.transpose(0, 1, 3, 4, 2)
+    cols[...] = windows
     return cols.reshape(h * w, 9 * c)
 
 
@@ -166,9 +171,13 @@ def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.n
     given dz = d(loss)/d(output) as (H*W, width) and kernel (3, 3, C, width).
 
     Used for conv 2, where C == width. With C == 1 each tap's product
-    would be a matrix-vector one, which BLAS sums in another order."""
+    would be a matrix-vector one, which BLAS sums in another order; so
+    would a contiguous kernel at h * w == 1, which keeps the view."""
     c, width = kernel.shape[2], kernel.shape[3]
-    taps = np.matmul(dz, kernel.reshape(9, c, width).transpose(0, 2, 1))
+    tap_kernels = kernel.reshape(9, c, width).transpose(0, 2, 1)
+    if h * w > 1:
+        tap_kernels = np.ascontiguousarray(tap_kernels)
+    taps = np.matmul(dz, tap_kernels)
     dpadded = np.zeros((h + 2, w + 2, c), dtype=np.float64)
     for t in range(9):
         dy, dx = divmod(t, 3)
@@ -373,7 +382,7 @@ def _dataset_predictions(ap_probs: np.ndarray, groups: GroupIndex) -> np.ndarray
     renormalized so it is a proper distribution over that label space.
     Pixels whose covered mass vanishes get all-zero confidence."""
     s = accumulate_groups(ap_probs, groups)
-    total = s.sum(axis=2, keepdims=True)
+    total = reduce_last(np.add, s)[:, :, None]
     out = np.zeros_like(s)
     np.divide(s, total, out=out, where=total > 1e-12)
     return out

@@ -37,6 +37,20 @@ FINE = "fine"
 COARSE = "coarse"
 
 
+def has_type(value, kind: type) -> bool:
+    """isinstance, where a bool is never a number and an int may stand for a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
+
+
+def _typed(key: str, value, kind: type):
+    """value as kind when has_type allows it; ConfigError naming the key otherwise."""
+    if not has_type(value, kind):
+        raise ConfigError(f"key {key!r} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class Concept:
     name: str
@@ -124,16 +138,18 @@ class WorldSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "WorldSpec":
         try:
+            ints = {key: _typed(key, doc[key], int) for key in (
+                "height", "width", "channels", "objects_min", "objects_max",
+                "size_min", "size_max", "seed")}
             return cls(
-                height=int(doc["height"]), width=int(doc["width"]),
-                channels=int(doc["channels"]),
-                concepts=tuple(Concept(c["name"], tuple(float(v) for v in c["signature"]),
-                                       float(c["noise"])) for c in doc["concepts"]),
+                concepts=tuple(Concept(_typed("name", c["name"], str),
+                                       tuple(_typed("signature", v, float)
+                                             for v in c["signature"]),
+                                       _typed("noise", c["noise"], float))
+                               for c in doc["concepts"]),
                 hierarchy=tuple((p, tuple(fs)) for p, fs in doc["hierarchy"]),
                 background=doc["background"],
-                objects_min=int(doc["objects_min"]), objects_max=int(doc["objects_max"]),
-                size_min=int(doc["size_min"]), size_max=int(doc["size_max"]),
-                seed=int(doc["seed"]), box_pad=int(doc.get("box_pad", 0)))
+                box_pad=_typed("box_pad", doc.get("box_pad", 0), int), **ints)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad world spec: {exc}") from None
 
@@ -209,10 +225,12 @@ class View:
     @classmethod
     def from_dict(cls, doc: dict) -> "View":
         try:
-            return cls(dataset_id=doc["dataset_id"], supervision=doc["supervision"],
-                       granularity=doc["granularity"], count=int(doc["count"]),
-                       start_index=int(doc.get("start_index", 0)),
-                       classes=tuple(doc["classes"]) if doc.get("classes") else None)
+            strs = {key: _typed(key, doc[key], str)
+                    for key in ("dataset_id", "supervision", "granularity")}
+            return cls(count=_typed("count", doc["count"], int),
+                       start_index=_typed("start_index", doc.get("start_index", 0), int),
+                       classes=tuple(doc["classes"]) if doc.get("classes") else None,
+                       **strs)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad view: {exc}") from None
 

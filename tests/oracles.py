@@ -238,3 +238,20 @@ def random_taxonomy_instance(rng):
         spaces.append(LabelSpace(dataset_id=f"d{si}", classes=("void",) + tuple(names),
                                  supervision=kind))
     return spaces, triples
+
+
+TRAILING_LENGTHS = list(range(1, 13)) + [31, 330]
+
+
+def trailing_axis_arrays(k, seed):
+    """Inputs for bit checks of reductions over a trailing axis of k
+    entries: a (4, 5, k) float64 array of magnitudes 1e-8 to 1e8 with
+    random signs, scattered +0.0 and -0.0 and one all -0.0 row, followed
+    by its head-slice views x[..., :cut] and x[..., cut:]."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], (4, 5, k)) * 10.0 ** rng.uniform(-8.0, 8.0, (4, 5, k))
+    x[rng.random(x.shape) < 0.15] = 0.0
+    x[rng.random(x.shape) < 0.15] = -0.0
+    x[0, 0] = -0.0
+    cut = (k + 1) // 2
+    return [x, x[..., :cut], x[..., cut:]] if k > 1 else [x]

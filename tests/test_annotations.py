@@ -8,10 +8,28 @@ from htss.annotations import (
     canvas_from_boxes,
     canvas_from_tags,
     gate_canvas,
+    reduce_last,
     refine_canvas,
     strong_to_canvas,
 )
 from htss.errors import DataError, ShapeMismatch
+
+from oracles import TRAILING_LENGTHS, trailing_axis_arrays
+
+
+def same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("k", TRAILING_LENGTHS)
+def test_reduce_last_matches_numpy_bit_for_bit(k):
+    for seed in range(5):
+        for x in trailing_axis_arrays(k, seed):
+            assert same_bits(reduce_last(np.add, x), x.sum(axis=-1))
+            assert same_bits(reduce_last(np.maximum, x), x.max(axis=-1))
+    votes = np.random.default_rng(k).integers(0, 4, (4, 5, k))
+    assert same_bits(reduce_last(np.add, votes), votes.sum(axis=-1))
 
 
 def test_strong_label_validates_range():

@@ -153,6 +153,29 @@ def test_negative_seed_or_non_object_world_exits_2(tmp_path, gen_tree, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+def _set_world_value(doc, key, value):
+    if key in ("name", "signature", "noise"):
+        doc["concepts"][1][key] = value
+    elif key in ("count", "dataset_id"):
+        doc["views"][0][key] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, value", [
+    ("height", 8.9), ("seed", True), ("objects_max", "2"), ("count", 2.5),
+    ("signature", ["1.0", 0.0]), ("noise", False), ("name", 7), ("dataset_id", 12),
+])
+def test_world_value_of_wrong_type_exits_2(tmp_path, capsys, key, value):
+    world = write_json(tmp_path / "world.json", _set_world_value(world_doc(), key, value))
+    cfg = write_json(tmp_path / "gen.json", {"world": world, "out": str(tmp_path / "data")})
+    assert main(["gen", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err and "Traceback" not in err, err
+    assert not (tmp_path / "data").exists()
+
+
 def test_malformed_config_json(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text("{nope")

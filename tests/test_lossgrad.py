@@ -37,7 +37,13 @@ from htss.taxonomy import (
     build_semantic_atoms,
 )
 
-from oracles import fd_grad, ref_ce_loss_grad, ref_softmax
+from oracles import (
+    TRAILING_LENGTHS,
+    fd_grad,
+    ref_ce_loss_grad,
+    ref_softmax,
+    trailing_axis_arrays,
+)
 
 
 def canvas(rows):
@@ -72,6 +78,15 @@ def test_softmax_extreme_logits_finite():
     s = softmax_atoms(z)
     assert np.all(np.isfinite(s))
     np.testing.assert_allclose(s[0, 0, 0], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", TRAILING_LENGTHS)
+def test_softmax_matches_reference_bit_for_bit(k):
+    for seed in range(5):
+        for x in trailing_axis_arrays(k, seed):
+            for z in (x, x * 1e-7):
+                got, want = softmax_atoms(z), ref_softmax(z)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_softmax_rejects_nonfinite():

@@ -45,7 +45,7 @@ from oracles import col2im_oracle, fd_grad, im2col_oracle
 
 # (H, W): single pixel, single row, single column, non-square both ways,
 # and the two workload image sizes
-PATCH_SHAPES = [(1, 1), (1, 6), (5, 1), (3, 7), (9, 4), (20, 20), (48, 48)]
+PATCH_SHAPES = [(1, 1), (1, 6), (5, 1), (3, 7), (9, 4), (16, 16), (20, 20), (48, 48)]
 
 
 def test_init_shapes_and_bounds():
