@@ -27,7 +27,16 @@ from . import formats
 from .errors import ConfigError, DataError, HTSSError, NumericError
 from .metrics import MetricReport, json_number
 from .model import BatchPlan, OptimizerState, evaluate, load_checkpoint, train_loop
-from .synthgen import View, WorldSpec, emit_dataset, has_type, load_dataset, relation_triples
+from .synthgen import (
+    View,
+    WorldSpec,
+    emit_dataset,
+    has_type,
+    load_dataset,
+    relation_triples,
+    typed_list,
+    view_space,
+)
 from .annotations import weak_canvas
 from .taxonomy import (
     WEAK_KINDS,
@@ -157,9 +166,11 @@ def cmd_gen(cfg: dict) -> None:
     world = WorldSpec.from_dict(doc)
     if "seed" in cfg:  # only --seed sets it: a gen config has no seed key
         world = replace(world, seed=cfg["seed"])
-    views = [View.from_dict(v) for v in views_doc]
+    views = [View.from_dict(v) for v in typed_list("views", views_doc, dict)]
     if len({v.dataset_id for v in views}) != len(views):
         raise ConfigError("duplicate dataset_id among views")
+    for view in views:  # class selections fail here, before anything is written
+        view_space(world, view)
     out = _out_dir(cfg)
     for view in views:
         manifest = emit_dataset(world, view, out)

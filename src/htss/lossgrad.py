@@ -35,6 +35,12 @@ O(HW * (A + sum_m |G_m|)) where the matrix products cost O(HW * A * L).
 The loss functions take only a GroupIndex: callers build it once per
 group map with group_index (train_loop does so per dataset) and reuse it.
 
+An item whose canvas supervises no pixel (a box or tag canvas the
+confidence gate emptied) skips the loss math after the shape checks and
+gets all-zero losses and gradients. The full path gives the same bits:
+it sets every unsupervised pixel's loss and gradient to +0.0, and an
+all-+0.0 item adds +0.0 to the batch total and divides to +0.0.
+
 All math runs in float64; log arguments are clamped at 1e-12.
 """
 
@@ -137,34 +143,42 @@ def _gather_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_sums(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
-    """Class sums of a float64 distribution whose atom axis the index spans."""
+def _check_atom_axis(probs: np.ndarray, index: GroupIndex) -> None:
     if index.atom_count != probs.shape[-1]:
         raise ShapeMismatch(
             f"group index over {index.atom_count} atoms vs a distribution "
             f"over {probs.shape[-1]}")
-    return _gather_sum(probs, index.class_atoms)
 
 
 def accumulate_groups(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     """Per-class probabilities as plain sums of atom probabilities."""
-    return _class_sums(np.asarray(probs, dtype=np.float64), index)
+    probs = np.asarray(probs, dtype=np.float64)
+    _check_atom_axis(probs, index)
+    return _gather_sum(probs, index.class_atoms)
 
 
 def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex):
-    """Unscaled per-pixel losses, gradients and the supervised mask."""
+    """Unscaled per-pixel losses and gradients, and the number of
+    supervised pixels.
+
+    With no supervised pixel, both are all +0.0 without the math: the
+    full path zeroes every unsupervised pixel to the same bits."""
     num = target.num_classes
     probs = np.asarray(probs, dtype=np.float64)
     if index.num_classes != num:
         raise ShapeMismatch(f"{index.num_classes} groups for {num} class slots")
-    if probs.shape[:2] != (target.height, target.width):
+    if probs.ndim != 3 or probs.shape[:2] != (target.height, target.width):
         raise ShapeMismatch(
-            f"distribution grid {probs.shape[:2]} vs canvas "
+            f"distribution {probs.shape} vs canvas grid "
             f"({target.height}, {target.width})")
-    y = target.probs[:, :, :num]
-    s = _class_sums(probs, index)
-    np.maximum(s, LOG_EPS, out=s)
+    _check_atom_axis(probs, index)
     mask = target.supervised_mask
+    n = int(np.count_nonzero(mask))
+    if n == 0:
+        return np.zeros(mask.shape), np.zeros(probs.shape), 0
+    y = target.probs[:, :, :num]
+    s = _gather_sum(probs, index.class_atoms)
+    np.maximum(s, LOG_EPS, out=s)
     terms = np.log(s)
     terms *= y
     losses = -reduce_last(np.add, terms)
@@ -173,14 +187,13 @@ def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex):
     grads = np.subtract(reduce_last(np.add, y)[:, :, None], back, out=back)
     grads *= probs
     grads[~mask] = 0.0
-    return losses, grads, mask
+    return losses, grads, n
 
 
 def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex) -> float:
     """Cross-entropy between canvas and accumulated class probabilities,
     averaged over supervised pixels."""
-    losses, _, mask = _pixel_terms(target, probs, index)
-    n = int(mask.sum())
+    losses, _, n = _pixel_terms(target, probs, index)
     if n == 0:
         raise NoSupervisedPixels()
     return float(losses.sum() / n)
@@ -188,8 +201,7 @@ def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex) ->
 
 def grad_logits(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     """Exact gradient of ce_loss_image with respect to the atom logits."""
-    _, grads, mask = _pixel_terms(target, probs, index)
-    n = int(mask.sum())
+    _, grads, n = _pixel_terms(target, probs, index)
     if n == 0:
         raise NoSupervisedPixels()
     return grads / n
@@ -206,6 +218,10 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
     logit gradients of that scalar. A population that contributes no
     supervised pixels simply drops out; if both are empty the batch is
     rejected.
+
+    An item with no supervised pixel skips the loss math and gets an
+    all-+0.0 gradient, the bits the full path gives it; train_loop then
+    skips its backward pass (see there why that is exact too).
     """
     per_item = []
     strong_count = 0
@@ -213,24 +229,23 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
     for target, probs, index, kind in items:
         if kind not in SUPERVISION_KINDS:
             raise ShapeMismatch(f"unknown supervision kind {kind!r}")
-        losses, grads, mask = _pixel_terms(target, probs, index)
-        n = int(mask.sum())
+        losses, grads, n = _pixel_terms(target, probs, index)
         strong = kind in PIXEL_KINDS
         if strong:
             strong_count += n
         else:
             weak_count += n
-        per_item.append((losses, grads, strong))
+        per_item.append((losses, grads, n, strong))
     if strong_count + weak_count == 0:
         raise NoSupervisedPixels()
 
     total = 0.0
     out_grads = []
-    for losses, grads, strong in per_item:
-        denom = strong_count if strong else weak_count
-        if denom == 0:
-            out_grads.append(np.zeros_like(grads))
+    for losses, grads, n, strong in per_item:
+        if n == 0:  # all +0.0, so adding or dividing would change no bit
+            out_grads.append(grads)
             continue
+        denom = strong_count if strong else weak_count
         total += losses.sum() / denom
         out_grads.append(grads / denom)
     return float(total), out_grads

@@ -418,6 +418,13 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     largest dataset needs for a full pass. The plan must draw at least
     one pixel-supervised dataset: box/tag canvases are gated against the
     net's own predictions, which only pixel labels anchor.
+
+    An item whose logit gradient has no nonzero entry (a weak canvas the
+    gate emptied) skips its backward pass; batch_loss already skipped
+    its loss math. This keeps every bit: a zero upstream gives parameter
+    gradients of +0.0 and -0.0 only, the running total starts at +0.0
+    and so never holds -0.0 (IEEE addition gives -0.0 only for
+    -0.0 + -0.0), and x + (+-0.0) is x.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -479,6 +486,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
             raise NonFiniteLoss(step)
         total = MicroNetGrads.zeros_like(params)
         for (cache, head), g in zip(routes, grads):
+            if not g.any():
+                continue
             h, w = cache.shape
             upstream = np.zeros((h, w, n_ap + n_s), dtype=np.float64)
             if head == "ap":

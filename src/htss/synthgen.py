@@ -51,6 +51,18 @@ def _typed(key: str, value, kind: type):
     return kind(value)
 
 
+def typed_list(key: str, value, kind: type) -> tuple:
+    """A list whose items all pass _typed, as a tuple; ConfigError naming the key otherwise."""
+    return tuple(_typed(key, v, kind) for v in _typed(key, value, list))
+
+
+def _hierarchy_edge(entry: list) -> tuple[str, tuple[str, ...]]:
+    if len(entry) != 2:
+        raise ConfigError(f"key 'hierarchy' entries must be [coarse, [fine, ...]], "
+                          f"got {entry!r}")
+    return _typed("hierarchy", entry[0], str), typed_list("hierarchy", entry[1], str)
+
+
 @dataclass(frozen=True)
 class Concept:
     name: str
@@ -143,12 +155,12 @@ class WorldSpec:
                 "size_min", "size_max", "seed")}
             return cls(
                 concepts=tuple(Concept(_typed("name", c["name"], str),
-                                       tuple(_typed("signature", v, float)
-                                             for v in c["signature"]),
+                                       typed_list("signature", c["signature"], float),
                                        _typed("noise", c["noise"], float))
-                               for c in doc["concepts"]),
-                hierarchy=tuple((p, tuple(fs)) for p, fs in doc["hierarchy"]),
-                background=doc["background"],
+                               for c in typed_list("concepts", doc["concepts"], dict)),
+                hierarchy=tuple(_hierarchy_edge(e) for e in
+                                typed_list("hierarchy", doc["hierarchy"], list)),
+                background=_typed("background", doc["background"], str),
                 box_pad=_typed("box_pad", doc.get("box_pad", 0), int), **ints)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad world spec: {exc}") from None
@@ -229,7 +241,7 @@ class View:
                     for key in ("dataset_id", "supervision", "granularity")}
             return cls(count=_typed("count", doc["count"], int),
                        start_index=_typed("start_index", doc.get("start_index", 0), int),
-                       classes=tuple(doc["classes"]) if doc.get("classes") else None,
+                       classes=typed_list("classes", doc.get("classes", []), str) or None,
                        **strs)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad view: {exc}") from None

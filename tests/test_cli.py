@@ -158,6 +158,8 @@ def _set_world_value(doc, key, value):
         doc["concepts"][1][key] = value
     elif key in ("count", "dataset_id"):
         doc["views"][0][key] = value
+    elif key == "classes":
+        doc["views"][3][key] = value
     else:
         doc[key] = value
     return doc
@@ -166,6 +168,9 @@ def _set_world_value(doc, key, value):
 @pytest.mark.parametrize("key, value", [
     ("height", 8.9), ("seed", True), ("objects_max", "2"), ("count", 2.5),
     ("signature", ["1.0", 0.0]), ("noise", False), ("name", 7), ("dataset_id", 12),
+    ("signature", 5), ("hierarchy", [["terrain", ["field"]], ["animal", ["cat", 9]]]),
+    ("hierarchy", [["terrain", ["field"]], ["animal"]]), ("views", {"fine_px": {}}),
+    ("views", ["tags"]), ("concepts", {"cat": {}}), ("classes", "animal"),
 ])
 def test_world_value_of_wrong_type_exits_2(tmp_path, capsys, key, value):
     world = write_json(tmp_path / "world.json", _set_world_value(world_doc(), key, value))
@@ -173,6 +178,17 @@ def test_world_value_of_wrong_type_exits_2(tmp_path, capsys, key, value):
     assert main(["gen", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err and "Traceback" not in err, err
+    assert not (tmp_path / "data").exists()
+
+
+def test_gen_checks_every_class_selection_before_writing(tmp_path, capsys):
+    doc = world_doc()
+    doc["views"][-1]["classes"] = ["animal", "unicorn"]
+    world = write_json(tmp_path / "world.json", doc)
+    cfg = write_json(tmp_path / "gen.json", {"world": world, "out": str(tmp_path / "data")})
+    assert main(["gen", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'unicorn'" in err and "Traceback" not in err, err
     assert not (tmp_path / "data").exists()
 
 

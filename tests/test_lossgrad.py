@@ -11,7 +11,7 @@ from htss.errors import (
     NoSupervisedPixels,
     ShapeMismatch,
 )
-from htss import lossgrad
+from htss import lossgrad, model
 from htss.annotations import StrongLabel, WeakLabel
 from htss.lossgrad import (
     _gather_sum,
@@ -181,16 +181,10 @@ def test_group_index_rejects_mismatched_atom_count():
         group_index(groups, 2)
 
 
-def test_train_loop_builds_group_tables_once_per_dataset(monkeypatch):
-    calls = []
-    real = lossgrad.group_matrix
-
-    def counting(groups, atom_count):
-        calls.append(len(groups))
-        return real(groups, atom_count)
-
-    monkeypatch.setattr(lossgrad, "group_matrix", counting)
-    rng = np.random.default_rng(67)
+def _box_world(seed):
+    """Fine and coarse pixel sets and a box set, 4 images of 5x4x2 each,
+    with their taxonomy."""
+    rng = np.random.default_rng(seed)
     spaces = [LabelSpace("fine", ("void", "cat", "dog", "grass"), PIXEL_DENSE),
               LabelSpace("coarse", ("void", "animal", "grass"), PIXEL_COARSE),
               LabelSpace("boxes", ("void", "cat", "dog"), BBOX)]
@@ -206,11 +200,51 @@ def test_train_loop_builds_group_tables_once_per_dataset(monkeypatch):
             labels = [StrongLabel(rng.integers(0, space.num_classes + 1, size=(5, 4)),
                                   space.num_classes) for _ in range(4)]
         datasets.append(LoadedDataset(space=space, images=images, labels=labels))
+    return datasets, tax
+
+
+def test_train_loop_builds_group_tables_once_per_dataset(monkeypatch):
+    calls = []
+    real = lossgrad.group_matrix
+
+    def counting(groups, atom_count):
+        calls.append(len(groups))
+        return real(groups, atom_count)
+
+    monkeypatch.setattr(lossgrad, "group_matrix", counting)
+    datasets, tax = _box_world(67)
     plan = BatchPlan(quotas={"fine": 2, "coarse": 2, "boxes": 2}, seed=5)
     res = train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
                      epochs=2, refine_threshold=0.0, feature_width=3)
     assert len(res.losses) == 4  # 4 steps, 6 items each
     assert sorted(calls) == [2, 2, 3]  # one per dataset, not one per item
+
+
+def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
+    # at threshold 1.0 the gate keeps no box pixel, so every box item has
+    # an all-zero gradient and must not reach backward
+    per_step = []  # [items drawn, nonzero gradients, backward calls, pixel items]
+    real_loss, real_backward = model.batch_loss, model.backward
+
+    def counting_loss(items):
+        loss, grads = real_loss(items)
+        pixel = sum(kind != BBOX for *_, kind in items)
+        per_step.append([len(items), sum(bool(g.any()) for g in grads), 0, pixel])
+        return loss, grads
+
+    def counting_backward(cache, upstream):
+        per_step[-1][2] += 1
+        return real_backward(cache, upstream)
+
+    monkeypatch.setattr(model, "batch_loss", counting_loss)
+    monkeypatch.setattr(model, "backward", counting_backward)
+    datasets, tax = _box_world(71)
+    plan = BatchPlan(quotas={"fine": 2, "coarse": 1, "boxes": 3}, seed=7)
+    train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
+               epochs=2, refine_threshold=1.0, feature_width=3)
+    assert len(per_step) == 8  # 4 coarse images at quota 1, two epochs
+    for drawn, nonzero, calls, pixel in per_step:
+        assert calls == nonzero == pixel < drawn
 
 
 # --- loss closed forms ---
@@ -428,6 +462,53 @@ def test_batch_empty_population_drops_out():
     loss, grads = batch_loss([strong, empty_weak])
     assert abs(loss - math.log(2.0)) < 1e-12
     np.testing.assert_allclose(grads[1], 0.0, atol=1e-15)
+
+
+def test_batch_empty_item_gets_positive_zeros_and_changes_no_bit():
+    # an item with no supervised pixel skips the loss math; the bits must
+    # be those of the full path, which zeroes unsupervised pixels to +0.0
+    rng = np.random.default_rng(83)
+    index = group_index((frozenset({0, 1}), frozenset({2})), 3)
+
+    def item(ids, kind):  # class 2 is the unlabeled slot
+        target = PseudoCanvas(probs=np.eye(3)[np.asarray(ids)])
+        return target, softmax_atoms(rng.standard_normal(target.probs.shape)), index, kind
+
+    partial = item([[0, 2], [1, 0]], PIXEL_DENSE)
+    weak = item([[1, 2, 0]], BBOX)
+    empty_px = item([[2, 2], [2, 2], [2, 2]], PIXEL_DENSE)
+    empty_weak = item([[2, 2, 2]], BBOX)
+    loss, grads = batch_loss([partial, weak])
+    assert grads[0].any() and grads[1].any()  # partly supervised items keep theirs
+    got_loss, got = batch_loss([empty_px, partial, empty_weak, weak])
+    assert got_loss == loss
+    assert got[1].tobytes() == grads[0].tobytes()
+    assert got[3].tobytes() == grads[1].tobytes()
+    _, alone = batch_loss([partial, empty_weak])  # an empty weak population
+    for g, (_, probs, _, _) in [(got[0], empty_px), (got[2], empty_weak),
+                                (alone[1], empty_weak)]:
+        assert g.shape == probs.shape
+        assert not g.any() and not np.signbit(g).any()
+
+
+def test_empty_item_still_checks_shapes():
+    index = group_index((frozenset({0}), frozenset({1})), 2)
+    strong = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]])
+    empty = canvas([[[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]])
+    bad = [
+        (np.full((2, 2, 2), 0.5), index),                             # grid
+        (np.full((1, 2, 3), 1 / 3), index),                           # atom count
+        (np.full((1, 2), 0.5), index),                                # rank
+        (np.full((1, 2, 2), 0.5), group_index((frozenset({0}),), 2)),  # class slots
+    ]
+    for probs, idx in bad:
+        with pytest.raises(ShapeMismatch):
+            batch_loss([strong, (empty, probs, idx, BBOX)])
+    probs = np.full((1, 2, 2), 0.5)
+    with pytest.raises(NoSupervisedPixels):
+        ce_loss_image(empty, probs, index)
+    with pytest.raises(NoSupervisedPixels):
+        grad_logits(empty, probs, index)
 
 
 def test_batch_all_unsupervised_raises():

@@ -136,6 +136,25 @@ def test_conv2_input_grad_matches_gemm_then_col2im_bit_for_bit(h, w, width):
         assert np.array_equal(_conv_input_grad(dz, kernel, h, w), want)
 
 
+@pytest.mark.parametrize("h, w, width, out", [(20, 20, 8, 6), (48, 48, 16, 7)])
+def test_zero_upstream_backward_adds_nothing(h, w, width, out):
+    # train_loop skips backward for an all-zero logit gradient; that is
+    # exact only if adding its +-0.0 gradients changes no byte of a total
+    rng = np.random.default_rng(100 * h + width)
+    p = init_micronet(3, width, out, seed=width)
+    running = MicroNetGrads.zeros_like(p)
+    for _ in range(3):
+        _, cache = forward(p, rng.standard_normal((h, w, 3)))
+        running.iadd(backward(cache, rng.standard_normal((h, w, out))))
+    negative_zeros = MicroNetGrads(*(np.full_like(a, -0.0) for a in p.arrays()))
+    for total in (running, MicroNetGrads.zeros_like(p)):
+        before = [a.tobytes() for a in total.arrays()]
+        _, cache = forward(p, rng.standard_normal((h, w, 3)))
+        total.iadd(backward(cache, np.zeros((h, w, out))))
+        total.iadd(negative_zeros)  # BLAS may sum zero products to -0.0
+        assert [a.tobytes() for a in total.arrays()] == before
+
+
 def test_backward_rejects_stale_cache():
     p = init_micronet(2, 3, 2, seed=3)
     _, cache = forward(p, np.zeros((3, 3, 2)))
