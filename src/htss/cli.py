@@ -3,12 +3,15 @@
 Every subcommand reads a flat JSON config (--config), with --out
 overriding the output directory and --print-config dumping the
 defaults; gen and train also take --seed, which overrides the world
-spec's seed and the training seed respectively. Outputs are deterministic: rerunning a subcommand
-with the same config writes byte-identical files.
+spec's seed and the training seed respectively. Configs, world specs,
+label spaces and manifests reject unknown keys. Outputs are
+deterministic: rerunning a subcommand with the same config writes
+byte-identical files; a failed gen, taxonomy, train or eval writes none.
 
-Exit codes: 0 success, 2 config error, 4 numeric failure, 3 any data
-error. The HTSS_LOG environment variable sets log verbosity (DEBUG,
-INFO, WARNING, ...); logs go to stderr and never into output files.
+Exit codes: 0 success, 2 config error (configs, world specs, quotas,
+c_values and n_t below 1), 4 numeric failure, 3 any data error. The
+HTSS_LOG environment variable sets log verbosity (DEBUG, INFO, WARNING,
+...); logs go to stderr and never into output files.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ import numpy as np
 from . import formats
 from .errors import ConfigError, DataError, HTSSError, NumericError
 from .metrics import MetricReport, json_number
-from .model import BatchPlan, OptimizerState, evaluate, load_checkpoint, train_loop
+from .model import (BatchPlan, OptimizerState, evaluate, load_checkpoint,
+                    save_checkpoint, train_loop)
 from .synthgen import (
     View,
     WorldSpec,
     emit_dataset,
-    has_type,
     load_dataset,
     relation_triples,
-    typed_list,
     view_space,
 )
 from .annotations import weak_canvas
@@ -50,86 +52,67 @@ from .taxonomy import (
 
 log = logging.getLogger("htss")
 
+# per subcommand, each config key -> (type, default)
 DEFAULTS: dict[str, dict] = {
     "gen": {
-        "world": "world.json",
-        "out": "data",
+        "world": (str, "world.json"),
+        "out": (str, "data"),
     },
     "taxonomy": {
-        "label_spaces": [],
-        "relations": "",
-        "partition": False,
-        "out": "taxonomy_out",
+        "label_spaces": (list[str], []),
+        "relations": (str, ""),
+        "partition": (bool, False),
+        "out": (str, "taxonomy_out"),
     },
     "pseudolabel": {
-        "manifests": [],
-        "out": "canvases",
+        "manifests": (list[str], []),
+        "out": (str, "canvases"),
     },
     "train": {
-        "manifests": [],
-        "relations": "",
-        "quotas": {},
-        "learning_rate": 0.2,
-        "momentum": 0.9,
-        "epochs": 1,
-        "refine_threshold": 0.9,
-        "feature_width": 8,
-        "partition": False,
-        "seed": 0,
-        "out": "train_out",
+        "manifests": (list[str], []),
+        "relations": (str, ""),
+        "quotas": (dict[str, int], {}),
+        "learning_rate": (float, 0.2),
+        "momentum": (float, 0.9),
+        "epochs": (int, 1),
+        "refine_threshold": (float, 0.9),
+        "feature_width": (int, 8),
+        "partition": (bool, False),
+        "seed": (int, 0),
+        "out": (str, "train_out"),
     },
     "eval": {
-        "checkpoint": "",
-        "manifests": [],
-        "train_label_spaces": [],
-        "relations": "",
-        "partition": False,
-        "c_values": [],
-        "n_t": 10,
-        "out": "eval_out",
+        "checkpoint": (str, ""),
+        "manifests": (list[str], []),
+        "train_label_spaces": (list[str], []),
+        "relations": (str, ""),
+        "partition": (bool, False),
+        "c_values": (list[int], []),
+        "n_t": (int, 10),
+        "out": (str, "eval_out"),
     },
 }
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _load_config(command: str, args) -> dict:
-    cfg = dict(DEFAULTS[command])
     if args.config is None:
         raise ConfigError("missing --config (use --print-config to see defaults)")
-    try:
-        raw = Path(args.config).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-    try:
-        user = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
-    if not isinstance(user, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(user) - set(cfg)
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    for key, value in user.items():
-        _check_type(key, value, cfg[key])
-    cfg.update(user)
+    cfg = formats.checked_fields(_read_json(args.config, "config"), DEFAULTS[command],
+                                 "config", ConfigError)
     if args.out is not None:
         cfg["out"] = args.out
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     return cfg
-
-
-def _check_type(key: str, value, default) -> None:
-    """A config value has the type of its default. Path lists hold
-    strings; c_values items and quotas values are integers."""
-    if isinstance(default, (list, dict)):
-        kind = int if key in ("c_values", "quotas") else str
-        items = value.values() if isinstance(value, dict) else value
-        ok = isinstance(value, type(default)) and all(has_type(v, kind) for v in items)
-        want = f"a {type(default).__name__} of {kind.__name__}"
-    else:
-        ok, want = has_type(value, type(default)), f"of type {type(default).__name__}"
-    if not ok:
-        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
 
 
 def _require_paths(cfg: dict, key: str) -> list[str]:
@@ -151,22 +134,13 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def cmd_gen(cfg: dict) -> None:
-    doc_path = cfg["world"]
-    try:
-        doc = json.loads(Path(doc_path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read world spec {doc_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"world spec {doc_path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"world spec {doc_path} must be a JSON object")
-    views_doc = doc.pop("views", None)
-    if not views_doc:
+    doc = _read_json(cfg["world"], "world spec")
+    world = WorldSpec.from_dict(doc)  # checks every key of doc, 'views' too
+    if not doc.get("views"):
         raise ConfigError("world spec needs a non-empty 'views' list")
-    world = WorldSpec.from_dict(doc)
     if "seed" in cfg:  # only --seed sets it: a gen config has no seed key
         world = replace(world, seed=cfg["seed"])
-    views = [View.from_dict(v) for v in typed_list("views", views_doc, dict)]
+    views = [View.from_dict(v) for v in doc["views"]]
     if len({v.dataset_id for v in views}) != len(views):
         raise ConfigError("duplicate dataset_id among views")
     for view in views:  # class selections fail here, before anything is written
@@ -189,6 +163,7 @@ def cmd_taxonomy(cfg: dict) -> None:
     relations = _read_relations(cfg["relations"])
     tax = _build_taxonomy(spaces, relations)
     report = validate_taxonomy(tax, spaces)
+    part = partition_atoms(tax, spaces, relations) if cfg["partition"] else None
     out = _out_dir(cfg)
     formats.write_taxonomy(out / "taxonomy.json", tax, spaces)
     formats.write_manifest(out / "validation.json", {
@@ -198,8 +173,7 @@ def cmd_taxonomy(cfg: dict) -> None:
             for v in report.violations
         ],
     })
-    if cfg["partition"]:
-        part = partition_atoms(tax, spaces, relations)
+    if part is not None:
         formats.write_manifest(out / "partition.json", {
             "atoms": list(part.atoms),
             "a_set": [part.atom_name(i) for i in sorted(part.a_set)],
@@ -231,24 +205,27 @@ def cmd_pseudolabel(cfg: dict) -> None:
 
 
 def cmd_train(cfg: dict) -> None:
-    datasets = [load_dataset(p) for p in _require_paths(cfg, "manifests")]
+    paths = _require_paths(cfg, "manifests")
+    # an unquoted dataset would shape the taxonomy without ever being trained on
+    ids = {formats.read_manifest(p)["dataset_id"] for p in paths}
+    quoted = set(cfg["quotas"])
+    if ids != quoted:
+        raise ConfigError(f"'manifests' and 'quotas' must name the same datasets; no quota: "
+                          f"{sorted(ids - quoted)}, no manifest: {sorted(quoted - ids)}")
+    datasets = [load_dataset(p) for p in paths]
     spaces = [ds.space for ds in datasets]
     relations = _read_relations(cfg["relations"])
     tax = _build_taxonomy(spaces, relations)
     partition = partition_atoms(tax, spaces, relations) if cfg["partition"] else None
-
-    if not cfg["quotas"]:
-        raise ConfigError("config key 'quotas' must be a non-empty object")
-    # an unquoted dataset would shape the taxonomy without ever being trained on
-    unquoted = sorted({ds.dataset_id for ds in datasets} - set(cfg["quotas"]))
-    if unquoted:
-        raise ConfigError(f"datasets {unquoted} are listed in 'manifests' but have no quota")
     plan = BatchPlan(quotas=cfg["quotas"], seed=cfg["seed"])
     optimizer = OptimizerState(learning_rate=cfg["learning_rate"], momentum=cfg["momentum"])
-    out = _out_dir(cfg)
     result = train_loop(datasets, tax, partition, plan, optimizer, cfg["epochs"],
-                        cfg["refine_threshold"], feature_width=cfg["feature_width"],
-                        out_dir=out)
+                        cfg["refine_threshold"], feature_width=cfg["feature_width"])
+    # training ran to the end: a failed train leaves no output tree
+    out = _out_dir(cfg)
+    save_checkpoint(out / "final.ckpt", result.params)
+    (out / "losses.csv").write_text("step,loss\n" + "".join(
+        f"{i},{v!r}\n" for i, v in enumerate(result.losses)), encoding="utf-8")
     log.info("trained %d steps, final loss %.6f", len(result.losses),
              result.losses[-1])
 
@@ -256,6 +233,9 @@ def cmd_train(cfg: dict) -> None:
 def cmd_eval(cfg: dict) -> None:
     if not cfg["checkpoint"]:
         raise ConfigError("config key 'checkpoint' is required")
+    if cfg["n_t"] < 1 or min(cfg["c_values"], default=1) < 1:
+        raise ConfigError(f"config keys 'c_values' and 'n_t' must be >= 1, "
+                          f"got {cfg['c_values']} and {cfg['n_t']}")
     params = load_checkpoint(cfg["checkpoint"])
     spaces = [formats.read_label_space(p)
               for p in _require_paths(cfg, "train_label_spaces")]
@@ -322,7 +302,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     if args.print_config:
-        print(json.dumps(DEFAULTS[args.command], indent=2, sort_keys=True))
+        defaults = {key: d for key, (_, d) in DEFAULTS[args.command].items()}
+        print(json.dumps(defaults, indent=2, sort_keys=True))
         return 0
     try:
         HANDLERS[args.command](_load_config(args.command, args))

@@ -13,7 +13,8 @@ Weak label file: text, one "class_index x_min y_min x_max y_max" line
 per box, then a single "tags:" line listing tag class indices.
 
 Label spaces, manifests, and taxonomy exports are JSON documents with
-sorted keys so that a rerun writes byte-identical files.
+sorted keys so that a rerun writes byte-identical files. checked_fields
+checks every JSON object htss reads against a table of its keys' types.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import struct
+from functools import partial
 from pathlib import Path, PurePosixPath
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -171,6 +175,50 @@ def read_weak_label(path) -> WeakLabel:
     return WeakLabel(boxes=tuple(boxes), tags=tags)
 
 
+def has_type(value, kind) -> bool:
+    """isinstance for JSON values: a bool is never a number, an int may stand
+    for a float, and list[T] and dict[str, T] check each item (value) against T."""
+    origin = get_origin(kind)
+    if origin is not None:
+        items = value.values() if isinstance(value, dict) else value
+        return (isinstance(value, origin)
+                and all(has_type(v, get_args(kind)[-1]) for v in items))
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
+
+
+_TYPE_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean",
+               list: "list", dict: "object"}
+
+
+def _type_name(kind, plural: bool = False) -> str:
+    """'string', 'list of strings', 'object of integers', ..."""
+    origin = get_origin(kind)
+    name = _TYPE_NAMES[origin or kind] + ("s" if plural else "")
+    return f"{name} of {_type_name(get_args(kind)[-1], True)}" if origin else name
+
+
+def checked_fields(doc, fields: dict, what: str, fail) -> dict:
+    """doc as a dict of exactly the keys of fields, which maps each key to
+    (kind, default); a default of ... marks a required key. fail(message)
+    builds the exception for a non-object, an unknown or missing key, or a
+    value of the wrong type; each message names what and the key."""
+    if not isinstance(doc, dict):
+        raise fail(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise fail(f"unknown {what} keys: {unknown}")
+    for key, (kind, default) in fields.items():
+        if key not in doc and default is ...:
+            raise fail(f"{what} missing key {key!r}")
+        if key in doc and not has_type(doc[key], kind):
+            name = _type_name(kind)
+            raise fail(f"{what} key {key!r} must be {'an' if name[0] in 'aeiou' else 'a'} "
+                       f"{name}, got {reprlib.repr(doc[key])}")
+    return {key: doc.get(key, default) for key, (_, default) in fields.items()}
+
+
 def _dump_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
                           + "\n", encoding="utf-8")
@@ -190,19 +238,11 @@ def write_label_space(path, space: LabelSpace) -> None:
 
 
 def read_label_space(path) -> LabelSpace:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(path, "label space must be a JSON object")
-    for key in ("dataset_id", "supervision", "classes"):
-        if key not in doc:
-            raise FormatError(path, f"label space missing key {key!r}")
-    if not isinstance(doc["dataset_id"], str):
-        raise FormatError(path, "label space key 'dataset_id' must be a string")
-    classes = doc["classes"]
-    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
-        raise FormatError(path, "label space key 'classes' must be a list of strings")
+    doc = checked_fields(_load_json(path), {
+        "dataset_id": (str, ...), "supervision": (str, ...), "classes": (list[str], ...),
+    }, "label space", partial(FormatError, path))
     try:
-        return LabelSpace(dataset_id=doc["dataset_id"], classes=tuple(classes),
+        return LabelSpace(dataset_id=doc["dataset_id"], classes=tuple(doc["classes"]),
                           supervision=doc["supervision"])
     except DataError as exc:
         raise FormatError(path, str(exc)) from None
@@ -256,26 +296,17 @@ def _check_relative(path, rel: str) -> None:
 
 
 def read_manifest(path) -> dict:
-    """A manifest: string dataset_id and label_space, a known supervision
-    kind, and records as [image, label] pairs of relative paths."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(path, "manifest must be a JSON object")
-    for key in ("dataset_id", "supervision", "granularity", "label_space", "records"):
-        if key not in doc:
-            raise FormatError(path, f"manifest missing key {key!r}")
-    for key in ("dataset_id", "label_space"):
-        if not isinstance(doc[key], str):
-            raise FormatError(path, f"manifest key {key!r} must be a string")
+    """A manifest: string dataset_id, granularity and label_space, a known
+    supervision kind, and records as [image, label] pairs of relative paths."""
+    doc = checked_fields(_load_json(path), {
+        "dataset_id": (str, ...), "supervision": (str, ...), "granularity": (str, ...),
+        "label_space": (str, ...), "records": (list[list[str]], ...),
+    }, "manifest", partial(FormatError, path))
     if doc["supervision"] not in SUPERVISION_KINDS:
         raise FormatError(path, f"unknown supervision kind {doc['supervision']!r}")
-    records = doc["records"]
-    if not isinstance(records, list):
-        raise FormatError(path, "manifest key 'records' must be a list")
     _check_relative(path, doc["label_space"])
-    for i, record in enumerate(records):
-        if not (isinstance(record, list) and len(record) == 2
-                and all(isinstance(p, str) for p in record)):
+    for i, record in enumerate(doc["records"]):
+        if len(record) != 2:
             raise FormatError(path, f"record {i} must be an [image, label] pair of paths")
         for rel in record:
             _check_relative(path, rel)

@@ -408,7 +408,7 @@ class TrainResult:
 def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                partition: AtomPartition | None, plan: BatchPlan,
                optimizer: OptimizerState, epochs: int, refine_threshold: float,
-               feature_width: int = 8, out_dir=None) -> TrainResult:
+               feature_width: int = 8) -> TrainResult:
     """Deterministic joint training over heterogeneous datasets.
 
     Every step draws each dataset's quota of images, runs the forward
@@ -498,12 +498,6 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         sgd_step(params, total, optimizer)
         losses.append(loss)
 
-    if out_dir is not None:
-        save_checkpoint(f"{out_dir}/final.ckpt", params)
-        with open(f"{out_dir}/losses.csv", "w", encoding="utf-8") as fh:
-            fh.write("step,loss\n")
-            for i, value in enumerate(losses):
-                fh.write(f"{i},{value!r}\n")
     return TrainResult(params=params, losses=losses,
                        steps_per_epoch=sampler.steps_per_epoch)
 

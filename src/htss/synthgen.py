@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
+from .formats import checked_fields, has_type
 from .annotations import StrongLabel, WeakLabel
 from .errors import ConfigError, DataError, FormatError
 from .model import LoadedDataset
@@ -37,30 +38,26 @@ FINE = "fine"
 COARSE = "coarse"
 
 
-def has_type(value, kind: type) -> bool:
-    """isinstance, where a bool is never a number and an int may stand for a float."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, kind) or (kind is float and isinstance(value, int))
-
-
-def _typed(key: str, value, kind: type):
-    """value as kind when has_type allows it; ConfigError naming the key otherwise."""
-    if not has_type(value, kind):
-        raise ConfigError(f"key {key!r} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def typed_list(key: str, value, kind: type) -> tuple:
-    """A list whose items all pass _typed, as a tuple; ConfigError naming the key otherwise."""
-    return tuple(_typed(key, v, kind) for v in _typed(key, value, list))
+# keys of the world spec documents: key -> (type, default), ... when required;
+# a world spec file also lists the views to emit, which View.from_dict reads
+_WORLD_FIELDS = {
+    **dict.fromkeys(("height", "width", "channels", "objects_min", "objects_max",
+                     "size_min", "size_max", "seed"), (int, ...)),
+    "concepts": (list[dict], ...), "hierarchy": (list[list], ...),
+    "background": (str, ...), "box_pad": (int, 0), "views": (list[dict], []),
+}
+_CONCEPT_FIELDS = {"name": (str, ...), "signature": (list[float], ...),
+                   "noise": (float, ...)}
+_VIEW_FIELDS = {"dataset_id": (str, ...), "supervision": (str, ...),
+                "granularity": (str, ...), "count": (int, ...), "start_index": (int, 0),
+                "classes": (list[str], [])}
 
 
 def _hierarchy_edge(entry: list) -> tuple[str, tuple[str, ...]]:
-    if len(entry) != 2:
+    if not (len(entry) == 2 and has_type(entry[0], str) and has_type(entry[1], list[str])):
         raise ConfigError(f"key 'hierarchy' entries must be [coarse, [fine, ...]], "
                           f"got {entry!r}")
-    return _typed("hierarchy", entry[0], str), typed_list("hierarchy", entry[1], str)
+    return entry[0], tuple(entry[1])
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,11 @@ class Concept:
     def __post_init__(self):
         if self.noise < 0.0:
             raise ConfigError(f"concept {self.name!r} has negative noise")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Concept":
+        f = checked_fields(doc, _CONCEPT_FIELDS, "concept", ConfigError)
+        return cls(f["name"], tuple(map(float, f["signature"])), float(f["noise"]))
 
 
 @dataclass(frozen=True)
@@ -148,22 +150,12 @@ class WorldSpec:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "WorldSpec":
-        try:
-            ints = {key: _typed(key, doc[key], int) for key in (
-                "height", "width", "channels", "objects_min", "objects_max",
-                "size_min", "size_max", "seed")}
-            return cls(
-                concepts=tuple(Concept(_typed("name", c["name"], str),
-                                       typed_list("signature", c["signature"], float),
-                                       _typed("noise", c["noise"], float))
-                               for c in typed_list("concepts", doc["concepts"], dict)),
-                hierarchy=tuple(_hierarchy_edge(e) for e in
-                                typed_list("hierarchy", doc["hierarchy"], list)),
-                background=_typed("background", doc["background"], str),
-                box_pad=_typed("box_pad", doc.get("box_pad", 0), int), **ints)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad world spec: {exc}") from None
+    def from_dict(cls, doc) -> "WorldSpec":
+        f = checked_fields(doc, _WORLD_FIELDS, "world spec", ConfigError)
+        del f["views"]
+        f["concepts"] = tuple(Concept.from_dict(c) for c in f["concepts"])
+        f["hierarchy"] = tuple(_hierarchy_edge(e) for e in f["hierarchy"])
+        return cls(**f)
 
 
 @dataclass(frozen=True)
@@ -235,16 +227,9 @@ class View:
             raise ConfigError("view start_index must be >= 0")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "View":
-        try:
-            strs = {key: _typed(key, doc[key], str)
-                    for key in ("dataset_id", "supervision", "granularity")}
-            return cls(count=_typed("count", doc["count"], int),
-                       start_index=_typed("start_index", doc.get("start_index", 0), int),
-                       classes=typed_list("classes", doc.get("classes", []), str) or None,
-                       **strs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad view: {exc}") from None
+    def from_dict(cls, doc) -> "View":
+        f = checked_fields(doc, _VIEW_FIELDS, "view", ConfigError)
+        return cls(**{**f, "classes": tuple(f["classes"]) or None})
 
 
 def view_space(world: WorldSpec, view: View) -> LabelSpace:
@@ -358,13 +343,20 @@ def load_dataset(manifest_path) -> LoadedDataset:
     images = []
     labels = []
     for img_rel, lab_rel in doc["records"]:
-        images.append(formats.read_raster(root / img_rel).astype(np.float64))
+        image = formats.read_raster(root / img_rel)
+        if image.ndim != 3:
+            raise FormatError(root / img_rel, f"image must be (H, W, C), got {image.shape}")
+        images.append(image.astype(np.float64))
+        height, width = image.shape[:2]
         if space.supervision in PIXEL_KINDS:
-            ids = formats.read_raster(root / lab_rel).astype(np.int64)
-            labels.append(StrongLabel(class_ids=ids, num_classes=space.num_classes))
+            ids = formats.read_raster(root / lab_rel)
+            if ids.dtype != np.uint16 or ids.shape != (height, width):
+                raise FormatError(root / lab_rel, f"pixel labels must be uint16 of shape "
+                                  f"{(height, width)}, got {ids.dtype} {ids.shape}")
+            labels.append(StrongLabel(class_ids=ids.astype(np.int64),
+                                      num_classes=space.num_classes))
         else:
             label = formats.read_weak_label(root / lab_rel)
-            height, width = images[-1].shape[:2]
             try:
                 label.check_fits(height, width, space.num_classes)
             except DataError as exc:

@@ -773,3 +773,130 @@ def test_eval_rejects_ambiguous_or_uncovered_class(tmp_path, gen_tree, capsys,
     assert "data error" in err and detail in err, err
     assert "Traceback" not in err, err
 
+
+
+def _add_key(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where, key", [
+    ("world", "box_padd"), ("concept", "colour"), ("view", "clases"),
+    ("label space", "clases"), ("manifest", "notes"),
+])
+def test_unknown_document_key_rejected(tmp_path, gen_tree, capsys, where, key):
+    if where in ("world", "concept", "view"):
+        doc = world_doc()
+        target = {"world": doc, "concept": doc["concepts"][1], "view": doc["views"][2]}
+        target[where][key] = ["cat"] if key == "clases" else 3
+        world = write_json(tmp_path / "world.json", doc)
+        argv, code = ["gen", "--config", write_json(tmp_path / "gen.json", {"world": world})], 2
+    elif where == "label space":
+        _add_key(gen_tree / "boxes_space.json", lambda d: d.update({key: ["cat"]}))
+        argv, code = ["taxonomy", "--config", write_json(tmp_path / "tax.json", {
+            "label_spaces": [str(gen_tree / "boxes_space.json")]})], 3
+    else:
+        _add_key(gen_tree / "boxes_manifest.json", lambda d: d.update({key: "x"}))
+        argv, code = ["train", "--config", write_json(tmp_path / "train.json", {
+            "manifests": [str(gen_tree / "boxes_manifest.json")],
+            "quotas": {"boxes": 1}})], 3
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+def test_print_config_defaults(capsys):
+    want = {
+        "gen": {"world": "world.json", "out": "data"},
+        "taxonomy": {"label_spaces": [], "relations": "", "partition": False,
+                     "out": "taxonomy_out"},
+        "pseudolabel": {"manifests": [], "out": "canvases"},
+        "train": {"manifests": [], "relations": "", "quotas": {}, "learning_rate": 0.2,
+                  "momentum": 0.9, "epochs": 1, "refine_threshold": 0.9,
+                  "feature_width": 8, "partition": False, "seed": 0, "out": "train_out"},
+        "eval": {"checkpoint": "", "manifests": [], "train_label_spaces": [],
+                 "relations": "", "partition": False, "c_values": [], "n_t": 10,
+                 "out": "eval_out"},
+    }
+    for command, defaults in want.items():
+        assert main([command, "--print-config"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(defaults, indent=2, sort_keys=True) + "\n", command
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("epochs", 0, 2), ("refine_threshold", 1.5, 2), ("feature_width", 0, 2),
+    ("quotas", {"fine_px": 99}, 3),
+])
+def test_failed_train_writes_nothing(tmp_path, gen_tree, capsys, key, value, code):
+    cfg = write_json(tmp_path / "train.json", {
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "quotas": {"fine_px": 2}, "feature_width": 2, key: value,
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["train", "--config", cfg]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_quota_for_unlisted_dataset_is_config_error(tmp_path, gen_tree, capsys):
+    # the images are never read: the quota is refused first
+    (gen_tree / "fine_px" / "img_00000.rast").write_bytes(b"not a raster")
+    cfg = write_json(tmp_path / "train.json", {
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "quotas": {"fine_px": 2, "nope": 1}, "feature_width": 2,
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'nope'" in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("c_values", [0]), ("c_values", [2, -2]),
+                                        ("n_t", 0)])
+def test_eval_rejects_non_positive_capacity_or_threshold_count(tmp_path, gen_tree, capsys,
+                                                               key, value):
+    cfg = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(tmp_path / "absent.ckpt"),  # refused before it is opened
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")],
+        key: value,
+        "out": str(tmp_path / "eval_out"),
+    })
+    assert main(["eval", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err and "Traceback" not in err, err
+    assert not (tmp_path / "eval_out").exists()
+
+
+@pytest.mark.parametrize("label", [
+    np.full((8, 8), 1.7, dtype=np.float32), np.ones((7, 8), dtype=np.uint16)])
+def test_pixel_label_raster_checked_against_image(tmp_path, gen_tree, capsys, label):
+    from htss.formats import write_raster
+    write_raster(gen_tree / "fine_px" / "lab_00001.rast", label)
+    cfg = write_json(tmp_path / "train.json", {
+        "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "quotas": {"fine_px": 2}, "feature_width": 2,
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["train", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "lab_00001.rast" in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, dataset", [("train", "fine_px"), ("pseudolabel", "boxes")])
+def test_image_raster_must_have_three_axes(tmp_path, gen_tree, capsys, command, dataset):
+    from htss.formats import write_raster
+    write_raster(gen_tree / dataset / "img_00001.rast", np.zeros(64, dtype=np.float32))
+    cfg = write_json(tmp_path / "c.json", {
+        "manifests": [str(gen_tree / f"{dataset}_manifest.json")],
+        **({"quotas": {dataset: 2}, "feature_width": 2} if command == "train" else {}),
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "img_00001.rast" in err and "Traceback" not in err, err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from htss.errors import FormatError
 from htss.formats import (
     CKPT_MAGIC,
     RASTER_MAGIC,
+    checked_fields,
+    has_type,
     read_array_file,
     read_label_space,
     read_manifest,
@@ -185,3 +189,27 @@ def test_manifest_missing_key(tmp_path):
     p.write_text('{"dataset_id": "d0"}\n')
     with pytest.raises(FormatError):
         read_manifest(p)
+
+
+def test_has_type_checks_json_values_and_their_items():
+    assert has_type(3, float) and has_type(True, bool)
+    assert not has_type(True, int) and not has_type(2.0, int) and not has_type(1, bool)
+    assert has_type(["a", "b"], list[str]) and not has_type(["a", 1], list[str])
+    assert has_type({"x": 1}, dict[str, int]) and not has_type({"x": True}, dict[str, int])
+    assert not has_type({"x": 1}, list[int]) and not has_type([1], dict[str, int])
+    assert has_type([["a", "b"]], list[list[str]]) and not has_type([["a", 2]], list[list[str]])
+
+
+@pytest.mark.parametrize("doc, detail", [
+    ([], "thing must be a JSON object"),
+    ({"name": "a", "nmae": "b"}, "unknown thing keys: ['nmae']"),
+    ({"sizes": [1]}, "thing missing key 'name'"),
+    ({"name": "a", "sizes": [1, "2"]}, "thing key 'sizes' must be a list of integers"),
+    ({"name": "a", "scale": "2"}, "thing key 'scale' must be a number, got '2'"),
+])
+def test_checked_fields_names_the_key(doc, detail):
+    fields = {"name": (str, ...), "sizes": (list[int], []), "scale": (float, 1.0)}
+    with pytest.raises(FormatError, match=re.escape(detail)):
+        checked_fields(doc, fields, "thing", lambda msg: FormatError("t.json", msg))
+    assert checked_fields({"name": "a", "scale": 2}, fields, "thing", ValueError) == {
+        "name": "a", "sizes": [], "scale": 2}
