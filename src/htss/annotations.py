@@ -10,6 +10,10 @@ every pixel it covers (half-open extents, [x_min, x_max) by
 [y_min, y_max)), and the votes are normalized afterwards. Image-level
 tags are handled as full-image boxes, which makes the two paths
 bit-identical by construction.
+
+Weak items are gated on their voted rows only: gate_canvas and
+refine_canvas take one prediction row per labeled pixel, in row-major
+order. The gate is per pixel, so this keeps a full-raster gate's bits.
 """
 
 from __future__ import annotations
@@ -191,15 +195,18 @@ def strong_to_canvas(label: StrongLabel, num_classes: int) -> PseudoCanvas:
 def gate_canvas(canvas: PseudoCanvas, probs: np.ndarray, expected: np.ndarray,
                 threshold: float) -> PseudoCanvas:
     """The confidence gate: a labeled pixel keeps its canvas vector iff
-    the argmax of probs (H, W, K) is the expected column (H, W) and the
-    probability there is >= threshold; every other pixel becomes
-    unlabeled. Argmax ties resolve to the lowest column."""
-    conf = np.take_along_axis(probs, expected[:, :, None], axis=2)[:, :, 0]
-    keep = canvas.supervised_mask & (probs.argmax(axis=2) == expected) & (conf >= threshold)
+    the argmax of its prediction row is its expected column (expected is
+    (H, W)) and the probability there is >= threshold; every other pixel
+    becomes unlabeled. probs (n, K) holds one row per labeled pixel, in
+    row-major order. Argmax ties resolve to the lowest column."""
     num = canvas.num_classes
-    out = np.zeros_like(canvas.probs)
-    out[keep] = canvas.probs[keep]
-    out[:, :, num] = np.where(keep, canvas.probs[:, :, num], 1.0)
+    rows = np.flatnonzero(canvas.supervised_mask)
+    want = expected.reshape(-1)[rows]
+    conf = np.take_along_axis(probs, want[:, None], axis=1)[:, 0]
+    keep = rows[(probs.argmax(axis=1) == want) & (conf >= threshold)]
+    out = np.zeros(canvas.probs.shape)
+    out[:, :, num] = 1.0
+    out.reshape(-1, num + 1)[keep] = canvas.probs.reshape(-1, num + 1)[keep]
     return PseudoCanvas(out)
 
 
@@ -207,16 +214,18 @@ def refine_canvas(canvas: PseudoCanvas, predicted_probs: np.ndarray,
                   threshold: float) -> PseudoCanvas:
     """Keep a pixel's canvas vector only where the prediction agrees.
 
-    A labeled pixel survives iff the argmax of predicted_probs equals
-    the argmax of the canvas class slots and the predicted probability
-    of that class is >= threshold; every other pixel becomes unlabeled.
-    Argmax ties resolve to the lowest class index on both sides.
+    A labeled pixel survives iff the argmax of its row of predicted_probs
+    (n, L), one row per labeled pixel, equals the argmax of its canvas
+    class slots and the predicted probability of that class is
+    >= threshold; every other pixel becomes unlabeled. Argmax ties
+    resolve to the lowest class index on both sides.
     """
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"refine threshold must lie in [0, 1], got {threshold}")
     num = canvas.num_classes
-    if predicted_probs.shape != (canvas.height, canvas.width, num):
+    labeled = int(np.count_nonzero(canvas.supervised_mask))
+    if predicted_probs.shape != (labeled, num):
         raise ShapeMismatch(
-            f"predictions {predicted_probs.shape} do not match canvas "
-            f"({canvas.height}, {canvas.width}, {num})")
+            f"predictions {predicted_probs.shape} do not match the canvas's "
+            f"{labeled} labeled pixels over {num} classes")
     return gate_canvas(canvas, predicted_probs, canvas.class_argmax, threshold)

@@ -187,13 +187,15 @@ def cmd_taxonomy(cfg: dict) -> None:
 
 
 def cmd_pseudolabel(cfg: dict) -> None:
-    out = _out_dir(cfg)
-    for manifest_path in _require_paths(cfg, "manifests"):
-        ds = load_dataset(manifest_path)
+    datasets = [load_dataset(p) for p in _require_paths(cfg, "manifests")]
+    for ds in datasets:
         if ds.supervision not in WEAK_KINDS:
             raise DataError(
                 f"dataset {ds.dataset_id!r} has supervision {ds.supervision!r}; "
                 "pseudolabel needs a box or tag dataset")
+    # every manifest is loaded and checked first: a failed pseudolabel writes nothing
+    out = _out_dir(cfg)
+    for ds in datasets:
         (out / ds.dataset_id).mkdir(parents=True, exist_ok=True)
         num = ds.space.num_classes
         for i, (image, label) in enumerate(zip(ds.images, ds.labels)):

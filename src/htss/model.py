@@ -46,7 +46,6 @@ import numpy as np
 
 from . import formats
 from .annotations import (
-    PseudoCanvas,
     StrongLabel,
     gate_canvas,
     reduce_last,
@@ -191,9 +190,8 @@ class ForwardCache:
     version: int
     shape: tuple[int, int]
     cols1: np.ndarray
-    z1: np.ndarray
+    a1: np.ndarray  # ReLU outputs: a > 0 equals z > 0, NaN included
     cols2: np.ndarray
-    z2: np.ndarray
     a2: np.ndarray
 
 
@@ -205,16 +203,16 @@ def forward(params: MicroNetParams, image: np.ndarray) -> tuple[np.ndarray, Forw
             f"image {x.shape} vs network expecting (H, W, {params.in_channels})")
     h, w, _ = x.shape
     cols1 = _im2col(x)
-    z1 = (cols1 @ params.w1.reshape(-1, params.width)
+    a1 = (cols1 @ params.w1.reshape(-1, params.width)
           + params.b1).reshape(h, w, params.width)
-    a1 = np.maximum(z1, 0.0)
+    np.maximum(a1, 0.0, out=a1)
     cols2 = _im2col(a1)
-    z2 = (cols2 @ params.w2.reshape(-1, params.width)
+    a2 = (cols2 @ params.w2.reshape(-1, params.width)
           + params.b2).reshape(h, w, params.width)
-    a2 = np.maximum(z2, 0.0)
+    np.maximum(a2, 0.0, out=a2)
     logits = a2 @ params.wh + params.bh
     cache = ForwardCache(params=params, version=params.version, shape=(h, w),
-                         cols1=cols1, z1=z1, cols2=cols2, z2=z2, a2=a2)
+                         cols1=cols1, a1=a1, cols2=cols2, a2=a2)
     return logits, cache
 
 
@@ -233,12 +231,12 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> MicroNetGrads:
     dwh = a2.T @ up
     dbh = up.sum(axis=0)
     da2 = (up @ params.wh.T).reshape(h, w, params.width)
-    dz2 = (da2 * (cache.z2 > 0.0)).reshape(-1, params.width)
+    dz2 = (da2 * (cache.a2 > 0.0)).reshape(-1, params.width)
 
     dw2 = (cache.cols2.T @ dz2).reshape(params.w2.shape)
     db2 = dz2.sum(axis=0)
     da1 = _conv_input_grad(dz2, params.w2, h, w)
-    dz1 = (da1 * (cache.z1 > 0.0)).reshape(-1, params.width)
+    dz1 = (da1 * (cache.a1 > 0.0)).reshape(-1, params.width)
 
     dw1 = (cache.cols1.T @ dz1).reshape(params.w1.shape)
     db1 = dz1.sum(axis=0)
@@ -378,24 +376,14 @@ class LoadedDataset:
 
 
 def _dataset_predictions(ap_probs: np.ndarray, groups: GroupIndex) -> np.ndarray:
-    """Prediction over one dataset's classes: accumulated atom mass,
-    renormalized so it is a proper distribution over that label space.
-    Pixels whose covered mass vanishes get all-zero confidence."""
+    """Prediction over one dataset's classes, per pixel or row: atom mass
+    accumulated and renormalized to a proper distribution over that label
+    space. Pixels whose covered mass vanishes get all-zero confidence."""
     s = accumulate_groups(ap_probs, groups)
-    total = reduce_last(np.add, s)[:, :, None]
+    total = reduce_last(np.add, s)[..., None]
     out = np.zeros_like(s)
     np.divide(s, total, out=out, where=total > 1e-12)
     return out
-
-
-def _refine_with_parent(canvas: PseudoCanvas, ap_probs: np.ndarray,
-                        parent_slots: Sequence[int], threshold: float) -> PseudoCanvas:
-    """Refinement for weak-only subclasses: a pixel survives when the
-    a+p head's argmax is the parent of the pseudo-label class and that
-    parent's probability clears the threshold. Subclass identity stays
-    with the box votes; only localization is gated."""
-    expected = np.asarray(parent_slots, dtype=np.int64)[canvas.class_argmax]
-    return gate_canvas(canvas, ap_probs, expected, threshold)
 
 
 @dataclass
@@ -425,6 +413,14 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     gradients of +0.0 and -0.0 only, the running total starts at +0.0
     and so never holds -0.0 (IEEE addition gives -0.0 only for
     -0.0 + -0.0), and x + (+-0.0) is x.
+
+    A box or tag item computes only on its voted rows, the pixels its raw
+    canvas labels: the softmax, dataset predictions and gate run there, its
+    head raster is +0.0 elsewhere, and an unvoted item skips the softmax,
+    its raw canvas being its target. Same bits: softmax_atoms and reduce_last
+    treat each row alike, the gate is per pixel, and batch_loss zeroes every
+    unsupervised pixel. The logits stay full: the head GEMM's row count can
+    change BLAS sums.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -464,21 +460,30 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
             num = ds.space.num_classes
             for idx in picks[ds_id]:
                 logits, cache = forward(params, ds.images[idx])
-                ap_probs = softmax_atoms(logits[:, :, :n_ap])
                 if ds.supervision in PIXEL_KINDS:
                     target = strong_to_canvas(ds.labels[idx], num)
-                    head_probs = ap_probs
+                    head_probs = softmax_atoms(logits[:, :, :n_ap])
                 else:
-                    h, w = ds.images[idx].shape[:2]
-                    canvas = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
-                    if dg.head == "s":
-                        target = _refine_with_parent(canvas, ap_probs,
-                                                     dg.parent_slots, refine_threshold)
-                        head_probs = softmax_atoms(logits[:, :, n_ap:])
-                    else:
-                        predicted = _dataset_predictions(ap_probs, index)
-                        target = refine_canvas(canvas, predicted, refine_threshold)
-                        head_probs = ap_probs
+                    h, w = logits.shape[:2]
+                    target = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
+                    rows = np.flatnonzero(target.supervised_mask)
+                    head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
+                    if rows.size:  # else the raw canvas is all unlabeled already
+                        # voted everywhere (any tag canvas): no row gather or scatter
+                        every = rows.size == h * w
+                        voted = logits.reshape(h * w, -1)
+                        voted = voted if every else voted.take(rows, axis=0)
+                        ap_rows = softmax_atoms(voted[:, :n_ap])
+                        if dg.head == "s":  # subclass votes kept, localization gated
+                            parents = np.asarray(dg.parent_slots, dtype=np.int64)
+                            target = gate_canvas(target, ap_rows, parents[target.class_argmax],
+                                                 refine_threshold)
+                            head_rows = softmax_atoms(voted[:, n_ap:])
+                        else:
+                            predicted = _dataset_predictions(ap_rows, index)
+                            target = refine_canvas(target, predicted, refine_threshold)
+                            head_rows = ap_rows
+                        head_probs.reshape(h * w, -1)[slice(None) if every else rows] = head_rows
                 items.append((target, head_probs, index, ds.supervision))
                 routes.append((cache, dg.head))
         loss, grads = batch_loss(items)

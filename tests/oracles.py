@@ -3,8 +3,9 @@
 These deliberately re-derive expected values through a different route
 than the library: a restart-from-scratch fixed-point scan for atom
 extraction, central finite differences for gradients, a textbook
-softmax cross-entropy for the singleton-group degeneracy, and the
-slice-by-slice patch layout the conv kernels must reproduce bit for bit.
+softmax cross-entropy for the singleton-group degeneracy, the
+slice-by-slice patch layout the conv kernels must reproduce bit for bit,
+and the confidence gate over the full raster.
 """
 
 from __future__ import annotations
@@ -120,6 +121,24 @@ def col2im_oracle(dcols, h, w, c):
         for dx in range(3):
             dpadded[dy:dy + h, dx:dx + w, :] += d5[:, :, dy, dx, :]
     return dpadded[1:-1, 1:-1, :]
+
+
+def gate_full_raster_oracle(canvas_probs, probs, expected, threshold):
+    """The confidence gate written over the whole raster, the authority
+    for the row form of annotations.gate_canvas: probs (H, W, K) holds a
+    prediction at every pixel and expected (H, W) each pixel's expected
+    column. A pixel whose unlabeled slot is < 0.5 keeps its canvas row iff
+    its argmax is the expected column and the probability there is
+    >= threshold; every other pixel gets the unlabeled unit vector.
+    Returns the gated (H, W, L+1) array."""
+    num = canvas_probs.shape[2] - 1
+    conf = np.take_along_axis(probs, expected[:, :, None], axis=2)[:, :, 0]
+    keep = ((canvas_probs[:, :, num] < 0.5) & (probs.argmax(axis=2) == expected)
+            & (conf >= threshold))
+    out = np.zeros_like(canvas_probs)
+    out[keep] = canvas_probs[keep]
+    out[:, :, num] = np.where(keep, canvas_probs[:, :, num], 1.0)
+    return out
 
 
 def fd_grad(fn, x, eps=1e-4):

@@ -340,8 +340,9 @@ def test_criterion_4_canvas_simplex_zero_vote_and_threshold_rules():
         preds = rng.random((h, w, num))
         preds /= preds.sum(axis=2, keepdims=True)
         lo, hi = sorted(rng.random(2))
-        kept_lo = refine_canvas(canvas, preds, lo).supervised_mask
-        kept_hi = refine_canvas(canvas, preds, hi).supervised_mask
+        voted = preds[canvas.supervised_mask]
+        kept_lo = refine_canvas(canvas, voted, lo).supervised_mask
+        kept_hi = refine_canvas(canvas, voted, hi).supervised_mask
         assert not np.any(kept_hi & ~kept_lo)  # raising only removes pixels
     print("[criterion 4] 1000 canvases: simplex, unlabeled rule, "
           "monotone refinement")

@@ -14,7 +14,7 @@ from htss.annotations import (
 )
 from htss.errors import DataError, ShapeMismatch
 
-from oracles import TRAILING_LENGTHS, trailing_axis_arrays
+from oracles import TRAILING_LENGTHS, gate_full_raster_oracle, trailing_axis_arrays
 
 
 def same_bits(got, want):
@@ -127,35 +127,35 @@ def _canvas_1px(vec):
 def test_refine_keeps_confident_agreement():
     canvas = _canvas_1px([1.0, 0.0, 0.0])
     pred = np.array([[[0.95, 0.05]]])
-    out = refine_canvas(canvas, pred, threshold=0.9)
+    out = refine_canvas(canvas, pred[canvas.supervised_mask], threshold=0.9)
     np.testing.assert_array_equal(out.probs[0, 0], [1.0, 0.0, 0.0])
 
 
 def test_refine_drops_low_confidence():
     canvas = _canvas_1px([1.0, 0.0, 0.0])
     pred = np.array([[[0.85, 0.15]]])
-    out = refine_canvas(canvas, pred, threshold=0.9)
+    out = refine_canvas(canvas, pred[canvas.supervised_mask], threshold=0.9)
     np.testing.assert_array_equal(out.probs[0, 0], [0.0, 0.0, 1.0])
 
 
 def test_refine_threshold_is_inclusive():
     canvas = _canvas_1px([1.0, 0.0, 0.0])
     pred = np.array([[[0.9, 0.1]]])
-    out = refine_canvas(canvas, pred, threshold=0.9)
+    out = refine_canvas(canvas, pred[canvas.supervised_mask], threshold=0.9)
     np.testing.assert_array_equal(out.probs[0, 0], [1.0, 0.0, 0.0])
 
 
 def test_refine_drops_confident_disagreement():
     canvas = _canvas_1px([1.0, 0.0, 0.0])
     pred = np.array([[[0.01, 0.99]]])
-    out = refine_canvas(canvas, pred, threshold=0.9)
+    out = refine_canvas(canvas, pred[canvas.supervised_mask], threshold=0.9)
     np.testing.assert_array_equal(out.probs[0, 0], [0.0, 0.0, 1.0])
 
 
 def test_refine_leaves_unlabeled_alone():
     canvas = _canvas_1px([0.0, 0.0, 1.0])
     pred = np.array([[[0.99, 0.01]]])
-    out = refine_canvas(canvas, pred, threshold=0.5)
+    out = refine_canvas(canvas, pred[canvas.supervised_mask], threshold=0.5)
     np.testing.assert_array_equal(out.probs[0, 0], [0.0, 0.0, 1.0])
 
 
@@ -163,16 +163,19 @@ def test_refine_argmax_ties_take_lowest_class():
     # prediction ties between both classes: argmax picks class slot 0
     canvas = _canvas_1px([0.0, 1.0, 0.0])
     pred = np.array([[[0.5, 0.5]]])
-    out = refine_canvas(canvas, pred, threshold=0.4)
+    out = refine_canvas(canvas, pred[canvas.supervised_mask], threshold=0.4)
     np.testing.assert_array_equal(out.probs[0, 0], [0.0, 0.0, 1.0])
 
 
 def test_refine_shape_mismatch():
     canvas = _canvas_1px([1.0, 0.0, 0.0])
+    # one prediction row per labeled pixel, one column per class
     with pytest.raises(ShapeMismatch):
-        refine_canvas(canvas, np.zeros((1, 1, 3)), threshold=0.5)
+        refine_canvas(canvas, np.zeros((1, 3)), threshold=0.5)
     with pytest.raises(ShapeMismatch):
-        refine_canvas(canvas, np.zeros((2, 1, 2)), threshold=0.5)
+        refine_canvas(canvas, np.zeros((2, 2)), threshold=0.5)
+    with pytest.raises(ShapeMismatch):  # a full (H, W, L) raster
+        refine_canvas(canvas, np.zeros((1, 1, 2)), threshold=0.5)
 
 
 def test_refine_rows_stay_original_or_unlabeled():
@@ -191,7 +194,7 @@ def test_refine_rows_stay_original_or_unlabeled():
         predraw = rng.random((h, w, n))
         pred = predraw / predraw.sum(axis=2, keepdims=True)
         thr = float(rng.random())
-        out = refine_canvas(canvas, pred, thr)
+        out = refine_canvas(canvas, pred[canvas.supervised_mask], thr)
         unl = np.zeros(n + 1)
         unl[n] = 1.0
         for i in range(h):
@@ -208,7 +211,7 @@ def test_refine_monotone_in_threshold():
     canvas = PseudoCanvas(probs=probs)
     predraw = rng.random((6, 6, 3))
     pred = predraw / predraw.sum(axis=2, keepdims=True)
-    kept = [refine_canvas(canvas, pred, t).supervised_mask.sum()
+    kept = [refine_canvas(canvas, pred[canvas.supervised_mask], t).supervised_mask.sum()
             for t in (0.0, 0.3, 0.6, 0.9, 1.0)]
     assert all(a >= b for a, b in zip(kept, kept[1:]))
 
@@ -227,7 +230,8 @@ def test_gate_with_parent_columns_matches_pixel_loop():
         predraw = rng.random((h, w, k))
         pred = predraw / predraw.sum(axis=2, keepdims=True)
         thr = float(rng.random())
-        out = gate_canvas(canvas, pred, parent_slots[canvas.class_argmax], thr)
+        out = gate_canvas(canvas, pred[canvas.supervised_mask],
+                          parent_slots[canvas.class_argmax], thr)
         for i in range(h):
             for j in range(w):
                 row = canvas.probs[i, j]
@@ -236,6 +240,43 @@ def test_gate_with_parent_columns_matches_pixel_loop():
                         and pred[i, j, col] >= thr)
                 want = row if keep else np.eye(n + 1)[n]
                 assert np.array_equal(out.probs[i, j], want)
+
+
+def _gate_instance(rng):
+    """A canvas mixing labeled, partly labeled (unlabeled slot in (0, 0.5)),
+    unsupervised partial (in [0.5, 1)) and unlabeled rows, with integer
+    votes so class slots tie, and a quantized prediction over k columns
+    with argmax ties. Returns (canvas, pred, k)."""
+    h, w = (int(rng.integers(1, 6)) for _ in range(2))
+    n, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    votes = rng.integers(0, 3, (h, w, n)).astype(np.float64)
+    votes[votes.sum(axis=2) == 0, 0] = 1.0
+    unl = rng.choice([0.0, 0.25, 0.49, 0.5, 0.75, 1.0], (h, w))
+    probs = np.empty((h, w, n + 1))
+    probs[:, :, :n] = votes / votes.sum(axis=2, keepdims=True) * (1.0 - unl)[:, :, None]
+    probs[:, :, n] = unl
+    raw = rng.integers(1, 5, (h, w, k)).astype(np.float64)
+    return PseudoCanvas(probs=probs), raw / raw.sum(axis=2, keepdims=True), k
+
+
+def test_row_gate_matches_full_raster_oracle():
+    # the row forms of refine_canvas and gate_canvas (expected = class or
+    # parent column) against the full-raster gate, bit for bit, at
+    # thresholds on the prediction values themselves and at 0 and 1
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        canvas, pred, k = _gate_instance(rng)
+        n = canvas.num_classes
+        rows = pred[canvas.supervised_mask]
+        for thr in [0.0, 1.0, float(rng.choice(pred.ravel()))]:
+            expected = rng.integers(0, k, n)[canvas.class_argmax]
+            got = gate_canvas(canvas, rows, expected, thr).probs
+            want = gate_full_raster_oracle(canvas.probs, pred, expected, thr)
+            assert same_bits(got, want)
+            if k == n:
+                got = refine_canvas(canvas, rows, thr).probs
+                want = gate_full_raster_oracle(canvas.probs, pred, canvas.class_argmax, thr)
+                assert same_bits(got, want)
 
 
 def test_fuzz_canvases_are_valid(seed=20260822):

@@ -298,6 +298,20 @@ def test_pseudolabel_rejects_pixel_dataset(tmp_path, gen_tree):
     assert main(["pseudolabel", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("names", [("boxes", "tags"), ("tags", "boxes"), ("tags", "fine_px")])
+def test_pseudolabel_bad_manifest_writes_nothing(tmp_path, gen_tree, capsys, names):
+    # the boxes manifest gets an unknown key and fine_px is pixel-supervised:
+    # first or after a good manifest, either exits 3 and leaves no out/
+    _add_key(gen_tree / "boxes_manifest.json", lambda d: d.update({"extra": "x"}))
+    cfg = write_json(tmp_path / "pl.json", {
+        "manifests": [str(gen_tree / f"{n}_manifest.json") for n in names],
+        "out": str(tmp_path / "pl_out")})
+    assert main(["pseudolabel", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err, err
+    assert not (tmp_path / "pl_out").exists()
+
+
 def test_train_and_eval_roundtrip(tmp_path, gen_tree):
     train_cfg = {
         "manifests": [str(gen_tree / "fine_px_manifest.json"),

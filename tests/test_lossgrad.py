@@ -12,7 +12,7 @@ from htss.errors import (
     ShapeMismatch,
 )
 from htss import lossgrad, model
-from htss.annotations import StrongLabel, WeakLabel
+from htss.annotations import StrongLabel, WeakLabel, canvas_from_boxes
 from htss.lossgrad import (
     _gather_sum,
     accumulate_groups,
@@ -87,6 +87,24 @@ def test_softmax_matches_reference_bit_for_bit(k):
             for z in (x, x * 1e-7):
                 got, want = softmax_atoms(z), ref_softmax(z)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 4, 7, 8, 9, 31, 330])
+def test_softmax_on_row_subsets_matches_full_raster_bits(atoms):
+    # train_loop softmaxes a weak item's voted rows only, and the two-head
+    # split slices those rows: each must equal the full raster's rows
+    rng = np.random.default_rng(atoms)
+    logits = rng.standard_normal((6, 5, atoms)) * 4.0
+    flat = logits.reshape(30, atoms)
+    cut = (atoms + 1) // 2
+    heads = [slice(None)] + ([slice(None, cut), slice(cut, None)] if atoms > 1 else [])
+    full = [softmax_atoms(logits[:, :, head]).reshape(30, -1) for head in heads]
+    for p in [0.0, 1.0] + list(rng.random(40)):  # empty, full, random masks
+        rows = np.flatnonzero(rng.random(30) < p)
+        voted = flat[rows]
+        for head, whole in zip(heads, full):
+            got, want = softmax_atoms(voted[:, head]), whole[rows]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_softmax_rejects_nonfinite():
@@ -245,6 +263,53 @@ def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
     assert len(per_step) == 8  # 4 coarse images at quota 1, two epochs
     for drawn, nonzero, calls, pixel in per_step:
         assert calls == nonzero == pixel < drawn
+
+
+def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
+    # per step: a box item with no votes calls no softmax and its target is
+    # the all-unlabeled raw canvas; a voted one softmaxes exactly its
+    # labeled rows, all of them for a full-frame box; pixel items softmax
+    # all H*W rows
+    datasets, tax = _box_world(73)
+    boxes = datasets[2]
+    labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
+    datasets[2] = LoadedDataset(space=boxes.space, images=boxes.images, labels=labels)
+    voted = {n: np.flatnonzero(canvas_from_boxes(lab, 5, 4, 2).supervised_mask)
+             for n, lab in ((17, labels[0]), (20, labels[2]))}
+    unlabeled = canvas_from_boxes(WeakLabel(), 5, 4, 2).probs
+    calls, steps = [], []
+    real_softmax, real_loss = model.softmax_atoms, model.batch_loss
+
+    def counting_softmax(logits):
+        calls.append(logits.size // logits.shape[-1])
+        return real_softmax(logits)
+
+    def recording_loss(items):
+        steps.append((calls[:], items))
+        calls.clear()
+        return real_loss(items)
+
+    monkeypatch.setattr(model, "softmax_atoms", counting_softmax)
+    monkeypatch.setattr(model, "batch_loss", recording_loss)
+    plan = BatchPlan(quotas={"fine": 1, "coarse": 2, "boxes": 4}, seed=3)
+    train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
+               epochs=2, refine_threshold=0.0, feature_width=3)
+    assert len(steps) == 8 and [v.size for v in voted.values()] == [17, 20]
+    for seen, items in steps:
+        want, unvoted = [], 0
+        for target, probs, _, kind in items:
+            if kind != BBOX:
+                want.append(20)
+                continue
+            nonzero = np.flatnonzero(probs.reshape(20, -1).any(axis=1))
+            if nonzero.size:
+                want.append(nonzero.size)
+                assert np.array_equal(nonzero, voted[nonzero.size])
+            else:
+                unvoted += 1
+                assert target.probs.tobytes() == unlabeled.tobytes()
+        assert seen == want
+        assert len(items) == 7 and want[:2] in ([17, 20], [20, 17]) and unvoted == 2
 
 
 # --- loss closed forms ---
