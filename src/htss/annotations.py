@@ -11,14 +11,20 @@ every pixel it covers (half-open extents, [x_min, x_max) by
 tags are handled as full-image boxes, which makes the two paths
 bit-identical by construction.
 
+Pixel labels need no canvas: strong_to_canvas turns them into a
+DenseTarget, one integer class slot per pixel (slot L marks void), and
+the loss reads only the target class's atoms (see lossgrad).
+
 Weak items are gated on their voted rows only: gate_canvas and
-refine_canvas take one prediction row per labeled pixel, in row-major
-order. The gate is per pixel, so this keeps a full-raster gate's bits.
+refine_canvas take one prediction row and one expected column per
+labeled pixel, in row-major order. The gate is per pixel, so this keeps
+a full-raster gate's bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +126,14 @@ class PseudoCanvas:
         if np.any(np.abs(reduce_last(np.add, p) - 1.0) > 1e-6):
             raise DataError("canvas rows must sum to 1 within 1e-6")
 
+    @classmethod
+    def _of_checked_rows(cls, probs: np.ndarray) -> "PseudoCanvas":
+        """A canvas whose rows are rows of a checked canvas or the
+        unlabeled unit vector: valid by construction, so not checked again."""
+        canvas = object.__new__(cls)
+        object.__setattr__(canvas, "probs", probs)
+        return canvas
+
     @property
     def num_classes(self) -> int:
         return self.probs.shape[2] - 1
@@ -140,10 +154,46 @@ class PseudoCanvas:
     def supervised_mask(self) -> np.ndarray:
         return self.unlabeled < 0.5
 
+    @cached_property
+    def voted_rows(self) -> np.ndarray:
+        """Row-major indices of the labeled pixels, computed once."""
+        return np.flatnonzero(self.supervised_mask)
+
     @property
-    def class_argmax(self) -> np.ndarray:
-        """Per-pixel class slot holding the most mass, lowest on ties."""
-        return self.probs[:, :, :self.num_classes].argmax(axis=2)
+    def voted_argmax(self) -> np.ndarray:
+        """Class slot holding the most mass at each voted row, lowest on ties."""
+        flat = self.probs.reshape(-1, self.num_classes + 1)
+        return flat[self.voted_rows, :self.num_classes].argmax(axis=1)
+
+
+@dataclass(frozen=True)
+class DenseTarget:
+    """Integer per-pixel targets over one label space of num_classes
+    classes: slots (H, W) holds class id - 1, and num_classes for void.
+
+    Built by strong_to_canvas from a validated StrongLabel, so the slot
+    range is not checked again."""
+
+    slots: np.ndarray
+    num_classes: int
+
+    def __post_init__(self):
+        if self.slots.ndim != 2:
+            raise ShapeMismatch(f"slot grid must be 2-d, got {self.slots.shape}")
+        if self.num_classes < 1:
+            raise DataError("need at least one semantic class")
+
+    @property
+    def height(self) -> int:
+        return self.slots.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.slots.shape[1]
+
+    @property
+    def supervised_mask(self) -> np.ndarray:
+        return self.slots < self.num_classes
 
 
 def canvas_from_boxes(label: WeakLabel, height: int, width: int,
@@ -181,33 +231,36 @@ def weak_canvas(label: WeakLabel, kind: str, height: int, width: int,
     return canvas_from_tags(label, height, width, num_classes)
 
 
-def strong_to_canvas(label: StrongLabel, num_classes: int) -> PseudoCanvas:
-    """One-hot canvas from dense ids; void pixels become unlabeled."""
+def strong_to_canvas(label: StrongLabel, num_classes: int) -> DenseTarget:
+    """Class-slot target from dense ids; void pixels get slot num_classes."""
     if num_classes != label.num_classes:
         raise ShapeMismatch(
-            f"label has {label.num_classes} classes, canvas asked for {num_classes}")
-    ids = label.class_ids
-    slots = np.where(ids > 0, ids - 1, num_classes)
-    probs = np.eye(num_classes + 1, dtype=np.float64)[slots]
-    return PseudoCanvas(probs)
+            f"label has {label.num_classes} classes, target asked for {num_classes}")
+    slots = label.class_ids.astype(np.intp)
+    slots -= 1
+    slots[slots < 0] = num_classes
+    return DenseTarget(slots, num_classes)
 
 
 def gate_canvas(canvas: PseudoCanvas, probs: np.ndarray, expected: np.ndarray,
                 threshold: float) -> PseudoCanvas:
     """The confidence gate: a labeled pixel keeps its canvas vector iff
-    the argmax of its prediction row is its expected column (expected is
-    (H, W)) and the probability there is >= threshold; every other pixel
-    becomes unlabeled. probs (n, K) holds one row per labeled pixel, in
-    row-major order. Argmax ties resolve to the lowest column."""
+    the argmax of its prediction row is its expected column and the
+    probability there is >= threshold; every other pixel becomes
+    unlabeled. probs (n, K) and expected (n,) hold one entry per labeled
+    pixel, in row-major order. Argmax ties resolve to the lowest column."""
     num = canvas.num_classes
-    rows = np.flatnonzero(canvas.supervised_mask)
-    want = expected.reshape(-1)[rows]
-    conf = np.take_along_axis(probs, want[:, None], axis=1)[:, 0]
-    keep = rows[(probs.argmax(axis=1) == want) & (conf >= threshold)]
+    rows = canvas.voted_rows
+    if expected.shape != rows.shape or probs.shape[0] != rows.size:
+        raise ShapeMismatch(
+            f"{probs.shape[0]} prediction rows and {expected.shape} expected "
+            f"columns for {rows.size} labeled pixels")
+    conf = np.take_along_axis(probs, expected[:, None], axis=1)[:, 0]
+    keep = rows[(probs.argmax(axis=1) == expected) & (conf >= threshold)]
     out = np.zeros(canvas.probs.shape)
     out[:, :, num] = 1.0
     out.reshape(-1, num + 1)[keep] = canvas.probs.reshape(-1, num + 1)[keep]
-    return PseudoCanvas(out)
+    return PseudoCanvas._of_checked_rows(out)
 
 
 def refine_canvas(canvas: PseudoCanvas, predicted_probs: np.ndarray,
@@ -223,9 +276,9 @@ def refine_canvas(canvas: PseudoCanvas, predicted_probs: np.ndarray,
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"refine threshold must lie in [0, 1], got {threshold}")
     num = canvas.num_classes
-    labeled = int(np.count_nonzero(canvas.supervised_mask))
+    labeled = canvas.voted_rows.size
     if predicted_probs.shape != (labeled, num):
         raise ShapeMismatch(
             f"predictions {predicted_probs.shape} do not match the canvas's "
             f"{labeled} labeled pixels over {num} classes")
-    return gate_canvas(canvas, predicted_probs, canvas.class_argmax, threshold)
+    return gate_canvas(canvas, predicted_probs, canvas.voted_argmax, threshold)

@@ -35,7 +35,20 @@ O(HW * (A + sum_m |G_m|)) where the matrix products cost O(HW * A * L).
 The loss functions take only a GroupIndex: callers build it once per
 group map with group_index (train_loop does so per dataset) and reuse it.
 
-An item whose canvas supervises no pixel (a box or tag canvas the
+A target is either a PseudoCanvas (box and tag items: soft and gated)
+or a DenseTarget (pixel labels: one class slot per pixel). The dense
+form gathers only the target class's atoms, and only at supervised
+pixels: s* = sum_k probs[class_atoms[k, slot]] in k order with padding
+read as +0.0, the loss -log max(s*, 1e-12), the gradient
+probs * (1 - 1/s*) at the atoms of G_slot and probs elsewhere, and +0.0
+written at unsupervised pixels. That keeps the bits of the canvas path
+on the one-hot canvas of the same labels, also for overlapping groups:
+with y one-hot, every other class's term there is an exact +-0.0
+(log(s_m) * 0 in the loss, 0 / s_m in the back-projection), the class
+sum of y is exactly 1, and adding a signed zero to a nonzero sum, or
+multiplying by 1, changes no bit. At s* == 1 both give the loss -0.0.
+
+An item whose target supervises no pixel (a box or tag canvas the
 confidence gate emptied) skips the loss math after the shape checks and
 gets all-zero losses and gradients. The full path gives the same bits:
 it sets every unsupervised pixel's loss and gradient to +0.0, and an
@@ -51,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import PseudoCanvas, reduce_last
+from .annotations import DenseTarget, PseudoCanvas, reduce_last
 from .errors import (
     IndexOutOfRange,
     MissingChildren,
@@ -67,6 +80,7 @@ LOG_EPS = 1e-12
 # (H, W, A) float arrays; a group map is a sequence of frozensets of
 # zero-based atom indices, one entry per non-void class slot.
 GroupMap = Sequence[frozenset]
+Target = PseudoCanvas | DenseTarget
 
 
 @dataclass(frozen=True)
@@ -157,7 +171,37 @@ def accumulate_groups(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     return _gather_sum(probs, index.class_atoms)
 
 
-def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex):
+def _dense_terms(target: DenseTarget, probs: np.ndarray, index: GroupIndex,
+                 mask: np.ndarray):
+    """_pixel_terms of a DenseTarget with some supervised pixel: gathers
+    only the target class's atoms, at the supervised rows only (see the
+    module docstring)."""
+    h, w, atoms = probs.shape
+    flat = probs.reshape(-1, atoms)
+    rows = np.flatnonzero(mask)
+    members = index.class_atoms[:, target.slots.reshape(-1)[rows]]  # (g, n)
+    real = members < atoms
+    at = np.where(real, members, 0)
+    at += rows * atoms
+    parts = np.take(flat, at)
+    parts[~real] = 0.0
+    s = parts[0]
+    for row in parts[1:]:
+        s += row
+    np.maximum(s, LOG_EPS, out=s)
+    losses = np.zeros(h * w)
+    losses[rows] = -np.log(s)
+    grads = flat.copy()  # a row gather into zeros costs far more
+    if rows.size < h * w:
+        grads[~mask.reshape(-1)] = 0.0
+    scale = np.divide(1.0, s)
+    np.subtract(1.0, scale, out=scale)  # 1 - 1/s*, per supervised pixel
+    at = at[real]
+    grads.reshape(-1)[at] = np.broadcast_to(scale, real.shape)[real] * np.take(flat, at)
+    return losses.reshape(h, w), grads.reshape(h, w, atoms)
+
+
+def _pixel_terms(target: Target, probs: np.ndarray, index: GroupIndex):
     """Unscaled per-pixel losses and gradients, and the number of
     supervised pixels.
 
@@ -169,13 +213,15 @@ def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex):
         raise ShapeMismatch(f"{index.num_classes} groups for {num} class slots")
     if probs.ndim != 3 or probs.shape[:2] != (target.height, target.width):
         raise ShapeMismatch(
-            f"distribution {probs.shape} vs canvas grid "
+            f"distribution {probs.shape} vs target grid "
             f"({target.height}, {target.width})")
     _check_atom_axis(probs, index)
     mask = target.supervised_mask
     n = int(np.count_nonzero(mask))
     if n == 0:
         return np.zeros(mask.shape), np.zeros(probs.shape), 0
+    if isinstance(target, DenseTarget):
+        return (*_dense_terms(target, probs, index, mask), n)
     y = target.probs[:, :, :num]
     s = _gather_sum(probs, index.class_atoms)
     np.maximum(s, LOG_EPS, out=s)
@@ -190,8 +236,8 @@ def _pixel_terms(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex):
     return losses, grads, n
 
 
-def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex) -> float:
-    """Cross-entropy between canvas and accumulated class probabilities,
+def ce_loss_image(target: Target, probs: np.ndarray, index: GroupIndex) -> float:
+    """Cross-entropy between target and accumulated class probabilities,
     averaged over supervised pixels."""
     losses, _, n = _pixel_terms(target, probs, index)
     if n == 0:
@@ -199,19 +245,21 @@ def ce_loss_image(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex) ->
     return float(losses.sum() / n)
 
 
-def grad_logits(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex) -> np.ndarray:
+def grad_logits(target: Target, probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     """Exact gradient of ce_loss_image with respect to the atom logits."""
     _, grads, n = _pixel_terms(target, probs, index)
     if n == 0:
         raise NoSupervisedPixels()
-    return grads / n
+    grads /= n
+    return grads
 
 
 def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
     """Mixed-batch loss with per-population normalizers.
 
-    Each item is (target canvas, atom distribution, GroupIndex,
-    supervision kind). Pixel-supervised items share one
+    Each item is (target, atom distribution, GroupIndex, supervision
+    kind), the target a DenseTarget for pixel labels and a PseudoCanvas
+    for box and tag canvases. Pixel-supervised items share one
     normalizer (the total count of their supervised pixels across the
     batch), box/tag items share the other; the loss is the sum of both
     normalized populations. Returns the scalar loss and the per-item
@@ -221,7 +269,8 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
 
     An item with no supervised pixel skips the loss math and gets an
     all-+0.0 gradient, the bits the full path gives it; train_loop then
-    skips its backward pass (see there why that is exact too).
+    skips its backward pass (see there why that is exact too). Each
+    returned gradient is the item's own fresh array, divided in place.
     """
     per_item = []
     strong_count = 0
@@ -247,7 +296,8 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
             continue
         denom = strong_count if strong else weak_count
         total += losses.sum() / denom
-        out_grads.append(grads / denom)
+        grads /= denom  # fresh per item, so dividing in place is safe
+        out_grads.append(grads)
     return float(total), out_grads
 
 

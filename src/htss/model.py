@@ -400,10 +400,12 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     """Deterministic joint training over heterogeneous datasets.
 
     Every step draws each dataset's quota of images, runs the forward
-    pass, converts labels to canvases (weak ones refined against the
-    current predictions), applies the mixed-batch loss, backpropagates
-    and takes one momentum-SGD step. An epoch is the number of steps the
-    largest dataset needs for a full pass. The plan must draw at least
+    pass, converts labels to targets (pixel labels to class-slot
+    DenseTargets, one strong_to_canvas call per item; box and tag labels
+    to canvases refined against the current predictions), applies the
+    mixed-batch loss, backpropagates and takes one momentum-SGD step.
+    An epoch is the number of steps the largest dataset needs for a full
+    pass. The plan must draw at least
     one pixel-supervised dataset: box/tag canvases are gated against the
     net's own predictions, which only pixel labels anchor.
 
@@ -412,7 +414,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     its loss math. This keeps every bit: a zero upstream gives parameter
     gradients of +0.0 and -0.0 only, the running total starts at +0.0
     and so never holds -0.0 (IEEE addition gives -0.0 only for
-    -0.0 + -0.0), and x + (+-0.0) is x.
+    -0.0 + -0.0), and x + (+-0.0) is x. With one head (no s atoms) an
+    item's gradient is its upstream as is, not copied into a zero raster.
 
     A box or tag item computes only on its voted rows, the pixels its raw
     canvas labels: the softmax, dataset predictions and gate run there, its
@@ -466,7 +469,7 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                 else:
                     h, w = logits.shape[:2]
                     target = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
-                    rows = np.flatnonzero(target.supervised_mask)
+                    rows = target.voted_rows
                     head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
                     if rows.size:  # else the raw canvas is all unlabeled already
                         # voted everywhere (any tag canvas): no row gather or scatter
@@ -476,7 +479,7 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                         ap_rows = softmax_atoms(voted[:, :n_ap])
                         if dg.head == "s":  # subclass votes kept, localization gated
                             parents = np.asarray(dg.parent_slots, dtype=np.int64)
-                            target = gate_canvas(target, ap_rows, parents[target.class_argmax],
+                            target = gate_canvas(target, ap_rows, parents[target.voted_argmax],
                                                  refine_threshold)
                             head_rows = softmax_atoms(voted[:, n_ap:])
                         else:
@@ -493,12 +496,13 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         for (cache, head), g in zip(routes, grads):
             if not g.any():
                 continue
-            h, w = cache.shape
-            upstream = np.zeros((h, w, n_ap + n_s), dtype=np.float64)
-            if head == "ap":
-                upstream[:, :, :n_ap] = g
-            else:
-                upstream[:, :, n_ap:] = g
+            upstream = g  # one head: the gradient is the whole upstream
+            if n_s:
+                upstream = np.zeros(g.shape[:2] + (n_ap + n_s,))
+                if head == "ap":
+                    upstream[:, :, :n_ap] = g
+                else:
+                    upstream[:, :, n_ap:] = g
             total.iadd(backward(cache, upstream))
         sgd_step(params, total, optimizer)
         losses.append(loss)

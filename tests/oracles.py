@@ -5,7 +5,9 @@ than the library: a restart-from-scratch fixed-point scan for atom
 extraction, central finite differences for gradients, a textbook
 softmax cross-entropy for the singleton-group degeneracy, the
 slice-by-slice patch layout the conv kernels must reproduce bit for bit,
-and the confidence gate over the full raster.
+the confidence gate over the full raster, and the one-hot canvas of a
+pixel label, whose loss the class-slot targets must reproduce bit for
+bit.
 """
 
 from __future__ import annotations
@@ -139,6 +141,20 @@ def gate_full_raster_oracle(canvas_probs, probs, expected, threshold):
     out[keep] = canvas_probs[keep]
     out[:, :, num] = np.where(keep, canvas_probs[:, :, num], 1.0)
     return out
+
+
+def one_hot_canvas(label, num_classes):
+    """One-hot (H, W, L+1) canvas of a StrongLabel, void pixels unlabeled:
+    the canvas form of annotations.strong_to_canvas's class-slot target."""
+    from htss.annotations import PseudoCanvas
+    from htss.errors import ShapeMismatch
+
+    if num_classes != label.num_classes:
+        raise ShapeMismatch(
+            f"label has {label.num_classes} classes, canvas asked for {num_classes}")
+    ids = label.class_ids
+    slots = np.where(ids > 0, ids - 1, num_classes)
+    return PseudoCanvas(np.eye(num_classes + 1, dtype=np.float64)[slots])
 
 
 def fd_grad(fn, x, eps=1e-4):

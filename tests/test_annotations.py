@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from htss.annotations import (
+    DenseTarget,
     PseudoCanvas,
     StrongLabel,
     WeakLabel,
@@ -112,12 +113,14 @@ def test_empty_tags_everything_unlabeled():
 
 
 def test_strong_to_canvas_one_hot():
-    lab = StrongLabel(class_ids=np.array([[0, 1], [2, 2]]), num_classes=2)
-    canvas = strong_to_canvas(lab, num_classes=2)
-    np.testing.assert_array_equal(canvas.probs[0, 0], [0, 0, 1])  # void -> unlabeled
-    np.testing.assert_array_equal(canvas.probs[0, 1], [1, 0, 0])
-    np.testing.assert_array_equal(canvas.probs[1, 0], [0, 1, 0])
-    assert canvas.supervised_mask.sum() == 3
+    lab = StrongLabel(class_ids=np.array([[0, 1], [2, 2]], dtype=np.int64), num_classes=2)
+    target = strong_to_canvas(lab, num_classes=2)
+    assert isinstance(target, DenseTarget) and target.num_classes == 2
+    assert (target.height, target.width) == (2, 2)
+    np.testing.assert_array_equal(target.slots, [[2, 0], [1, 1]])  # void -> slot L
+    np.testing.assert_array_equal(target.supervised_mask, [[False, True], [True, True]])
+    with pytest.raises(ShapeMismatch):
+        strong_to_canvas(lab, num_classes=3)
 
 
 def _canvas_1px(vec):
@@ -231,7 +234,7 @@ def test_gate_with_parent_columns_matches_pixel_loop():
         pred = predraw / predraw.sum(axis=2, keepdims=True)
         thr = float(rng.random())
         out = gate_canvas(canvas, pred[canvas.supervised_mask],
-                          parent_slots[canvas.class_argmax], thr)
+                          parent_slots[canvas.voted_argmax], thr)
         for i in range(h):
             for j in range(w):
                 row = canvas.probs[i, j]
@@ -268,15 +271,32 @@ def test_row_gate_matches_full_raster_oracle():
         canvas, pred, k = _gate_instance(rng)
         n = canvas.num_classes
         rows = pred[canvas.supervised_mask]
+        class_argmax = canvas.probs[:, :, :n].argmax(axis=2)
         for thr in [0.0, 1.0, float(rng.choice(pred.ravel()))]:
-            expected = rng.integers(0, k, n)[canvas.class_argmax]
-            got = gate_canvas(canvas, rows, expected, thr).probs
+            expected = rng.integers(0, k, n)[class_argmax]
+            voted = expected.reshape(-1)[canvas.voted_rows]
+            got = gate_canvas(canvas, rows, voted, thr).probs
             want = gate_full_raster_oracle(canvas.probs, pred, expected, thr)
             assert same_bits(got, want)
+            PseudoCanvas(probs=got)  # unchecked by the gate: valid by construction
             if k == n:
                 got = refine_canvas(canvas, rows, thr).probs
-                want = gate_full_raster_oracle(canvas.probs, pred, canvas.class_argmax, thr)
+                want = gate_full_raster_oracle(canvas.probs, pred, class_argmax, thr)
                 assert same_bits(got, want)
+
+
+def test_gate_takes_one_expected_column_per_voted_row():
+    canvas = PseudoCanvas(probs=np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                                          [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]]))
+    np.testing.assert_array_equal(canvas.voted_rows, [0, 2, 3])
+    np.testing.assert_array_equal(canvas.voted_argmax, [0, 1, 0])
+    pred = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
+    out = gate_canvas(canvas, pred, np.array([0, 1, 1]), 0.5)
+    np.testing.assert_array_equal(out.supervised_mask, [[True, False], [True, False]])
+    with pytest.raises(ShapeMismatch):  # a full (H, W) raster of columns
+        gate_canvas(canvas, pred, np.zeros((2, 2), dtype=np.intp), 0.5)
+    with pytest.raises(ShapeMismatch):
+        gate_canvas(canvas, pred[:2], np.array([0, 1, 1]), 0.5)
 
 
 def test_fuzz_canvases_are_valid(seed=20260822):

@@ -1,0 +1,114 @@
+"""The names perfbench relies on, checked in the unit suite.
+
+perfbench/spans.py wraps htss functions by their home "module:qualname",
+and every workload in perfbench/workloads.py lists spans its traced run
+must enter. A rename or a dropped call in htss would otherwise fail only
+the benchmark's traced run. Both files are read as text and executed
+into throwaway modules, so nothing is written under perfbench/.
+"""
+
+import importlib
+import inspect
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from htss import model
+from htss.annotations import StrongLabel, WeakLabel
+from htss.model import BatchPlan, LoadedDataset, OptimizerState, train_loop
+from htss.taxonomy import (
+    BBOX,
+    HYPERNYM,
+    PIXEL_COARSE,
+    PIXEL_DENSE,
+    LabelSpace,
+    RelationTable,
+    build_group_sets,
+    build_semantic_atoms,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    """Execute perfbench/<name>.py into a fresh module, writing no bytecode."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"_perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+@pytest.fixture(scope="module")
+def targets():
+    return _load("spans").TARGETS
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+def test_every_span_home_is_an_htss_function(targets):
+    assert targets
+    for span, (home, *_) in targets.items():
+        module_name, qualname = home.split(":")
+        assert module_name.startswith("htss."), span
+        obj = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part, None)
+            assert obj is not None, f"{span}: {home} does not resolve"
+        # a classmethod resolves to a bound method of its function
+        assert inspect.isfunction(getattr(obj, "__func__", obj)), \
+            f"{span}: {home} is not a function"
+
+
+def test_every_required_span_is_traced(targets, workloads):
+    for name in workloads.NAMES:
+        required = workloads.build(name, 11).required_spans
+        assert required
+        missing = sorted(set(required) - set(targets))
+        assert not missing, f"{name} requires untraced spans {missing}"
+
+
+def test_train_loop_builds_one_target_per_pixel_item(monkeypatch):
+    # annotations.strong_to_canvas is a required span: train_loop must
+    # call it, through the model module's alias, once per pixel item
+    rng = np.random.default_rng(97)
+    spaces = [LabelSpace("fine", ("void", "cat", "dog"), PIXEL_DENSE),
+              LabelSpace("coarse", ("void", "animal"), PIXEL_COARSE),
+              LabelSpace("boxes", ("void", "cat", "dog"), BBOX)]
+    relations = RelationTable.from_triples(
+        [(HYPERNYM, "animal", "cat"), (HYPERNYM, "animal", "dog")])
+    tax = build_group_sets(build_semantic_atoms(spaces, relations), spaces, relations)
+    datasets = []
+    for space in spaces:
+        images = [rng.random((4, 3, 2)) for _ in range(4)]
+        if space.supervision == BBOX:
+            labels = [WeakLabel(boxes=((1, 0, 0, 2, 2),))] * 4
+        else:
+            labels = [StrongLabel(rng.integers(0, space.num_classes + 1, size=(4, 3)),
+                                  space.num_classes) for _ in range(4)]
+        datasets.append(LoadedDataset(space=space, images=images, labels=labels))
+    calls = []
+    real = model.strong_to_canvas
+
+    def counting(label, num_classes):
+        calls.append(num_classes)
+        return real(label, num_classes)
+
+    monkeypatch.setattr(model, "strong_to_canvas", counting)
+    quotas = {"fine": 2, "coarse": 1, "boxes": 3}
+    res = train_loop(datasets, tax, None, BatchPlan(quotas=quotas, seed=13),
+                     OptimizerState(learning_rate=0.1), epochs=2,
+                     refine_threshold=0.5, feature_width=3)
+    assert len(res.losses) == 8
+    assert len(calls) == 8 * (quotas["fine"] + quotas["coarse"])  # not the boxes
+    assert sorted(set(calls)) == [1, 2]

@@ -12,9 +12,10 @@ from htss.errors import (
     ShapeMismatch,
 )
 from htss import lossgrad, model
-from htss.annotations import StrongLabel, WeakLabel, canvas_from_boxes
+from htss.annotations import StrongLabel, WeakLabel, canvas_from_boxes, strong_to_canvas
 from htss.lossgrad import (
     _gather_sum,
+    _pixel_terms,
     accumulate_groups,
     batch_loss,
     ce_loss_image,
@@ -40,6 +41,7 @@ from htss.taxonomy import (
 from oracles import (
     TRAILING_LENGTHS,
     fd_grad,
+    one_hot_canvas,
     ref_ce_loss_grad,
     ref_softmax,
     trailing_axis_arrays,
@@ -608,6 +610,106 @@ def test_batch_gradient_matches_finite_differences():
     got = np.concatenate([grads[0].ravel(), grads[1].ravel()])
     want = fd_grad(f, flat, eps=1e-5)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+
+
+# --- class-slot targets against one-hot canvases ---
+
+def _dense_case(rng, h, w, atoms, classes, overlapping):
+    """A StrongLabel with void pixels and hand-set pixels whose s* is
+    exactly 1.0 (pixel (0, 0)) and 0.0, clamped to 1e-12 (pixel (0, 1)),
+    a distribution over atoms, and a GroupIndex: disjoint groups covering
+    every class, or overlapping ones built directly by group_index."""
+    if overlapping:
+        groups = [set(np.flatnonzero(rng.random(atoms) < 0.4).tolist())
+                  for _ in range(classes)]
+        for g in groups:
+            g.add(int(rng.integers(atoms)))
+    else:
+        order = rng.permutation(atoms)
+        assign = rng.integers(-1, classes, size=atoms)
+        assign[order[:classes]] = np.arange(classes)
+        groups = [set(np.flatnonzero(assign == m).tolist()) for m in range(classes)]
+    index = group_index(tuple(frozenset(g) for g in groups), atoms)
+    ids = rng.integers(1, classes + 1, size=(h, w))
+    ids[rng.random((h, w)) < 0.2] = 0
+    ids[0, :2] = rng.integers(1, classes + 1, size=2)
+    probs = softmax_atoms(rng.standard_normal((h, w, atoms)) * 3.0)
+    exact = sorted(groups[ids[0, 0] - 1])
+    probs[0, 0] = 0.0
+    probs[0, 0, exact[int(rng.integers(len(exact)))]] = 1.0
+    probs[0, 1, sorted(groups[ids[0, 1] - 1])] = 0.0
+    return StrongLabel(ids, classes), probs, index
+
+
+DENSE_SHAPES = [(16, 16, 330, 151), (16, 16, 330, 30), (20, 20, 6, 3),
+                (20, 20, 6, 6), (48, 48, 3, 2)]
+
+
+@pytest.mark.parametrize("h, w, atoms, classes", DENSE_SHAPES)
+@pytest.mark.parametrize("overlapping", [False, True])
+def test_dense_target_matches_one_hot_canvas_bits(h, w, atoms, classes, overlapping):
+    rng = np.random.default_rng(h * atoms + classes + overlapping)
+    items = {"dense": [], "canvas": []}
+    for _ in range(3):
+        label, probs, index = _dense_case(rng, h, w, atoms, classes, overlapping)
+        dense, hot = strong_to_canvas(label, classes), one_hot_canvas(label, classes)
+        got, want = _pixel_terms(dense, probs, index), _pixel_terms(hot, probs, index)
+        assert got[2] == want[2] == int((label.class_ids > 0).sum())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[1].shape == probs.shape and got[0].shape == (h, w)
+        # s* == 1.0 gives the loss -0.0; s* == 0.0 is clamped to 1e-12
+        assert got[0][0, 0] == 0.0 and np.signbit(got[0][0, 0])
+        assert got[0][0, 1] == -math.log(1e-12)
+        items["dense"].append((dense, probs, index, PIXEL_DENSE))
+        items["canvas"].append((hot, probs, index, PIXEL_DENSE))
+    void = StrongLabel(np.zeros((h, w), dtype=np.int64), classes)
+    probs = softmax_atoms(rng.standard_normal((h, w, atoms)))
+    got = _pixel_terms(strong_to_canvas(void, classes), probs, index)
+    want = _pixel_terms(one_hot_canvas(void, classes), probs, index)
+    assert got[2] == want[2] == 0
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    items["dense"].append((strong_to_canvas(void, classes), probs, index, PIXEL_DENSE))
+    items["canvas"].append((one_hot_canvas(void, classes), probs, index, PIXEL_DENSE))
+    boxes = WeakLabel(boxes=((1, 0, 0, w // 2, h // 2), (classes, 1, 1, w, h)))
+    weak = (canvas_from_boxes(boxes, h, w, classes), probs, index, BBOX)
+    loss, grads = batch_loss(items["dense"] + [weak])
+    want_loss, want_grads = batch_loss(items["canvas"] + [weak])
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+
+
+def test_dense_target_checks_shapes():
+    label = StrongLabel(np.array([[0, 1, 2]]), 2)
+    target = strong_to_canvas(label, 2)
+    index = group_index((frozenset({0}), frozenset({1})), 2)
+    with pytest.raises(ShapeMismatch):  # grid
+        ce_loss_image(target, np.full((3, 1, 2), 0.5), index)
+    with pytest.raises(ShapeMismatch):  # class slots
+        ce_loss_image(target, np.full((1, 3, 2), 0.5), group_index((frozenset({0}),), 2))
+    with pytest.raises(NoSupervisedPixels):
+        grad_logits(strong_to_canvas(StrongLabel(np.zeros((1, 3), dtype=int), 2), 2),
+                    np.full((1, 3, 2), 0.5), index)
+
+
+def test_dense_target_grad_matches_finite_differences():
+    rng = np.random.default_rng(43)
+    for trial in range(20):
+        atoms = int(rng.integers(2, 7))
+        classes = int(rng.integers(1, atoms + 1))
+        h, w = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        label, _, index = _dense_case(rng, h, w, atoms, classes, trial % 2 == 1)
+        target = strong_to_canvas(label, classes)
+        if not target.supervised_mask.any():
+            continue
+        z = rng.standard_normal((h, w, atoms))
+
+        def f(logits):
+            return ce_loss_image(target, softmax_atoms(logits), index)
+
+        got = grad_logits(target, softmax_atoms(z), index)
+        np.testing.assert_allclose(got, fd_grad(f, z, eps=1e-5), rtol=1e-5, atol=1e-7)
 
 
 # --- subclass merge ---
