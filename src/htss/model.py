@@ -11,29 +11,44 @@ emits logits for the a+p atoms followed by the s atoms; the two
 segments are softmaxed separately.
 
 Patch layout: _im2col writes the (H, W, C) input into a zero-bordered
-(H+2, W+2, C) buffer and copies its 3x3 windows, one (H, W, dy, dx, C)
-as_strided view with the buffer's strides (sy, sx, sy, sx, sc), into one
-(H*W, 9*C) array. Row y*W + x holds the patch centred on pixel (y, x),
-and column (3*dy + dx)*C + c holds channel c at offset (dy - 1, dx - 1);
-this matches the (3, 3, C, width) kernel reshaped to (9*C, width).
-Within one window row the dx and C axes are adjacent in memory on both
-sides, so the copy moves runs of 3*C elements.
+(H+2, W+2, C) buffer and copies its 3x3 windows into one (H*W, 9*C)
+array. The windows are one (H, W, dy, dx, C) view over the buffer with
+strides (sy, sx, sy, sx, sc), built by the plain np.ndarray constructor
+(about 1 us a call, against 7 us for as_strided) and only read. Row
+y*W + x holds the patch centred on pixel (y, x), and column
+(3*dy + dx)*C + c holds channel c at offset (dy - 1, dx - 1); this
+matches the (3, 3, C, width) kernel reshaped to (9*C, width). Within one
+window row the dx and C axes are adjacent in memory on both sides, so
+the copy moves runs of 3*C elements.
 
 Input gradient of conv 2: the plain form is one GEMM, dz @ W.T with W
 the (9*C, width) kernel, then a scatter of each (dy, dx) column block
-onto the bordered buffer. _conv_input_grad instead multiplies dz by a
-contiguous per-call copy of the nine (width, C) tap kernels, giving nine
-contiguous (H*W, C) planes, and adds them onto the buffer in the same
-(dy, dx) order. Every element is still one dot product over width, which
-OpenBLAS sums in the same order for the (H*W, C) product as for the
-(H*W, 9*C) one, and the scatter adds the same values in the same order.
-So the gradient keeps the plain form's bits; the tests check this
-against the slice-by-slice oracle at widths 1 to 16. The exception is a
-one-pixel image, where numpy takes a vector-matrix path that sums a
-C-ordered kernel in another order, so there the kernel stays a
-transposed view. (With OpenBLAS 0.3.31 on Haswell, widths of 32 or more
-on images under 64 pixels take a small-matrix path whose sums can differ
-in the last bit.)
+onto the bordered buffer. _conv_input_grad instead pads dz to rows of
+W+2 pixels, the last two zero, and multiplies it by a contiguous
+per-call copy of the nine (width, C) tap kernels, giving nine contiguous
+(H*(W+2), C) planes. The bordered buffer is kept flat, (H+3) rows of
+W+2 pixels, so tap (dy, dx) lands with one contiguous add at offset
+(dy*(W+2) + dx)*C, in the plain form's (dy, dx) order: plane pixel
+(y, x) goes to buffer pixel (y+dy, x+dx), and a real pixel (x < W)
+never wraps past its row. Every real element is still one dot product
+over width, which OpenBLAS sums in the same order for these products as
+for the plain one, so each cell adds the same values in the same order.
+The pad pixels add only +-0.0 terms, some wrapped into the next row or
+the extra last row, and these change no bit: x + (+-0.0) is x unless x
+is -0.0, and a running sum started at +0.0 never is -0.0 (IEEE addition
+gives -0.0 only for -0.0 + -0.0). So the gradient keeps the plain form's
+bits; the tests check this against the slice-by-slice oracle at widths
+1 to 16. A one-pixel image gets only the centre tap, and there numpy
+takes a vector-matrix path that sums a C-ordered kernel in another order
+than the plain form's transposed one; so that case multiplies by the
+transposed view kernel[1, 1].T, as the plain form does, and adds the
+product to +0.0, as the buffer does. (With OpenBLAS 0.3.31 on Haswell
+this holds at widths up to 16, and at multiples of 8 from 24 to 64 on
+images of over 4 pixels. At other widths above 16 the plain GEMM can
+differ in the last bit, and at widths 1 to 3 past a multiple of 8 a
+row's sums depend on its place in the GEMM's row blocks, so padded rows
+can give other bits than H*W unpadded rows: on images under 64 pixels,
+and at widths 49 and 50 also at 20x20.)
 """
 
 from __future__ import annotations
@@ -158,8 +173,7 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     padded = np.zeros((h + 2, w + 2, c), dtype=np.float64)
     padded[1:-1, 1:-1, :] = x
     sy, sx, sc = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (h, w, 3, 3, c), (sy, sx, sy, sx, sc), writeable=False)
+    windows = np.ndarray((h, w, 3, 3, c), np.float64, padded, 0, (sy, sx, sy, sx, sc))
     cols = np.empty((h, w, 3, 3, c), dtype=np.float64)
     cols[...] = windows
     return cols.reshape(h * w, 9 * c)
@@ -170,18 +184,22 @@ def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.n
     given dz = d(loss)/d(output) as (H*W, width) and kernel (3, 3, C, width).
 
     Used for conv 2, where C == width. With C == 1 each tap's product
-    would be a matrix-vector one, which BLAS sums in another order; so
-    would a contiguous kernel at h * w == 1, which keeps the view."""
+    would be a matrix-vector one, which BLAS sums in another order; a
+    one-pixel image keeps the vector-matrix product of the plain form."""
     c, width = kernel.shape[2], kernel.shape[3]
-    tap_kernels = kernel.reshape(9, c, width).transpose(0, 2, 1)
-    if h * w > 1:
-        tap_kernels = np.ascontiguousarray(tap_kernels)
-    taps = np.matmul(dz, tap_kernels)
-    dpadded = np.zeros((h + 2, w + 2, c), dtype=np.float64)
+    if h * w == 1:
+        return (0.0 + dz @ kernel[1, 1].T).reshape(1, 1, c)
+    tap_kernels = np.ascontiguousarray(kernel.reshape(9, c, width).transpose(0, 2, 1))
+    row = w + 2
+    dz_rows = np.zeros((h, row, width), dtype=np.float64)
+    dz_rows[:, :w, :] = dz.reshape(h, w, width)
+    taps = np.matmul(dz_rows.reshape(h * row, width), tap_kernels).reshape(9, -1)
+    dflat = np.zeros((h + 3) * row * c, dtype=np.float64)
     for t in range(9):
         dy, dx = divmod(t, 3)
-        dpadded[dy:dy + h, dx:dx + w, :] += taps[t].reshape(h, w, c)
-    return dpadded[1:-1, 1:-1, :]
+        start = (dy * row + dx) * c
+        dflat[start:start + taps.shape[1]] += taps[t]
+    return dflat.reshape(h + 3, row, c)[1:h + 1, 1:w + 1, :]
 
 
 @dataclass
@@ -203,14 +221,15 @@ def forward(params: MicroNetParams, image: np.ndarray) -> tuple[np.ndarray, Forw
             f"image {x.shape} vs network expecting (H, W, {params.in_channels})")
     h, w, _ = x.shape
     cols1 = _im2col(x)
-    a1 = (cols1 @ params.w1.reshape(-1, params.width)
-          + params.b1).reshape(h, w, params.width)
+    a1 = (cols1 @ params.w1.reshape(-1, params.width)).reshape(h, w, params.width)
+    a1 += params.b1  # in place on the fresh product: same sums, no temporary
     np.maximum(a1, 0.0, out=a1)
     cols2 = _im2col(a1)
-    a2 = (cols2 @ params.w2.reshape(-1, params.width)
-          + params.b2).reshape(h, w, params.width)
+    a2 = (cols2 @ params.w2.reshape(-1, params.width)).reshape(h, w, params.width)
+    a2 += params.b2
     np.maximum(a2, 0.0, out=a2)
-    logits = a2 @ params.wh + params.bh
+    logits = a2 @ params.wh
+    logits += params.bh
     cache = ForwardCache(params=params, version=params.version, shape=(h, w),
                          cols1=cols1, a1=a1, cols2=cols2, a2=a2)
     return logits, cache
@@ -230,8 +249,8 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> MicroNetGrads:
 
     dwh = a2.T @ up
     dbh = up.sum(axis=0)
-    da2 = (up @ params.wh.T).reshape(h, w, params.width)
-    dz2 = (da2 * (cache.a2 > 0.0)).reshape(-1, params.width)
+    dz2 = up @ params.wh.T
+    dz2 *= a2 > 0.0  # the ReLU mask, in place on the fresh d(loss)/d(a2)
 
     dw2 = (cache.cols2.T @ dz2).reshape(params.w2.shape)
     db2 = dz2.sum(axis=0)

@@ -5,9 +5,10 @@ than the library: a restart-from-scratch fixed-point scan for atom
 extraction, central finite differences for gradients, a textbook
 softmax cross-entropy for the singleton-group degeneracy, the
 slice-by-slice patch layout the conv kernels must reproduce bit for bit,
-the confidence gate over the full raster, and the one-hot canvas of a
-pixel label, whose loss the class-slot targets must reproduce bit for
-bit.
+the whole network's forward and backward pass written out of place on
+that layout, the confidence gate over the full raster, and the one-hot
+canvas of a pixel label, whose loss the class-slot targets must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -123,6 +124,42 @@ def col2im_oracle(dcols, h, w, c):
         for dx in range(3):
             dpadded[dy:dy + h, dx:dx + w, :] += d5[:, :, dy, dx, :]
     return dpadded[1:-1, 1:-1, :]
+
+
+def forward_oracle(params, image):
+    """Logits (H, W, out) of the two-conv-plus-head net, plus the layer
+    values backward_oracle needs: im2col_oracle patches, out-of-place
+    bias adds and ReLUs, the head applied to the (H, W, width) raster."""
+    h, w, _ = image.shape
+    width = params.w1.shape[3]
+    cols1 = im2col_oracle(np.asarray(image, dtype=np.float64))
+    z1 = cols1 @ params.w1.reshape(-1, width) + params.b1
+    a1 = np.maximum(z1, 0.0).reshape(h, w, width)
+    cols2 = im2col_oracle(a1)
+    z2 = cols2 @ params.w2.reshape(-1, width) + params.b2
+    a2 = np.maximum(z2, 0.0).reshape(h, w, width)
+    logits = a2 @ params.wh + params.bh
+    return logits, (cols1, z1, cols2, z2, a2)
+
+
+def backward_oracle(params, image, upstream):
+    """The six parameter gradients (w1, b1, w2, b2, wh, bh) for an
+    upstream d(loss)/d(logits): out-of-place ReLU masks on z > 0, and
+    each conv-2 input gradient as one GEMM scattered by col2im_oracle."""
+    h, w, _ = image.shape
+    width = params.w1.shape[3]
+    _, (cols1, z1, cols2, z2, a2) = forward_oracle(params, image)
+    up = np.asarray(upstream, dtype=np.float64).reshape(h * w, -1)
+    dwh = a2.reshape(h * w, width).T @ up
+    dbh = up.sum(axis=0)
+    dz2 = (up @ params.wh.T) * (z2 > 0.0)
+    dw2 = (cols2.T @ dz2).reshape(params.w2.shape)
+    db2 = dz2.sum(axis=0)
+    da1 = col2im_oracle(dz2 @ params.w2.reshape(-1, width).T, h, w, width)
+    dz1 = da1.reshape(h * w, width) * (z1 > 0.0)
+    dw1 = (cols1.T @ dz1).reshape(params.w1.shape)
+    db1 = dz1.sum(axis=0)
+    return [dw1, db1, dw2, db2, dwh, dbh]
 
 
 def gate_full_raster_oracle(canvas_probs, probs, expected, threshold):

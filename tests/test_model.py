@@ -41,7 +41,7 @@ from htss.taxonomy import (
     build_semantic_atoms,
 )
 
-from oracles import col2im_oracle, fd_grad, im2col_oracle
+from oracles import backward_oracle, col2im_oracle, fd_grad, forward_oracle, im2col_oracle
 
 # (H, W): single pixel, single row, single column, non-square both ways,
 # and the two workload image sizes
@@ -114,26 +114,56 @@ def test_backward_matches_finite_differences():
         assert np.abs(got - want).max() / scale < 1e-5, field
 
 
+def _signed_zeros(rng, x):
+    """x with about a quarter of its entries set to -0.0 and a quarter
+    to +0.0: np.array_equal cannot tell the two apart, .tobytes() can."""
+    x[rng.random(x.shape) < 0.25] = -0.0
+    x[rng.random(x.shape) < 0.25] = 0.0
+    return x
+
+
 @pytest.mark.parametrize("h, w", PATCH_SHAPES)
 @pytest.mark.parametrize("c", [1, 3, 8, 16])
 def test_im2col_matches_slice_oracle_bit_for_bit(h, w, c):
     rng = np.random.default_rng(1000 * h + 10 * w + c)
-    x = rng.standard_normal((h, w, c))
+    x = _signed_zeros(rng, rng.standard_normal((h, w, c)))
     got = _im2col(x)
     assert got.shape == (h * w, 9 * c) and got.flags.writeable
-    assert np.array_equal(got, im2col_oracle(x))
+    assert got.tobytes() == im2col_oracle(x).tobytes()
 
 
 @pytest.mark.parametrize("h, w", PATCH_SHAPES)
 @pytest.mark.parametrize("width", [1, 3, 8, 16])
 def test_conv2_input_grad_matches_gemm_then_col2im_bit_for_bit(h, w, width):
-    # conv 2 maps width channels to width channels
+    # conv 2 maps width channels to width channels; dz is ReLU-masked as
+    # backward makes it: -0.0 where a negative gradient meets the mask,
+    # +0.0 elsewhere off the mask, and whole rows of zeros
     rng = np.random.default_rng(1000 * h + 10 * w + width)
     for _ in range(3):
-        dz = rng.standard_normal((h * w, width))
+        da = rng.standard_normal((h * w, width))
+        da[rng.random(h * w) < 0.2] = 0.0
+        da[rng.random(h * w) < 0.2] = -0.0
+        dz = da * (rng.random((h * w, width)) < 0.6)
         kernel = rng.standard_normal((3, 3, width, width))
         want = col2im_oracle(dz @ kernel.reshape(-1, width).T, h, w, width)
-        assert np.array_equal(_conv_input_grad(dz, kernel, h, w), want)
+        assert _conv_input_grad(dz, kernel, h, w).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h, w, width, out", [
+    (20, 20, 8, 6), (48, 48, 16, 7), (16, 16, 8, 300), (1, 1, 8, 6)])
+def test_forward_and_backward_match_layer_oracle_bit_for_bit(h, w, width, out):
+    rng = np.random.default_rng(10 * h + out)
+    p = init_micronet(3, width, out, seed=width + out)
+    for _ in range(2):
+        image = _signed_zeros(rng, rng.standard_normal((h, w, 3)))
+        upstream = _signed_zeros(rng, rng.standard_normal((h, w, out)))
+        upstream[rng.random((h, w)) < 0.3] = 0.0  # pixels without supervision
+        logits, cache = forward(p, image)
+        want_logits, _ = forward_oracle(p, image)
+        assert logits.tobytes() == want_logits.tobytes()
+        got = backward(cache, upstream).arrays()
+        want = backward_oracle(p, image, upstream)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
 
 @pytest.mark.parametrize("h, w, width, out", [(20, 20, 8, 6), (48, 48, 16, 7)])
