@@ -10,7 +10,6 @@ Knowledgeability. Everything is seeded and deterministic.
 __version__ = "0.1.0"
 
 from .annotations import (
-    DenseTarget,
     PseudoCanvas,
     StrongLabel,
     WeakLabel,

@@ -11,9 +11,9 @@ every pixel it covers (half-open extents, [x_min, x_max) by
 tags are handled as full-image boxes, which makes the two paths
 bit-identical by construction.
 
-Pixel labels need no canvas: strong_to_canvas turns them into a
-DenseTarget, one integer class slot per pixel (slot L marks void), and
-the loss reads only the target class's atoms (see lossgrad).
+Pixel labels need no canvas: a StrongLabel is its own loss target, one
+class id per pixel (0 = void), and the loss reads only the target
+class's atoms (see lossgrad).
 
 Weak items are gated on their voted rows only: gate_canvas and
 refine_canvas take one prediction row and one expected column per
@@ -69,6 +69,18 @@ class StrongLabel:
             raise DataError(
                 f"class ids must lie in [0, {self.num_classes}], "
                 f"found [{ids.min()}, {ids.max()}]")
+
+    @property
+    def height(self) -> int:
+        return self.class_ids.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.class_ids.shape[1]
+
+    @property
+    def supervised_mask(self) -> np.ndarray:
+        return self.class_ids > 0
 
 
 @dataclass(frozen=True)
@@ -166,36 +178,6 @@ class PseudoCanvas:
         return flat[self.voted_rows, :self.num_classes].argmax(axis=1)
 
 
-@dataclass(frozen=True)
-class DenseTarget:
-    """Integer per-pixel targets over one label space of num_classes
-    classes: slots (H, W) holds class id - 1, and num_classes for void.
-
-    Built by strong_to_canvas from a validated StrongLabel, so the slot
-    range is not checked again."""
-
-    slots: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        if self.slots.ndim != 2:
-            raise ShapeMismatch(f"slot grid must be 2-d, got {self.slots.shape}")
-        if self.num_classes < 1:
-            raise DataError("need at least one semantic class")
-
-    @property
-    def height(self) -> int:
-        return self.slots.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.slots.shape[1]
-
-    @property
-    def supervised_mask(self) -> np.ndarray:
-        return self.slots < self.num_classes
-
-
 def canvas_from_boxes(label: WeakLabel, height: int, width: int,
                       num_classes: int) -> PseudoCanvas:
     """Accumulate one unity vote per box over the pixels it covers, then
@@ -231,15 +213,13 @@ def weak_canvas(label: WeakLabel, kind: str, height: int, width: int,
     return canvas_from_tags(label, height, width, num_classes)
 
 
-def strong_to_canvas(label: StrongLabel, num_classes: int) -> DenseTarget:
-    """Class-slot target from dense ids; void pixels get slot num_classes."""
+def strong_to_canvas(label: StrongLabel, num_classes: int) -> StrongLabel:
+    """The loss target of a pixel label: the label itself, once its label
+    space is checked to hold num_classes classes."""
     if num_classes != label.num_classes:
         raise ShapeMismatch(
             f"label has {label.num_classes} classes, target asked for {num_classes}")
-    slots = label.class_ids.astype(np.intp)
-    slots -= 1
-    slots[slots < 0] = num_classes
-    return DenseTarget(slots, num_classes)
+    return label
 
 
 def gate_canvas(canvas: PseudoCanvas, probs: np.ndarray, expected: np.ndarray,

@@ -172,7 +172,10 @@ def read_weak_label(path) -> WeakLabel:
             raise FormatError(path, f"line {ln}: non-integer box field") from None
     if not saw_tags:
         raise FormatError(path, "missing tags record")
-    return WeakLabel(boxes=tuple(boxes), tags=tags)
+    try:
+        return WeakLabel(boxes=tuple(boxes), tags=tags)
+    except DataError as exc:
+        raise FormatError(path, str(exc)) from None
 
 
 def has_type(value, kind) -> bool:

@@ -36,17 +36,17 @@ The loss functions take only a GroupIndex: callers build it once per
 group map with group_index (train_loop does so per dataset) and reuse it.
 
 A target is either a PseudoCanvas (box and tag items: soft and gated)
-or a DenseTarget (pixel labels: one class slot per pixel). The dense
-form gathers only the target class's atoms, and only at supervised
-pixels: s* = sum_k probs[class_atoms[k, slot]] in k order with padding
-read as +0.0, the loss -log max(s*, 1e-12), the gradient
-probs * (1 - 1/s*) at the atoms of G_slot and probs elsewhere, and +0.0
-written at unsupervised pixels. That keeps the bits of the canvas path
-on the one-hot canvas of the same labels, also for overlapping groups:
-with y one-hot, every other class's term there is an exact +-0.0
-(log(s_m) * 0 in the loss, 0 / s_m in the back-projection), the class
-sum of y is exactly 1, and adding a signed zero to a nonzero sum, or
-multiplying by 1, changes no bit. At s* == 1 both give the loss -0.0.
+or a StrongLabel (pixel labels: one class id per pixel, 0 = void). A
+StrongLabel gathers only the target class's atoms, and only at
+supervised pixels: with slot = id - 1, s* = sum_k
+probs[class_atoms[k, slot]] in k order with padding read as +0.0, the
+loss -log max(s*, 1e-12), the gradient probs * (1 - 1/s*) at the atoms
+of G_slot and probs elsewhere, and +0.0 written at unsupervised pixels.
+That keeps the bits of the canvas path on the one-hot canvas of the
+same labels, also for overlapping groups: with y one-hot, every other
+class's term there is an exact +-0.0 (log(s_m) * 0 in the loss, 0 / s_m
+in the back-projection), the class sum of y is exactly 1, and adding a
+signed zero to a nonzero sum, or multiplying by 1, changes no bit. At s* == 1 both give the loss -0.0.
 
 An item whose target supervises no pixel (a box or tag canvas the
 confidence gate emptied) skips the loss math after the shape checks and
@@ -64,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import DenseTarget, PseudoCanvas, reduce_last
+from .annotations import PseudoCanvas, StrongLabel, reduce_last
 from .errors import (
     IndexOutOfRange,
     MissingChildren,
@@ -80,7 +80,7 @@ LOG_EPS = 1e-12
 # (H, W, A) float arrays; a group map is a sequence of frozensets of
 # zero-based atom indices, one entry per non-void class slot.
 GroupMap = Sequence[frozenset]
-Target = PseudoCanvas | DenseTarget
+Target = PseudoCanvas | StrongLabel
 
 
 @dataclass(frozen=True)
@@ -171,15 +171,16 @@ def accumulate_groups(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     return _gather_sum(probs, index.class_atoms)
 
 
-def _dense_terms(target: DenseTarget, probs: np.ndarray, index: GroupIndex,
+def _dense_terms(target: StrongLabel, probs: np.ndarray, index: GroupIndex,
                  mask: np.ndarray):
-    """_pixel_terms of a DenseTarget with some supervised pixel: gathers
+    """_pixel_terms of a StrongLabel with some supervised pixel: gathers
     only the target class's atoms, at the supervised rows only (see the
-    module docstring)."""
+    module docstring). The class slot id - 1 is taken after the row
+    gather, so void pixels are never indexed."""
     h, w, atoms = probs.shape
     flat = probs.reshape(-1, atoms)
     rows = np.flatnonzero(mask)
-    members = index.class_atoms[:, target.slots.reshape(-1)[rows]]  # (g, n)
+    members = index.class_atoms[:, target.class_ids.reshape(-1)[rows] - 1]  # (g, n)
     real = members < atoms
     at = np.where(real, members, 0)
     at += rows * atoms
@@ -220,7 +221,7 @@ def _pixel_terms(target: Target, probs: np.ndarray, index: GroupIndex):
     n = int(np.count_nonzero(mask))
     if n == 0:
         return np.zeros(mask.shape), np.zeros(probs.shape), 0
-    if isinstance(target, DenseTarget):
+    if isinstance(target, StrongLabel):
         return (*_dense_terms(target, probs, index, mask), n)
     y = target.probs[:, :, :num]
     s = _gather_sum(probs, index.class_atoms)
@@ -258,9 +259,9 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
     """Mixed-batch loss with per-population normalizers.
 
     Each item is (target, atom distribution, GroupIndex, supervision
-    kind), the target a DenseTarget for pixel labels and a PseudoCanvas
-    for box and tag canvases. Pixel-supervised items share one
-    normalizer (the total count of their supervised pixels across the
+    kind), the target the StrongLabel itself for pixel labels and a
+    PseudoCanvas for box and tag canvases. Pixel-supervised items share
+    one normalizer (the total count of their supervised pixels across the
     batch), box/tag items share the other; the loss is the sum of both
     normalized populations. Returns the scalar loss and the per-item
     logit gradients of that scalar. A population that contributes no

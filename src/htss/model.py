@@ -61,7 +61,6 @@ import numpy as np
 
 from . import formats
 from .annotations import (
-    StrongLabel,
     gate_canvas,
     reduce_last,
     refine_canvas,
@@ -375,7 +374,7 @@ class LoadedDataset:
 
     space: LabelSpace
     images: list[np.ndarray]
-    labels: list  # StrongLabel or WeakLabel entries, parallel to images
+    labels: list  # StrongLabel (its own loss target) or WeakLabel, parallel to images
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -419,9 +418,9 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     """Deterministic joint training over heterogeneous datasets.
 
     Every step draws each dataset's quota of images, runs the forward
-    pass, converts labels to targets (pixel labels to class-slot
-    DenseTargets, one strong_to_canvas call per item; box and tag labels
-    to canvases refined against the current predictions), applies the
+    pass, takes each label's target (a pixel label is its own target,
+    checked by one strong_to_canvas call per item; box and tag labels
+    become canvases refined against the current predictions), applies the
     mixed-batch loss, backpropagates and takes one momentum-SGD step.
     An epoch is the number of steps the largest dataset needs for a full
     pass. The plan must draw at least

@@ -346,6 +346,8 @@ def load_dataset(manifest_path) -> LoadedDataset:
         image = formats.read_raster(root / img_rel)
         if image.ndim != 3:
             raise FormatError(root / img_rel, f"image must be (H, W, C), got {image.shape}")
+        if not np.isfinite(image).all():
+            raise FormatError(root / img_rel, "image holds NaN or infinite values")
         images.append(image.astype(np.float64))
         height, width = image.shape[:2]
         if space.supervision in PIXEL_KINDS:

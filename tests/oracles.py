@@ -7,8 +7,8 @@ softmax cross-entropy for the singleton-group degeneracy, the
 slice-by-slice patch layout the conv kernels must reproduce bit for bit,
 the whole network's forward and backward pass written out of place on
 that layout, the confidence gate over the full raster, and the one-hot
-canvas of a pixel label, whose loss the class-slot targets must
-reproduce bit for bit.
+canvas of a pixel label, whose loss the label itself, taken as the
+target, must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def gate_full_raster_oracle(canvas_probs, probs, expected, threshold):
 
 def one_hot_canvas(label, num_classes):
     """One-hot (H, W, L+1) canvas of a StrongLabel, void pixels unlabeled:
-    the canvas form of annotations.strong_to_canvas's class-slot target."""
+    the canvas form of a pixel label, which the loss takes as it is."""
     from htss.annotations import PseudoCanvas
     from htss.errors import ShapeMismatch
 

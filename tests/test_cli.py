@@ -577,6 +577,10 @@ def test_eval_with_no_class_present_writes_null_miou(tmp_path, gen_tree):
     ("boxes", "1 0 0 4 9"),    # y_max beyond the 8-high image
     ("boxes", "9 0 0 2 2"),    # class index beyond the label space
     ("tags", "tags: 1 9"),     # tag index beyond the label space
+    ("boxes", "0 0 0 2 2"),    # void box class
+    ("boxes", "1 2 0 2 2"),    # non-positive extent
+    ("boxes", "1 -1 0 2 2"),   # negative coordinate
+    ("tags", "tags: 0 1"),     # void tag
 ])
 def test_weak_records_checked_at_load(tmp_path, gen_tree, capsys, dataset, record):
     label = gen_tree / dataset / "lab_00003.weak"
@@ -597,7 +601,7 @@ def test_weak_records_checked_at_load(tmp_path, gen_tree, capsys, dataset, recor
         # raised while loading, naming the file, not mid-run at canvas time
         assert "data error" in err and "lab_00003.weak" in err, err
         assert "Traceback" not in err, err
-    assert not (tmp_path / "pl_out" / dataset).exists()
+    assert not (tmp_path / "pl_out").exists()
     assert not (tmp_path / "run").exists()
 
 
@@ -914,3 +918,25 @@ def test_image_raster_must_have_three_axes(tmp_path, gen_tree, capsys, command, 
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "img_00001.rast" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_image_raster_exits_3(tmp_path, gen_tree, capsys, value):
+    # refused while loading, naming the raster, not a numeric failure mid-run
+    from htss.formats import write_raster
+    manifests = [str(gen_tree / "fine_px_manifest.json")]
+    train = write_json(tmp_path / "train.json", {
+        "manifests": manifests, "quotas": {"fine_px": 2}, "feature_width": 2})
+    assert main(["train", "--config", train, "--out", str(tmp_path / "run")]) == 0
+    evaluate = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(tmp_path / "run" / "final.ckpt"), "manifests": manifests,
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")]})
+    image = read_raster(gen_tree / "fine_px" / "img_00001.rast")
+    image[2, 3, 1] = value
+    write_raster(gen_tree / "fine_px" / "img_00001.rast", image)
+    for argv in (["train", "--config", train], ["eval", "--config", evaluate]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 3, argv
+        err = capsys.readouterr().err
+        assert "data error" in err and "img_00001.rast" in err, err
+        assert "Traceback" not in err and "Warning" not in err, err
+        assert not (tmp_path / "out").exists()

@@ -240,6 +240,25 @@ def test_train_loop_builds_group_tables_once_per_dataset(monkeypatch):
     assert sorted(calls) == [2, 2, 3]  # one per dataset, not one per item
 
 
+def test_train_loop_pixel_items_take_their_loaded_label(monkeypatch):
+    # a pixel label is its own loss target: no per-step conversion or copy
+    datasets, tax = _box_world(79)
+    loaded = [lab for ds in datasets if ds.supervision != BBOX for lab in ds.labels]
+    targets = []
+    real_loss = model.batch_loss
+
+    def recording_loss(items):
+        targets.extend(t for t, _, _, kind in items if kind != BBOX)
+        return real_loss(items)
+
+    monkeypatch.setattr(model, "batch_loss", recording_loss)
+    plan = BatchPlan(quotas={"fine": 2, "coarse": 1, "boxes": 2}, seed=9)
+    train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
+               epochs=2, refine_threshold=0.5, feature_width=3)
+    assert len(targets) == 8 * 3  # 8 steps, 3 pixel items each
+    assert all(any(t is lab for lab in loaded) for t in targets)
+
+
 def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
     # at threshold 1.0 the gate keeps no box pixel, so every box item has
     # an all-zero gradient and must not reach backward
