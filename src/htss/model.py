@@ -31,28 +31,29 @@ W+2 pixels, so tap (dy, dx) lands with one contiguous add at offset
 (dy*(W+2) + dx)*C, in the plain form's (dy, dx) order: plane pixel
 (y, x) goes to buffer pixel (y+dy, x+dx), and a real pixel (x < W)
 never wraps past its row. Every real element is still one dot product
-over width, which OpenBLAS sums in the same order for these products as
-for the plain one, so each cell adds the same values in the same order.
+over width, which OpenBLAS sums at most shapes in the same order for
+these products as for the plain one (see below), so each cell adds the
+same values in the same order.
 The pad pixels add only +-0.0 terms, some wrapped into the next row or
 the extra last row, and these change no bit: x + (+-0.0) is x unless x
 is -0.0, and a running sum started at +0.0 never is -0.0 (IEEE addition
 gives -0.0 only for -0.0 + -0.0). So the gradient keeps the plain form's
-bits; the tests check this against the slice-by-slice oracle at widths
-1 to 16. A one-pixel image gets only the centre tap, and there numpy
-takes a vector-matrix path that sums a C-ordered kernel in another order
-than the plain form's transposed one; so that case multiplies by the
-transposed view kernel[1, 1].T, as the plain form does, and adds the
-product to +0.0, as the buffer does. (With OpenBLAS 0.3.31 on Haswell
-this holds at widths up to 16, and at multiples of 8 from 24 to 64 on
-images of over 4 pixels. At other widths above 16 the plain GEMM can
-differ in the last bit, and at widths 1 to 3 past a multiple of 8 a
-row's sums depend on its place in the GEMM's row blocks, so padded rows
-can give other bits than H*W unpadded rows: on images under 64 pixels,
-and at widths 49 and 50 also at 20x20.)
+bits wherever BLAS sums each row of both products alike. A one-pixel
+image gets only the centre tap, and there numpy takes a vector-matrix
+path that sums a C-ordered kernel in another order than the plain form's
+transposed one; so that case multiplies by the transposed view
+kernel[1, 1].T, as the plain form does, and adds the product to +0.0, as
+the buffer does. Where BLAS does not sum alike (a row's sums can depend
+on the GEMM's shape and on the row's place in its row blocks), the w1 and
+b1 gradients can differ from the plain form's in the last bits. The table
+EXACT_CONV1_GRADS in tests/test_model.py lists the (width, image size)
+cells where they match with OpenBLAS 0.3.31, and the test bounds every
+other cell to a few ulp.
 """
 
 from __future__ import annotations
 
+import ctypes  # numpy imports it already, so this costs no start-up time
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -97,6 +98,17 @@ from .taxonomy import (
 )
 
 INIT_SCALE = 0.05
+
+# glibc mallopt parameters and the values train_loop sets. A step's
+# (H, W, atoms) rasters and conv-2 patch matrices lie above glibc's
+# default 128 KiB mmap threshold, so glibc maps each one afresh and
+# unmaps it on free, or trims the freed heap top, and the next step
+# faults the same pages in again as zeroed ones. 32 MiB is the largest
+# mmap threshold glibc accepts; the trim threshold keeps freed heap.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 1 << 30
 
 
 @dataclass
@@ -213,8 +225,11 @@ class ForwardCache:
 
 
 def forward(params: MicroNetParams, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Logit raster (H, W, out_channels) plus the cache for backward."""
-    x = np.asarray(image, dtype=np.float64)
+    """Logit raster (H, W, out_channels) plus the cache for backward.
+
+    The image may hold any real dtype (the loaded ones are float32): the
+    first im2col copy, into its float64 buffer, widens it exactly."""
+    x = np.asarray(image)
     if x.ndim != 3 or x.shape[2] != params.in_channels:
         raise ShapeMismatch(
             f"image {x.shape} vs network expecting (H, W, {params.in_channels})")
@@ -295,6 +310,8 @@ def load_checkpoint(path) -> MicroNetParams:
     arrays = formats.read_array_file(path)
     if len(arrays) != 6:
         raise FormatError(path, f"checkpoint holds {len(arrays)} arrays, expected 6")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FormatError(path, "checkpoint holds NaN or infinite values")
     params = MicroNetParams(*arrays)
     if params.w1.shape[:2] != (3, 3) or params.w2.shape[:2] != (3, 3):
         raise FormatError(path, "checkpoint kernel shapes are not 3x3")
@@ -373,7 +390,7 @@ class LoadedDataset:
     """One dataset held in memory for training or evaluation."""
 
     space: LabelSpace
-    images: list[np.ndarray]
+    images: list[np.ndarray]  # (H, W, C) as on disk (float32 from gen); forward widens
     labels: list  # StrongLabel (its own loss target) or WeakLabel, parallel to images
 
     def __post_init__(self):
@@ -411,6 +428,41 @@ class TrainResult:
     steps_per_epoch: int
 
 
+def _keep_freed_heap() -> None:
+    """Make glibc keep freed memory in the process (see M_MMAP_THRESHOLD);
+    a C library without mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
+def _summed_grads(params: MicroNetParams, routes: list, grads: list,
+                  n_ap: int, n_s: int) -> MicroNetGrads:
+    """Parameter gradients of a batch, summed in item order. Each item's
+    (cache, head) route and logit gradient are dropped from the two
+    lists as its backward pass consumes them."""
+    total = MicroNetGrads.zeros_like(params)
+    for k, (cache, head) in enumerate(routes):
+        g = grads[k]
+        routes[k] = grads[k] = None
+        if not g.any():
+            continue
+        upstream = g  # one head: the gradient is the whole upstream
+        if n_s:
+            upstream = np.zeros(g.shape[:2] + (n_ap + n_s,))
+            if head == "ap":
+                upstream[:, :, :n_ap] = g
+            else:
+                upstream[:, :, n_ap:] = g
+        total.iadd(backward(cache, upstream))
+    return total
+
+
 def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                partition: AtomPartition | None, plan: BatchPlan,
                optimizer: OptimizerState, epochs: int, refine_threshold: float,
@@ -426,6 +478,16 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     pass. The plan must draw at least
     one pixel-supervised dataset: box/tag canvases are gated against the
     net's own predictions, which only pixel labels anchor.
+
+    Nothing of a step outlives it: the batch items (targets and head
+    rasters) are dropped once batch_loss returns, and each item's forward
+    cache and logit gradient once its backward pass has run. On glibc the
+    loop first raises the mmap and trim thresholds (see M_MMAP_THRESHOLD),
+    so the freed arrays stay on the heap for the next step to reuse, and
+    the process keeps that freed heap after training. The two go
+    together: freed early, the arrays' pages would go back to the kernel
+    and be faulted in again; kept, later steps would stack their arrays
+    above the still-live ones of the step before.
 
     An item whose logit gradient has no nonzero entry (a weak canvas the
     gate emptied) skips its backward pass; batch_loss already skipped
@@ -468,6 +530,40 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                                   n_ap if heads[ds_id].head == "ap" else n_s)
                for ds_id in sampler.ids}
 
+    def add_item(ds: LoadedDataset, idx: int, items: list, routes: list) -> None:
+        """Append one image's batch_loss item and its (cache, head) route."""
+        dg = heads[ds.dataset_id]
+        index = indexes[ds.dataset_id]
+        num = ds.space.num_classes
+        logits, cache = forward(params, ds.images[idx])
+        if ds.supervision in PIXEL_KINDS:
+            target = strong_to_canvas(ds.labels[idx], num)
+            head_probs = softmax_atoms(logits[:, :, :n_ap])
+        else:
+            h, w = logits.shape[:2]
+            target = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
+            rows = target.voted_rows
+            head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
+            if rows.size:  # else the raw canvas is all unlabeled already
+                # voted everywhere (any tag canvas): no row gather or scatter
+                every = rows.size == h * w
+                voted = logits.reshape(h * w, -1)
+                voted = voted if every else voted.take(rows, axis=0)
+                ap_rows = softmax_atoms(voted[:, :n_ap])
+                if dg.head == "s":  # subclass votes kept, localization gated
+                    parents = np.asarray(dg.parent_slots, dtype=np.int64)
+                    target = gate_canvas(target, ap_rows, parents[target.voted_argmax],
+                                         refine_threshold)
+                    head_rows = softmax_atoms(voted[:, n_ap:])
+                else:
+                    predicted = _dataset_predictions(ap_rows, index)
+                    target = refine_canvas(target, predicted, refine_threshold)
+                    head_rows = ap_rows
+                head_probs.reshape(h * w, -1)[slice(None) if every else rows] = head_rows
+        items.append((target, head_probs, index, ds.supervision))
+        routes.append((cache, dg.head))
+
+    _keep_freed_heap()
     losses: list[float] = []
     total_steps = epochs * sampler.steps_per_epoch
     for step in range(total_steps):
@@ -475,54 +571,13 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         items = []
         routes = []
         for ds_id in sampler.ids:
-            ds = by_id[ds_id]
-            dg = heads[ds_id]
-            index = indexes[ds_id]
-            num = ds.space.num_classes
             for idx in picks[ds_id]:
-                logits, cache = forward(params, ds.images[idx])
-                if ds.supervision in PIXEL_KINDS:
-                    target = strong_to_canvas(ds.labels[idx], num)
-                    head_probs = softmax_atoms(logits[:, :, :n_ap])
-                else:
-                    h, w = logits.shape[:2]
-                    target = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
-                    rows = target.voted_rows
-                    head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
-                    if rows.size:  # else the raw canvas is all unlabeled already
-                        # voted everywhere (any tag canvas): no row gather or scatter
-                        every = rows.size == h * w
-                        voted = logits.reshape(h * w, -1)
-                        voted = voted if every else voted.take(rows, axis=0)
-                        ap_rows = softmax_atoms(voted[:, :n_ap])
-                        if dg.head == "s":  # subclass votes kept, localization gated
-                            parents = np.asarray(dg.parent_slots, dtype=np.int64)
-                            target = gate_canvas(target, ap_rows, parents[target.voted_argmax],
-                                                 refine_threshold)
-                            head_rows = softmax_atoms(voted[:, n_ap:])
-                        else:
-                            predicted = _dataset_predictions(ap_rows, index)
-                            target = refine_canvas(target, predicted, refine_threshold)
-                            head_rows = ap_rows
-                        head_probs.reshape(h * w, -1)[slice(None) if every else rows] = head_rows
-                items.append((target, head_probs, index, ds.supervision))
-                routes.append((cache, dg.head))
+                add_item(by_id[ds_id], idx, items, routes)
         loss, grads = batch_loss(items)
+        del items
         if not np.isfinite(loss):
             raise NonFiniteLoss(step)
-        total = MicroNetGrads.zeros_like(params)
-        for (cache, head), g in zip(routes, grads):
-            if not g.any():
-                continue
-            upstream = g  # one head: the gradient is the whole upstream
-            if n_s:
-                upstream = np.zeros(g.shape[:2] + (n_ap + n_s,))
-                if head == "ap":
-                    upstream[:, :, :n_ap] = g
-                else:
-                    upstream[:, :, n_ap:] = g
-            total.iadd(backward(cache, upstream))
-        sgd_step(params, total, optimizer)
+        sgd_step(params, _summed_grads(params, routes, grads, n_ap, n_s), optimizer)
         losses.append(loss)
 
     return TrainResult(params=params, losses=losses,

@@ -348,7 +348,7 @@ def load_dataset(manifest_path) -> LoadedDataset:
             raise FormatError(root / img_rel, f"image must be (H, W, C), got {image.shape}")
         if not np.isfinite(image).all():
             raise FormatError(root / img_rel, "image holds NaN or infinite values")
-        images.append(image.astype(np.float64))
+        images.append(image)
         height, width = image.shape[:2]
         if space.supervision in PIXEL_KINDS:
             ids = formats.read_raster(root / lab_rel)

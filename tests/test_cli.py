@@ -940,3 +940,25 @@ def test_non_finite_image_raster_exits_3(tmp_path, gen_tree, capsys, value):
         assert "data error" in err and "img_00001.rast" in err, err
         assert "Traceback" not in err and "Warning" not in err, err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_checkpoint_exits_3(tmp_path, gen_tree, capsys, value):
+    # refused while loading, naming the checkpoint, not a numeric failure in eval
+    from htss.model import save_checkpoint
+    manifests = [str(gen_tree / "fine_px_manifest.json")]
+    train = write_json(tmp_path / "train.json", {
+        "manifests": manifests, "quotas": {"fine_px": 2}, "feature_width": 2})
+    assert main(["train", "--config", train, "--out", str(tmp_path / "run")]) == 0
+    ckpt = tmp_path / "run" / "final.ckpt"
+    params = load_checkpoint(ckpt)
+    params.wh[0, 0] = value
+    save_checkpoint(ckpt, params)
+    evaluate = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(ckpt), "manifests": manifests,
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")]})
+    assert main(["eval", "--config", evaluate, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "final.ckpt" in err, err
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert not (tmp_path / "out").exists()

@@ -1,8 +1,12 @@
+import ctypes
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
 
+from htss import model
 from htss.annotations import StrongLabel, WeakLabel
 from htss.errors import (
     ConfigError,
@@ -13,6 +17,7 @@ from htss.errors import (
     UncoveredClass,
     UnsatisfiableQuota,
 )
+from htss.lossgrad import batch_loss
 from htss.model import (
     BatchPlan,
     BatchSampler,
@@ -164,6 +169,65 @@ def test_forward_and_backward_match_layer_oracle_bit_for_bit(h, w, width, out):
         got = backward(cache, upstream).arrays()
         want = backward_oracle(p, image, upstream)
         assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
+_EVERY_SIZE = {*range(1, 10), 12, 16, 24, 32, 40, 48, 56, 64}
+_PAST_ONE_PIXEL = _EVERY_SIZE | {10, 11, 13, 14, 15, 21}
+# Conv widths at which the w1 and b1 gradients equal backward_oracle byte
+# for byte, per image size, with OpenBLAS 0.3.31 (Haswell kernels, one
+# thread). They come from the conv-2 input gradient, whose per-tap GEMMs
+# (or, on one pixel, vector-matrix product) can sum a row in another order
+# than the oracle's one GEMM. Each cell held over 24 random draws.
+EXACT_CONV1_GRADS = {
+    (1, 1): _EVERY_SIZE | {20, 28, 36, 44, 52, 60},
+    (2, 3): _PAST_ONE_PIXEL | {22, 23, 29, 30, 31, 37, 38, 39, 45, 46, 47,
+                               53, 54, 55, 61, 62, 63},
+    (4, 4): _PAST_ONE_PIXEL | {61, 62, 63},
+    (7, 5): _PAST_ONE_PIXEL,
+    (8, 8): _PAST_ONE_PIXEL,
+    (20, 20): _PAST_ONE_PIXEL,
+}
+# Elsewhere they stay within this many ulp of the oracle array's largest
+# magnitude; the draws above reached 4.9.
+CONV1_GRAD_ULPS = 8
+
+
+@pytest.mark.parametrize("h, w", list(EXACT_CONV1_GRADS))
+def test_blas_envelope_of_forward_and_backward(h, w):
+    # logits and the w2, b2, wh and bh gradients equal the oracle at every
+    # width; w1 and b1 do in the cells of EXACT_CONV1_GRADS
+    bound = CONV1_GRAD_ULPS * np.finfo(np.float64).eps
+    loose = []
+    for width in range(1, 65):
+        rng = np.random.default_rng([0, width, h, w])
+        p = init_micronet(3, width, 5, seed=width)
+        image = rng.standard_normal((h, w, 3))
+        upstream = rng.standard_normal((h, w, 5))
+        logits, cache = forward(p, image)
+        assert logits.tobytes() == forward_oracle(p, image)[0].tobytes(), width
+        got = backward(cache, upstream).arrays()
+        want = backward_oracle(p, image, upstream)
+        assert [g.tobytes() for g in got[2:]] == [g.tobytes() for g in want[2:]], width
+        for name, g, o in zip(("w1", "b1"), got, want):
+            if g.tobytes() == o.tobytes():
+                continue
+            if width in EXACT_CONV1_GRADS[(h, w)]:
+                loose.append((width, name))
+            assert np.abs(g - o).max() <= bound * np.abs(o).max(), (width, name)
+    assert not loose, f"conv-1 gradients off the oracle at {h}x{w}: {loose}"
+
+
+def test_float32_image_gives_the_bits_of_its_float64_copy():
+    rng = np.random.default_rng(32)
+    for h, w, width in [(20, 20, 8), (48, 48, 16), (1, 1, 8)]:
+        p = init_micronet(3, width, 6, seed=width)
+        image = rng.standard_normal((h, w, 3)).astype(np.float32)
+        upstream = rng.standard_normal((h, w, 6))
+        got, cache = forward(p, image)
+        want, wide_cache = forward(p, image.astype(np.float64))
+        assert got.tobytes() == want.tobytes()
+        assert ([g.tobytes() for g in backward(cache, upstream).arrays()]
+                == [g.tobytes() for g in backward(wide_cache, upstream).arrays()])
 
 
 @pytest.mark.parametrize("h, w, width, out", [(20, 20, 8, 6), (48, 48, 16, 7)])
@@ -403,3 +467,72 @@ def test_train_loop_rejects_plan_without_pixel_dataset():
             train_loop([px, boxes], tax, None, BatchPlan({"boxes": 1}, seed=0),
                        OptimizerState(learning_rate=0.1), epochs=1,
                        refine_threshold=threshold)
+
+
+def many_atom_training(steps, atoms=150, size=16):
+    """Train a pixel plus a box dataset of `atoms` classes on size x size
+    images: each (H, W, atoms) float64 raster of a step, 300 KiB at the
+    defaults, lies above glibc's default 128 KiB mmap threshold."""
+    names = ("void",) + tuple(f"c{k}" for k in range(atoms))
+    spaces = [LabelSpace("px", names, "pixel_dense"), LabelSpace("boxes", names, "bbox")]
+    rel = RelationTable.empty()
+    tax = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    rng = np.random.default_rng(80)
+    images = [rng.standard_normal((size, size, 3)) for _ in range(4)]
+    px = LoadedDataset(spaces[0], images, [
+        StrongLabel(rng.integers(0, atoms + 1, (size, size)), atoms) for _ in images])
+    boxes = LoadedDataset(spaces[1], images, [
+        WeakLabel(boxes=((1 + k, 0, 0, 8, 8 + k),)) for k in range(4)])
+    return train_loop([px, boxes], tax, None, BatchPlan({"px": 2, "boxes": 2}, seed=5),
+                      OptimizerState(learning_rate=0.1, momentum=0.5),
+                      epochs=steps // 2, refine_threshold=0.0)
+
+
+def _has_mallopt() -> bool:
+    return hasattr(ctypes.CDLL(None), "mallopt")
+
+
+def test_train_loop_frees_each_step_before_the_next(monkeypatch):
+    # weak references to a step's logit gradients and head rasters must all
+    # be dead by the time batch_loss is entered for the next step
+    alive, entered = [], []
+
+    def tracked(items):
+        entered.append(sum(ref() is not None for ref in alive))
+        alive.clear()
+        loss, grads = batch_loss(items)
+        alive.extend(weakref.ref(a) for a in [*grads, *(item[1] for item in items)])
+        return loss, grads
+
+    monkeypatch.setattr(model, "batch_loss", tracked)
+    many_atom_training(steps=4)
+    assert entered == [0, 0, 0, 0]
+
+
+def test_train_loop_trains_without_mallopt(monkeypatch):
+    want = many_atom_training(steps=4)
+    looked_up = []
+
+    def c_library(name):
+        looked_up.append(name)
+        return types.SimpleNamespace()  # a C library without mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", c_library)
+    got = many_atom_training(steps=4)
+    assert looked_up == [None]
+    assert got.losses == want.losses
+    assert ([a.tobytes() for a in got.params.arrays()]
+            == [a.tobytes() for a in want.params.arrays()])
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_training_keeps_its_pages():
+    # the second of two identical runs reuses the heap the first one freed:
+    # 3-4 minor faults with glibc 2.36, against 1373-1886 with its default
+    # thresholds and each step's arrays kept until the next step
+    resource = pytest.importorskip("resource")
+    many_atom_training(steps=12)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    many_atom_training(steps=12)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100, faults

@@ -155,8 +155,8 @@ def test_emit_and_load_pixel_dataset(tmp_path):
     assert ds.dataset_id == "fine_px"
     assert len(ds.images) == 3
     scene = generate_scene(w, 0)
-    np.testing.assert_allclose(ds.images[0], scene.features.astype(np.float32),
-                               atol=0.0)
+    assert ds.images[0].dtype == np.float32  # held as on disk; forward widens
+    assert ds.images[0].tobytes() == scene.features.astype(np.float32).tobytes()
     assert isinstance(ds.labels[0], StrongLabel)
     np.testing.assert_array_equal(ds.labels[0].class_ids, scene.fine_ids)
 
