@@ -1,9 +1,13 @@
 """Conversion of annotations into per-pixel pseudo-label canvases.
 
-A canvas stores, per pixel, a categorical vector of length L + 1: the
+A canvas gives each pixel a categorical vector of length L + 1: the
 first L slots follow the semantic classes of one label space (slot j is
 class index j + 1), the last slot marks the pixel as unlabeled. Pixels
-that are unlabeled are excluded from every loss.
+that are unlabeled are excluded from every loss. A canvas holds only its
+labeled pixels: rows (n,) their ascending row-major indices, vectors
+(n, L+1) their vectors, each with unlabeled mass < 0.5 (checked in
+O(nL)). Its .probs is the dense (H, W, L+1) view, with the unlabeled
+unit vector at every other pixel; only pseudo-label dumps read it.
 
 Bounding boxes vote: each box adds one integer vote for its class at
 every pixel it covers (half-open extents, [x_min, x_max) by
@@ -15,16 +19,15 @@ Pixel labels need no canvas: a StrongLabel is its own loss target, one
 class id per pixel (0 = void), and the loss reads only the target
 class's atoms (see lossgrad).
 
-Weak items are gated on their voted rows only: gate_canvas and
-refine_canvas take one prediction row and one expected column per
-labeled pixel, in row-major order. The gate is per pixel, so this keeps
-a full-raster gate's bits.
+gate_canvas and refine_canvas take one prediction row and one expected
+column per row of a canvas and keep a subset of its rows. The votes, the
+division, the argmax and the gate all act per row, so the rows hold the
+bits a full-raster canvas holds at those pixels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,77 +128,71 @@ class WeakLabel:
 
 @dataclass(frozen=True)
 class PseudoCanvas:
-    """Per-pixel categorical vectors of length L + 1; slot L = unlabeled."""
+    """A height x width canvas in row form (see the module docstring)."""
 
-    probs: np.ndarray
+    height: int
+    width: int
+    rows: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self):
-        p = self.probs
-        if p.ndim != 3 or p.shape[2] < 2:
-            raise ShapeMismatch(f"canvas must be (H, W, L+1) with L >= 1, got {p.shape}")
-        if np.any(p < 0.0):
+        rows, vec = self.rows, self.vectors
+        if rows.ndim != 1 or vec.ndim != 2 or vec.shape[0] != rows.size or vec.shape[1] < 2:
+            raise ShapeMismatch(f"canvas needs (n,) rows and (n, L+1) vectors, L >= 1, "
+                                f"got {rows.shape} and {vec.shape}")
+        if rows.size and (rows[0] < 0 or rows[-1] >= self.height * self.width
+                          or np.any(rows[1:] <= rows[:-1])):
+            raise DataError(f"canvas rows must ascend within {self.height}x{self.width}")
+        if np.any(vec < 0.0):
             raise DataError("canvas has negative entries")
-        if np.any(np.abs(reduce_last(np.add, p) - 1.0) > 1e-6):
+        if np.any(np.abs(reduce_last(np.add, vec) - 1.0) > 1e-6):
             raise DataError("canvas rows must sum to 1 within 1e-6")
-
-    @classmethod
-    def _of_checked_rows(cls, probs: np.ndarray) -> "PseudoCanvas":
-        """A canvas whose rows are rows of a checked canvas or the
-        unlabeled unit vector: valid by construction, so not checked again."""
-        canvas = object.__new__(cls)
-        object.__setattr__(canvas, "probs", probs)
-        return canvas
+        if np.any(vec[:, -1] >= 0.5):
+            raise DataError("a labeled canvas row has unlabeled mass >= 0.5")
 
     @property
     def num_classes(self) -> int:
-        return self.probs.shape[2] - 1
-
-    @property
-    def height(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.probs.shape[1]
-
-    @property
-    def unlabeled(self) -> np.ndarray:
-        return self.probs[:, :, self.num_classes]
+        return self.vectors.shape[1] - 1
 
     @property
     def supervised_mask(self) -> np.ndarray:
-        return self.unlabeled < 0.5
+        mask = np.zeros(self.height * self.width, dtype=bool)
+        mask[self.rows] = True
+        return mask.reshape(self.height, self.width)
 
-    @cached_property
-    def voted_rows(self) -> np.ndarray:
-        """Row-major indices of the labeled pixels, computed once."""
-        return np.flatnonzero(self.supervised_mask)
+    @property
+    def probs(self) -> np.ndarray:
+        """The dense (H, W, L+1) view: the unlabeled unit vector outside rows."""
+        out = np.zeros((self.height * self.width, self.vectors.shape[1]))
+        out[:, -1] = 1.0
+        out[self.rows] = self.vectors
+        return out.reshape(self.height, self.width, -1)
 
     @property
     def voted_argmax(self) -> np.ndarray:
-        """Class slot holding the most mass at each voted row, lowest on ties."""
-        flat = self.probs.reshape(-1, self.num_classes + 1)
-        return flat[self.voted_rows, :self.num_classes].argmax(axis=1)
+        """Class slot holding the most mass at each row, lowest on ties."""
+        return self.vectors[:, :self.num_classes].argmax(axis=1)
 
 
 def canvas_from_boxes(label: WeakLabel, height: int, width: int,
                       num_classes: int) -> PseudoCanvas:
     """Accumulate one unity vote per box over the pixels it covers, then
-    normalize over the class slots. Pixels with zero votes get the
-    unlabeled vector."""
+    normalize over the class slots. Only covered pixels get a row, each
+    counted at its position among them; the others are unlabeled."""
     if height < 1 or width < 1 or num_classes < 1:
         raise DataError("canvas dimensions and class count must be positive")
     label.check_fits(height, width, num_classes)
-    votes = np.zeros((height, width, num_classes), dtype=np.int64)
+    covered = np.zeros((height, width), dtype=bool)
+    for _, x0, y0, x1, y1 in label.boxes:
+        covered[y0:y1, x0:x1] = True
+    rows = np.flatnonzero(covered)
+    position = np.cumsum(covered).reshape(height, width) - 1  # at covered pixels
+    votes = np.zeros((rows.size, num_classes), dtype=np.int64)
     for cls, x0, y0, x1, y1 in label.boxes:
-        votes[y0:y1, x0:x1, cls - 1] += 1
-    total = reduce_last(np.add, votes)
-    covered = total > 0
-    probs = np.zeros((height, width, num_classes + 1), dtype=np.float64)
-    np.divide(votes, total[:, :, None], out=probs[:, :, :num_classes],
-              where=covered[:, :, None])
-    probs[:, :, num_classes] = np.where(covered, 0.0, 1.0)
-    return PseudoCanvas(probs)
+        votes[position[y0:y1, x0:x1].ravel(), cls - 1] += 1  # no repeats within a box
+    vectors = np.zeros((rows.size, num_classes + 1))
+    np.divide(votes, reduce_last(np.add, votes)[:, None], out=vectors[:, :num_classes])
+    return PseudoCanvas(height, width, rows, vectors)
 
 
 def canvas_from_tags(label: WeakLabel, height: int, width: int,
@@ -227,20 +224,16 @@ def gate_canvas(canvas: PseudoCanvas, probs: np.ndarray, expected: np.ndarray,
     """The confidence gate: a labeled pixel keeps its canvas vector iff
     the argmax of its prediction row is its expected column and the
     probability there is >= threshold; every other pixel becomes
-    unlabeled. probs (n, K) and expected (n,) hold one entry per labeled
-    pixel, in row-major order. Argmax ties resolve to the lowest column."""
-    num = canvas.num_classes
-    rows = canvas.voted_rows
-    if expected.shape != rows.shape or probs.shape[0] != rows.size:
+    unlabeled. probs (n, K) and expected (n,) hold one entry per row of
+    the canvas. Argmax ties resolve to the lowest column."""
+    n = canvas.rows.size
+    if expected.shape != (n,) or probs.shape[0] != n:
         raise ShapeMismatch(
             f"{probs.shape[0]} prediction rows and {expected.shape} expected "
-            f"columns for {rows.size} labeled pixels")
+            f"columns for {n} labeled pixels")
     conf = np.take_along_axis(probs, expected[:, None], axis=1)[:, 0]
-    keep = rows[(probs.argmax(axis=1) == expected) & (conf >= threshold)]
-    out = np.zeros(canvas.probs.shape)
-    out[:, :, num] = 1.0
-    out.reshape(-1, num + 1)[keep] = canvas.probs.reshape(-1, num + 1)[keep]
-    return PseudoCanvas._of_checked_rows(out)
+    keep = (probs.argmax(axis=1) == expected) & (conf >= threshold)
+    return replace(canvas, rows=canvas.rows[keep], vectors=canvas.vectors[keep])
 
 
 def refine_canvas(canvas: PseudoCanvas, predicted_probs: np.ndarray,
@@ -255,10 +248,7 @@ def refine_canvas(canvas: PseudoCanvas, predicted_probs: np.ndarray,
     """
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"refine threshold must lie in [0, 1], got {threshold}")
-    num = canvas.num_classes
-    labeled = canvas.voted_rows.size
-    if predicted_probs.shape != (labeled, num):
-        raise ShapeMismatch(
-            f"predictions {predicted_probs.shape} do not match the canvas's "
-            f"{labeled} labeled pixels over {num} classes")
+    if predicted_probs.shape != canvas.vectors[:, :-1].shape:  # (labeled pixels, L)
+        raise ShapeMismatch(f"predictions {predicted_probs.shape} do not match the canvas's "
+                            f"(labeled pixels, classes) {canvas.vectors[:, :-1].shape}")
     return gate_canvas(canvas, predicted_probs, canvas.voted_argmax, threshold)

@@ -35,10 +35,14 @@ O(HW * (A + sum_m |G_m|)) where the matrix products cost O(HW * A * L).
 The loss functions take only a GroupIndex: callers build it once per
 group map with group_index (train_loop does so per dataset) and reuse it.
 
-A target is either a PseudoCanvas (box and tag items: soft and gated)
-or a StrongLabel (pixel labels: one class id per pixel, 0 = void). A
-StrongLabel gathers only the target class's atoms, and only at
-supervised pixels: with slot = id - 1, s* = sum_k
+A target is either a PseudoCanvas (box and tag items: soft, gated and
+held as their labeled rows) or a StrongLabel (pixel labels: one class id
+per pixel, 0 = void). Both compute on supervised rows only. Row losses
+go into an (H, W) +0.0 raster before any sum, so batch_loss's pairwise
+sum sees a full-raster pass's array, and a canvas's gradient rows into
+a zero raster; its gathers, log and reduce_last act per row, so their
+bits do not depend on the outer shape. A StrongLabel gathers only the
+target class's atoms: with slot = id - 1, s* = sum_k
 probs[class_atoms[k, slot]] in k order with padding read as +0.0, the
 loss -log max(s*, 1e-12), the gradient probs * (1 - 1/s*) at the atoms
 of G_slot and probs elsewhere, and +0.0 written at unsupervised pixels.
@@ -50,8 +54,7 @@ signed zero to a nonzero sum, or multiplying by 1, changes no bit. At s* == 1 bo
 
 An item whose target supervises no pixel (a box or tag canvas the
 confidence gate emptied) skips the loss math after the shape checks and
-gets all-zero losses and gradients. The full path gives the same bits:
-it sets every unsupervised pixel's loss and gradient to +0.0, and an
+gets all-zero losses and gradients, the bits the row path gives it: an
 all-+0.0 item adds +0.0 to the batch total and divides to +0.0.
 
 All math runs in float64; log arguments are clamped at 1e-12.
@@ -173,10 +176,10 @@ def accumulate_groups(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
 
 def _dense_terms(target: StrongLabel, probs: np.ndarray, index: GroupIndex,
                  mask: np.ndarray):
-    """_pixel_terms of a StrongLabel with some supervised pixel: gathers
-    only the target class's atoms, at the supervised rows only (see the
-    module docstring). The class slot id - 1 is taken after the row
-    gather, so void pixels are never indexed."""
+    """Supervised rows' losses and the gradient raster of a StrongLabel
+    with some supervised pixel: gathers only the target class's atoms, at
+    the supervised rows only (see the module docstring). The class slot
+    id - 1 is taken after the row gather, so void pixels are never indexed."""
     h, w, atoms = probs.shape
     flat = probs.reshape(-1, atoms)
     rows = np.flatnonzero(mask)
@@ -190,8 +193,6 @@ def _dense_terms(target: StrongLabel, probs: np.ndarray, index: GroupIndex,
     for row in parts[1:]:
         s += row
     np.maximum(s, LOG_EPS, out=s)
-    losses = np.zeros(h * w)
-    losses[rows] = -np.log(s)
     grads = flat.copy()  # a row gather into zeros costs far more
     if rows.size < h * w:
         grads[~mask.reshape(-1)] = 0.0
@@ -199,7 +200,7 @@ def _dense_terms(target: StrongLabel, probs: np.ndarray, index: GroupIndex,
     np.subtract(1.0, scale, out=scale)  # 1 - 1/s*, per supervised pixel
     at = at[real]
     grads.reshape(-1)[at] = np.broadcast_to(scale, real.shape)[real] * np.take(flat, at)
-    return losses.reshape(h, w), grads.reshape(h, w, atoms)
+    return -np.log(s), grads.reshape(h, w, atoms)
 
 
 def _pixel_terms(target: Target, probs: np.ndarray, index: GroupIndex):
@@ -222,18 +223,22 @@ def _pixel_terms(target: Target, probs: np.ndarray, index: GroupIndex):
     if n == 0:
         return np.zeros(mask.shape), np.zeros(probs.shape), 0
     if isinstance(target, StrongLabel):
-        return (*_dense_terms(target, probs, index, mask), n)
-    y = target.probs[:, :, :num]
-    s = _gather_sum(probs, index.class_atoms)
-    np.maximum(s, LOG_EPS, out=s)
-    terms = np.log(s)
-    terms *= y
-    losses = -reduce_last(np.add, terms)
-    losses[~mask] = 0.0
-    back = _gather_sum(np.divide(y, s, out=terms), index.atom_classes)
-    grads = np.subtract(reduce_last(np.add, y)[:, :, None], back, out=back)
-    grads *= probs
-    grads[~mask] = 0.0
+        row_losses, grads = _dense_terms(target, probs, index, mask)
+    else:  # a canvas: its rows, in row-major order
+        p_rows = probs[mask]
+        y = target.vectors[:, :num]
+        s = _gather_sum(p_rows, index.class_atoms)
+        np.maximum(s, LOG_EPS, out=s)
+        terms = np.log(s)
+        terms *= y
+        row_losses = -reduce_last(np.add, terms)
+        back = _gather_sum(np.divide(y, s, out=terms), index.atom_classes)
+        np.subtract(reduce_last(np.add, y)[:, None], back, out=back)
+        back *= p_rows
+        grads = np.zeros(probs.shape)
+        grads[mask] = back
+    losses = np.zeros(mask.shape)
+    losses[mask] = row_losses
     return losses, grads, n
 
 

@@ -48,11 +48,6 @@ class ConfusionMatrix:
         flat = gt.ravel()[keep] * n + pred.ravel()[keep]
         self.counts += np.bincount(flat, minlength=n * n).reshape(n, n)
 
-    def merge(self, other: "ConfusionMatrix") -> None:
-        if other.num_classes != self.num_classes:
-            raise ShapeMismatch("merging confusion matrices of different sizes")
-        self.counts += other.counts
-
 
 def iou_per_class(m: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-class IoU and presence flags, both indexed by class id.

@@ -497,13 +497,13 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     -0.0 + -0.0), and x + (+-0.0) is x. With one head (no s atoms) an
     item's gradient is its upstream as is, not copied into a zero raster.
 
-    A box or tag item computes only on its voted rows, the pixels its raw
-    canvas labels: the softmax, dataset predictions and gate run there, its
-    head raster is +0.0 elsewhere, and an unvoted item skips the softmax,
-    its raw canvas being its target. Same bits: softmax_atoms and reduce_last
-    treat each row alike, the gate is per pixel, and batch_loss zeroes every
-    unsupervised pixel. The logits stay full: the head GEMM's row count can
-    change BLAS sums.
+    A box or tag item computes only on its raw canvas's rows, the pixels
+    some box or tag votes on: the softmax, dataset predictions and gate run
+    there, its head raster is +0.0 elsewhere, and an unvoted item skips the
+    softmax, its raw canvas being its target. Same bits: softmax_atoms and
+    reduce_last treat each row alike, the gate is per pixel, and batch_loss
+    reads the gated rows only. The logits stay full: the head GEMM's row
+    count can change BLAS sums.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -542,13 +542,10 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         else:
             h, w = logits.shape[:2]
             target = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
-            rows = target.voted_rows
+            rows = target.rows
             head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
             if rows.size:  # else the raw canvas is all unlabeled already
-                # voted everywhere (any tag canvas): no row gather or scatter
-                every = rows.size == h * w
-                voted = logits.reshape(h * w, -1)
-                voted = voted if every else voted.take(rows, axis=0)
+                voted = logits.reshape(h * w, -1).take(rows, axis=0)
                 ap_rows = softmax_atoms(voted[:, :n_ap])
                 if dg.head == "s":  # subclass votes kept, localization gated
                     parents = np.asarray(dg.parent_slots, dtype=np.int64)
@@ -559,7 +556,7 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                     predicted = _dataset_predictions(ap_rows, index)
                     target = refine_canvas(target, predicted, refine_threshold)
                     head_rows = ap_rows
-                head_probs.reshape(h * w, -1)[slice(None) if every else rows] = head_rows
+                head_probs.reshape(h * w, -1)[rows] = head_rows
         items.append((target, head_probs, index, ds.supervision))
         routes.append((cache, dg.head))
 

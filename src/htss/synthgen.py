@@ -355,8 +355,11 @@ def load_dataset(manifest_path) -> LoadedDataset:
             if ids.dtype != np.uint16 or ids.shape != (height, width):
                 raise FormatError(root / lab_rel, f"pixel labels must be uint16 of shape "
                                   f"{(height, width)}, got {ids.dtype} {ids.shape}")
-            labels.append(StrongLabel(class_ids=ids.astype(np.int64),
-                                      num_classes=space.num_classes))
+            try:
+                labels.append(StrongLabel(class_ids=ids.astype(np.int64),
+                                          num_classes=space.num_classes))
+            except DataError as exc:
+                raise FormatError(root / lab_rel, str(exc)) from None
         else:
             label = formats.read_weak_label(root / lab_rel)
             try:

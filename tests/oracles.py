@@ -6,9 +6,11 @@ extraction, central finite differences for gradients, a textbook
 softmax cross-entropy for the singleton-group degeneracy, the
 slice-by-slice patch layout the conv kernels must reproduce bit for bit,
 the whole network's forward and backward pass written out of place on
-that layout, the confidence gate over the full raster, and the one-hot
-canvas of a pixel label, whose loss the label itself, taken as the
-target, must reproduce bit for bit.
+that layout, the box/tag canvas, the confidence gate and the weak loss
+over the full raster, and the one-hot canvas of a pixel label, whose
+loss the label itself, taken as the target, must reproduce bit for bit.
+A full (H, W, L+1) canvas raster is a test-only input: canvas_of_raster
+checks one and turns it into the library's row form.
 """
 
 from __future__ import annotations
@@ -180,10 +182,69 @@ def gate_full_raster_oracle(canvas_probs, probs, expected, threshold):
     return out
 
 
+def canvas_of_raster(probs):
+    """The row-form PseudoCanvas of a full (H, W, L+1) canvas raster,
+    checked over every pixel: entries non-negative, each vector summing
+    to 1 within 1e-6. Its rows are the pixels whose unlabeled slot is
+    < 0.5."""
+    from htss.annotations import PseudoCanvas, reduce_last
+    from htss.errors import DataError, ShapeMismatch
+
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 3 or p.shape[2] < 2:
+        raise ShapeMismatch(f"canvas must be (H, W, L+1) with L >= 1, got {p.shape}")
+    if np.any(p < 0.0):
+        raise DataError("canvas has negative entries")
+    if np.any(np.abs(reduce_last(np.add, p) - 1.0) > 1e-6):
+        raise DataError("canvas rows must sum to 1 within 1e-6")
+    h, w, k = p.shape
+    rows = np.flatnonzero(p[:, :, k - 1] < 0.5)
+    return PseudoCanvas(h, w, rows, p.reshape(-1, k)[rows])
+
+
+def boxes_full_raster_oracle(label, height, width, num_classes):
+    """The box canvas built over the full raster, the authority for the
+    row form of annotations.canvas_from_boxes: int64 votes at every
+    pixel, divided where some box covers it, the unlabeled unit vector
+    elsewhere. Returns the (H, W, L+1) array."""
+    from htss.annotations import reduce_last
+
+    votes = np.zeros((height, width, num_classes), dtype=np.int64)
+    for cls, x0, y0, x1, y1 in label.boxes:
+        votes[y0:y1, x0:x1, cls - 1] += 1
+    total = reduce_last(np.add, votes)
+    covered = total > 0
+    probs = np.zeros((height, width, num_classes + 1), dtype=np.float64)
+    np.divide(votes, total[:, :, None], out=probs[:, :, :num_classes],
+              where=covered[:, :, None])
+    probs[:, :, num_classes] = np.where(covered, 0.0, 1.0)
+    return probs
+
+
+def weak_terms_full_raster_oracle(canvas_probs, probs, index):
+    """The weak loss over the full raster, the authority for the row form
+    of lossgrad's canvas branch: group sums, log and back-projection at
+    every pixel, then +0.0 written at each pixel whose unlabeled slot is
+    >= 0.5. Returns (per-pixel losses, unscaled gradients, supervised
+    count)."""
+    from htss.annotations import reduce_last
+    from htss.lossgrad import LOG_EPS, _gather_sum
+
+    num = canvas_probs.shape[2] - 1
+    mask = canvas_probs[:, :, num] < 0.5
+    y = canvas_probs[:, :, :num]
+    s = np.maximum(_gather_sum(probs, index.class_atoms), LOG_EPS)
+    losses = -reduce_last(np.add, np.log(s) * y)
+    losses[~mask] = 0.0
+    back = _gather_sum(y / s, index.atom_classes)
+    grads = (reduce_last(np.add, y)[:, :, None] - back) * probs
+    grads[~mask] = 0.0
+    return losses, grads, int(mask.sum())
+
+
 def one_hot_canvas(label, num_classes):
     """One-hot (H, W, L+1) canvas of a StrongLabel, void pixels unlabeled:
     the canvas form of a pixel label, which the loss takes as it is."""
-    from htss.annotations import PseudoCanvas
     from htss.errors import ShapeMismatch
 
     if num_classes != label.num_classes:
@@ -191,7 +252,7 @@ def one_hot_canvas(label, num_classes):
             f"label has {label.num_classes} classes, canvas asked for {num_classes}")
     ids = label.class_ids
     slots = np.where(ids > 0, ids - 1, num_classes)
-    return PseudoCanvas(np.eye(num_classes + 1, dtype=np.float64)[slots])
+    return canvas_of_raster(np.eye(num_classes + 1, dtype=np.float64)[slots])
 
 
 def fd_grad(fn, x, eps=1e-4):

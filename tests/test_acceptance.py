@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from htss.annotations import (
-    PseudoCanvas,
     StrongLabel,
     WeakLabel,
     canvas_from_boxes,
@@ -56,6 +55,7 @@ from htss.taxonomy import (
 
 from oracles import (
     atoms_fixed_point_oracle,
+    canvas_of_raster,
     fd_grad,
     random_taxonomy_instance,
     ref_softmax,
@@ -65,7 +65,7 @@ from oracles import (
 # --- shared plumbing ---
 
 def one_pixel(vec):
-    return PseudoCanvas(probs=np.array([[vec]], dtype=np.float64))
+    return canvas_of_raster(np.array([[vec]], dtype=np.float64))
 
 
 def memory_dataset(world, view):
@@ -195,7 +195,7 @@ def random_group_instance(rng):
             else:
                 raw = rng.random(num)
                 rows[y, x, :num] = raw / raw.sum()
-    target = PseudoCanvas(probs=rows)
+    target = canvas_of_raster(rows)
     z = rng.standard_normal((h, w, atoms))
     return target, z, groups
 

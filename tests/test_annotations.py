@@ -14,7 +14,13 @@ from htss.annotations import (
 )
 from htss.errors import DataError, ShapeMismatch
 
-from oracles import TRAILING_LENGTHS, gate_full_raster_oracle, trailing_axis_arrays
+from oracles import (
+    TRAILING_LENGTHS,
+    boxes_full_raster_oracle,
+    canvas_of_raster,
+    gate_full_raster_oracle,
+    trailing_axis_arrays,
+)
 
 
 def same_bits(got, want):
@@ -53,7 +59,7 @@ def test_canvas_rows_must_be_stochastic():
     bad = np.zeros((1, 1, 3))
     bad[0, 0] = (0.5, 0.2, 0.2)
     with pytest.raises(DataError):
-        PseudoCanvas(probs=bad)
+        canvas_of_raster(bad)
 
 
 def test_box_votes_normalize():
@@ -77,7 +83,7 @@ def test_box_coverage_is_half_open():
 def test_unvoted_pixels_are_unlabeled():
     lab = WeakLabel(boxes=((2, 0, 0, 1, 1),))
     canvas = canvas_from_boxes(lab, height=2, width=2, num_classes=2)
-    np.testing.assert_array_equal(canvas.unlabeled,
+    np.testing.assert_array_equal(canvas.probs[:, :, 2],
                                   [[0.0, 1.0], [1.0, 1.0]])
     np.testing.assert_array_equal(canvas.probs[0, 0], [0.0, 1.0, 0.0])
     assert not canvas.supervised_mask[1, 1]
@@ -107,7 +113,7 @@ def test_tags_match_full_frame_boxes_exactly():
 
 def test_empty_tags_everything_unlabeled():
     canvas = canvas_from_tags(WeakLabel(), height=2, width=2, num_classes=2)
-    assert np.all(canvas.unlabeled == 1.0)
+    assert np.all(canvas.probs[:, :, 2] == 1.0)
     assert not canvas.supervised_mask.any()
 
 
@@ -122,7 +128,7 @@ def test_strong_to_canvas_one_hot():
 
 
 def _canvas_1px(vec):
-    return PseudoCanvas(probs=np.array(vec, dtype=np.float64).reshape(1, 1, -1))
+    return canvas_of_raster(np.array(vec, dtype=np.float64).reshape(1, 1, -1))
 
 
 def test_refine_keeps_confident_agreement():
@@ -191,7 +197,7 @@ def test_refine_rows_stay_original_or_unlabeled():
         raw[drop, n] = 1.0
         raw[~drop, n] = 0.0
         probs = raw / raw.sum(axis=2, keepdims=True)
-        canvas = PseudoCanvas(probs=probs)
+        canvas = canvas_of_raster(probs)
         predraw = rng.random((h, w, n))
         pred = predraw / predraw.sum(axis=2, keepdims=True)
         thr = float(rng.random())
@@ -209,7 +215,7 @@ def test_refine_monotone_in_threshold():
     rng = np.random.default_rng(5)
     raw = rng.random((6, 6, 4))
     probs = raw / raw.sum(axis=2, keepdims=True)
-    canvas = PseudoCanvas(probs=probs)
+    canvas = canvas_of_raster(probs)
     predraw = rng.random((6, 6, 3))
     pred = predraw / predraw.sum(axis=2, keepdims=True)
     kept = [refine_canvas(canvas, pred[canvas.supervised_mask], t).supervised_mask.sum()
@@ -226,7 +232,7 @@ def test_gate_with_parent_columns_matches_pixel_loop():
         n, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         raw = rng.random((h, w, n + 1))
         raw[:, :, n] = np.where(rng.random((h, w)) < 0.3, 5.0, 0.0)
-        canvas = PseudoCanvas(probs=raw / raw.sum(axis=2, keepdims=True))
+        canvas = canvas_of_raster(raw / raw.sum(axis=2, keepdims=True))
         parent_slots = rng.integers(0, k, size=n)
         predraw = rng.random((h, w, k))
         pred = predraw / predraw.sum(axis=2, keepdims=True)
@@ -257,7 +263,7 @@ def _gate_instance(rng):
     probs[:, :, :n] = votes / votes.sum(axis=2, keepdims=True) * (1.0 - unl)[:, :, None]
     probs[:, :, n] = unl
     raw = rng.integers(1, 5, (h, w, k)).astype(np.float64)
-    return PseudoCanvas(probs=probs), raw / raw.sum(axis=2, keepdims=True), k
+    return canvas_of_raster(probs), raw / raw.sum(axis=2, keepdims=True), k
 
 
 def test_row_gate_matches_full_raster_oracle():
@@ -272,11 +278,11 @@ def test_row_gate_matches_full_raster_oracle():
         class_argmax = canvas.probs[:, :, :n].argmax(axis=2)
         for thr in [0.0, 1.0, float(rng.choice(pred.ravel()))]:
             expected = rng.integers(0, k, n)[class_argmax]
-            voted = expected.reshape(-1)[canvas.voted_rows]
+            voted = expected.reshape(-1)[canvas.rows]
             got = gate_canvas(canvas, rows, voted, thr).probs
             want = gate_full_raster_oracle(canvas.probs, pred, expected, thr)
             assert same_bits(got, want)
-            PseudoCanvas(probs=got)  # unchecked by the gate: valid by construction
+            canvas_of_raster(got)  # the gated dense view is a valid canvas raster
             if k == n:
                 got = refine_canvas(canvas, rows, thr).probs
                 want = gate_full_raster_oracle(canvas.probs, pred, class_argmax, thr)
@@ -284,9 +290,9 @@ def test_row_gate_matches_full_raster_oracle():
 
 
 def test_gate_takes_one_expected_column_per_voted_row():
-    canvas = PseudoCanvas(probs=np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    canvas = canvas_of_raster(np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                                           [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]]))
-    np.testing.assert_array_equal(canvas.voted_rows, [0, 2, 3])
+    np.testing.assert_array_equal(canvas.rows, [0, 2, 3])
     np.testing.assert_array_equal(canvas.voted_argmax, [0, 1, 0])
     pred = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
     out = gate_canvas(canvas, pred, np.array([0, 1, 1]), 0.5)
@@ -318,4 +324,84 @@ def test_fuzz_canvases_are_valid(seed=20260822):
         votes = np.zeros((h, w), dtype=bool)
         for cls, x0, y0, x1, y1 in boxes:
             votes[y0:y1, x0:x1] = True
-        np.testing.assert_array_equal(canvas.unlabeled == 1.0, ~votes)
+        np.testing.assert_array_equal(canvas.probs[:, :, num] == 1.0, ~votes)
+
+
+def test_row_canvas_checks_only_its_rows():
+    vec = np.array([[0.5, 0.5, 0.0], [0.0, 0.75, 0.25]])
+    canvas = PseudoCanvas(2, 3, np.array([1, 5]), vec)
+    np.testing.assert_array_equal(canvas.supervised_mask,
+                                  [[False, True, False], [False, False, True]])
+    assert canvas.probs[0, 0].tolist() == [0.0, 0.0, 1.0]
+    assert canvas.probs.reshape(-1, 3)[[1, 5]].tobytes() == vec.tobytes()
+    empty = PseudoCanvas(2, 3, np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
+    assert not empty.supervised_mask.any() and empty.num_classes == 2
+    bad_rows = [np.array([5, 1]), np.array([1, 1]), np.array([-1, 5]), np.array([1, 6])]
+    for rows in bad_rows:
+        with pytest.raises(DataError):
+            PseudoCanvas(2, 3, rows, vec)
+    bad_vectors = [[[-0.1, 1.1, 0.0]], [[0.5, 0.2, 0.2]], [[0.0, 0.5, 0.5]],
+                   [[0.0, 0.0, 1.0]]]
+    for v in bad_vectors:
+        with pytest.raises(DataError):
+            PseudoCanvas(2, 3, np.array([0]), np.array(v))
+    for rows, v in [(np.array([0, 1]), vec[:1]), (np.array([[0]]), vec[:1]),
+                    (np.array([0]), np.ones((1, 1))), (np.array([0]), vec[0])]:
+        with pytest.raises(ShapeMismatch):
+            PseudoCanvas(2, 3, rows, v)
+
+
+def _fuzz_weak_label(rng, h, w, num):
+    """Boxes that overlap, touch the edges or span the whole frame (or
+    none at all), and tags with repeats."""
+    boxes = []
+    for _ in range(int(rng.integers(0, 6))):
+        cls = int(rng.integers(1, num + 1))
+        kind = rng.random()
+        if kind < 0.15:
+            boxes.append((cls, 0, 0, w, h))
+        elif kind < 0.35:  # one edge pixel column or row
+            x0, y0 = int(rng.choice([0, w - 1])), int(rng.integers(0, h))
+            boxes.append((cls, x0, y0, x0 + 1, h))
+        else:
+            x0, y0 = int(rng.integers(0, w)), int(rng.integers(0, h))
+            boxes.append((cls, x0, y0, int(rng.integers(x0 + 1, w + 1)),
+                          int(rng.integers(y0 + 1, h + 1))))
+    if boxes and rng.random() < 0.3:
+        boxes.append(boxes[0])  # a repeated box votes twice
+    tags = tuple(int(t) for t in rng.integers(1, num + 1, int(rng.integers(0, 5))))
+    return WeakLabel(boxes=tuple(boxes), tags=tags)
+
+
+def test_row_canvases_match_full_raster_oracle():
+    # canvas_from_boxes and canvas_from_tags against the full-raster
+    # builder, byte for byte, then their gates against the full-raster gate
+    rng = np.random.default_rng(1717)
+    keeps = set()
+    for trial in range(400):
+        h, w = (int(rng.integers(1, 9)) for _ in range(2))
+        num = int(rng.choice([1, 2, 3, 7, 8, 9, 150]))
+        label = _fuzz_weak_label(rng, h, w, num)
+        full_frame = WeakLabel(boxes=tuple((t, 0, 0, w, h) for t in label.tags))
+        for canvas, want in [
+                (canvas_from_boxes(label, h, w, num),
+                 boxes_full_raster_oracle(label, h, w, num)),
+                (canvas_from_tags(label, h, w, num),
+                 boxes_full_raster_oracle(full_frame, h, w, num))]:
+            assert same_bits(canvas.probs, want)
+            rows = np.flatnonzero(want[:, :, num] < 0.5)
+            assert same_bits(canvas.rows, rows.astype(canvas.rows.dtype))
+            assert same_bits(canvas.vectors, want.reshape(-1, num + 1)[rows])
+            np.testing.assert_array_equal(canvas.supervised_mask, want[:, :, num] < 0.5)
+            raw = rng.integers(1, 4, (h, w, num)).astype(np.float64)
+            pred = raw / raw.sum(axis=2, keepdims=True)
+            class_argmax = want[:, :, :num].argmax(axis=2)
+            thr = float(rng.choice([0.0, 1.0, float(rng.choice(pred.ravel()))]))
+            got = refine_canvas(canvas, pred.reshape(-1, num)[canvas.rows], thr)
+            gated = gate_full_raster_oracle(want, pred, class_argmax, thr)
+            assert same_bits(got.probs, gated)
+            assert same_bits(got.vectors, gated.reshape(-1, num + 1)[got.rows])
+            if canvas.rows.size:
+                keeps.add(("none", "some", "all")[
+                    (got.rows.size > 0) + (got.rows.size == canvas.rows.size)])
+    assert keeps == {"none", "some", "all"}

@@ -907,6 +907,26 @@ def test_pixel_label_raster_checked_against_image(tmp_path, gen_tree, capsys, la
     assert not (tmp_path / "run").exists()
 
 
+def test_pixel_label_class_out_of_range_names_the_raster(tmp_path, gen_tree, capsys):
+    from htss.formats import read_raster, write_raster
+    manifests = [str(gen_tree / "fine_px_manifest.json")]
+    train = write_json(tmp_path / "train.json", {
+        "manifests": manifests, "quotas": {"fine_px": 2}, "feature_width": 2})
+    assert main(["train", "--config", train, "--out", str(tmp_path / "run")]) == 0
+    evaluate = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(tmp_path / "run" / "final.ckpt"), "manifests": manifests,
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")]})
+    label = read_raster(gen_tree / "fine_px" / "lab_00001.rast")
+    label[1, 2] = 999
+    write_raster(gen_tree / "fine_px" / "lab_00001.rast", label)
+    for argv in (["train", "--config", train], ["eval", "--config", evaluate]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 3, argv
+        err = capsys.readouterr().err
+        assert "data error" in err and "lab_00001.rast" in err and "999" in err, err
+        assert "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, dataset", [("train", "fine_px"), ("pseudolabel", "boxes")])
 def test_image_raster_must_have_three_axes(tmp_path, gen_tree, capsys, command, dataset):
     from htss.formats import write_raster

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from htss.annotations import PseudoCanvas
 from htss.errors import (
     IndexOutOfRange,
     MissingChildren,
@@ -12,7 +11,13 @@ from htss.errors import (
     ShapeMismatch,
 )
 from htss import lossgrad, model
-from htss.annotations import StrongLabel, WeakLabel, canvas_from_boxes, strong_to_canvas
+from htss.annotations import (
+    StrongLabel,
+    WeakLabel,
+    canvas_from_boxes,
+    canvas_from_tags,
+    strong_to_canvas,
+)
 from htss.lossgrad import (
     _gather_sum,
     _pixel_terms,
@@ -40,17 +45,20 @@ from htss.taxonomy import (
 
 from oracles import (
     TRAILING_LENGTHS,
+    boxes_full_raster_oracle,
+    canvas_of_raster,
     fd_grad,
     one_hot_canvas,
     ref_ce_loss_grad,
     ref_softmax,
     trailing_axis_arrays,
+    weak_terms_full_raster_oracle,
 )
 
 
 def canvas(rows):
     """rows: nested list with shape (H, W, L+1)."""
-    return PseudoCanvas(probs=np.array(rows, dtype=np.float64))
+    return canvas_of_raster(np.array(rows, dtype=np.float64))
 
 
 def one_pixel(vec):
@@ -412,7 +420,7 @@ def test_grad_rows_sum_to_zero():
     z = rng.standard_normal((3, 4, 5))
     probs = softmax_atoms(z)
     raw = rng.random((3, 4, 4))
-    target = PseudoCanvas(probs=raw / raw.sum(axis=2, keepdims=True))
+    target = canvas_of_raster(raw / raw.sum(axis=2, keepdims=True))
     index = group_index((frozenset({0, 1}), frozenset({2}), frozenset({3, 4})), 5)
     g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g.sum(axis=2), 0.0, atol=1e-12)
@@ -432,7 +440,7 @@ def test_grad_matches_finite_differences():
         h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         raw = rng.random((h, w, len(groups) + 1))
         raw[..., -1] *= 0.3
-        target = PseudoCanvas(probs=raw / raw.sum(axis=2, keepdims=True))
+        target = canvas_of_raster(raw / raw.sum(axis=2, keepdims=True))
         if not target.supervised_mask.any():
             continue
         z = rng.standard_normal((h, w, atoms))
@@ -475,7 +483,7 @@ def test_singleton_groups_equal_plain_ce():
         if not (ids < n).any():
             ids[0, 0] = 0
         rows = np.eye(n + 1)[ids]
-        target = PseudoCanvas(probs=rows)
+        target = canvas_of_raster(rows)
         index = group_index(tuple(frozenset({i}) for i in range(n)), n)
         probs = softmax_atoms(z)
         mask = ids < n
@@ -524,7 +532,7 @@ def test_batch_mean_property_for_equal_counts():
     for _ in range(4):
         z = rng.standard_normal((2, 2, 3))
         ids = rng.integers(0, 2, size=(2, 2))
-        target = PseudoCanvas(probs=np.eye(3)[ids])  # fully supervised: equal counts
+        target = canvas_of_raster(np.eye(3)[ids])  # fully supervised: equal counts
         items.append((target, softmax_atoms(z), index, PIXEL_DENSE))
         per_image.append(ce_loss_image(target, softmax_atoms(z), index))
     loss, _ = batch_loss(items)
@@ -557,7 +565,7 @@ def test_batch_empty_item_gets_positive_zeros_and_changes_no_bit():
     index = group_index((frozenset({0, 1}), frozenset({2})), 3)
 
     def item(ids, kind):  # class 2 is the unlabeled slot
-        target = PseudoCanvas(probs=np.eye(3)[np.asarray(ids)])
+        target = canvas_of_raster(np.eye(3)[np.asarray(ids)])
         return target, softmax_atoms(rng.standard_normal(target.probs.shape)), index, kind
 
     partial = item([[0, 2], [1, 0]], PIXEL_DENSE)
@@ -610,9 +618,9 @@ def test_batch_gradient_matches_finite_differences():
     z1 = rng.standard_normal((2, 2, 3))
     z2 = rng.standard_normal((1, 3, 3))
     raw1 = rng.random((2, 2, 3))
-    t1 = PseudoCanvas(probs=raw1 / raw1.sum(axis=2, keepdims=True))
+    t1 = canvas_of_raster(raw1 / raw1.sum(axis=2, keepdims=True))
     ids2 = np.array([[0, 2, 1]])
-    t2 = PseudoCanvas(probs=np.eye(3)[ids2])
+    t2 = canvas_of_raster(np.eye(3)[ids2])
     n1 = z1.size
 
     def f(flat):
@@ -695,6 +703,68 @@ def test_dense_target_matches_one_hot_canvas_bits(h, w, atoms, classes, overlapp
     weak = (canvas_from_boxes(boxes, h, w, classes), probs, index, BBOX)
     loss, grads = batch_loss(items["dense"] + [weak])
     want_loss, want_grads = batch_loss(items["canvas"] + [weak])
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+
+
+def _weak_cases(rng, h, w, classes):
+    """(full raster, row canvas) pairs: a box canvas with overlapping and
+    edge boxes, a tag canvas, a soft canvas with partly labeled rows
+    (unlabeled mass in (0, 0.5)) and unsupervised partial ones, and an
+    empty canvas."""
+    boxes = WeakLabel(boxes=((1, 0, 0, max(w // 2, 1), max(h // 2, 1)),
+                             (classes, w // 3, h // 3, w, h),
+                             (1 + classes // 2, 0, h - 1, w, h)))
+    tags = WeakLabel(tags=(1, classes, 1 + classes // 3, classes))
+    frame = WeakLabel(boxes=tuple((t, 0, 0, w, h) for t in tags.tags))
+    raw = rng.random((h, w, classes + 1))
+    raw[:, :, classes] = (rng.choice([0.0, 0.3, 0.99, 3.0, 1e9], (h, w))
+                          * raw[:, :, :classes].sum(axis=2))
+    soft = raw / raw.sum(axis=2, keepdims=True)
+    return [(boxes_full_raster_oracle(boxes, h, w, classes),
+             canvas_from_boxes(boxes, h, w, classes)),
+            (boxes_full_raster_oracle(frame, h, w, classes),
+             canvas_from_tags(tags, h, w, classes)),
+            (soft, canvas_of_raster(soft)),
+            (boxes_full_raster_oracle(WeakLabel(), h, w, classes),
+             canvas_from_boxes(WeakLabel(), h, w, classes))]
+
+
+WEAK_SHAPES = [(16, 16, 330, 150), (20, 20, 6, 3), (48, 48, 3, 2), (3, 4, 12, 9)]
+
+
+@pytest.mark.parametrize("h, w, atoms, classes", WEAK_SHAPES)
+@pytest.mark.parametrize("overlapping", [False, True])
+def test_row_canvas_loss_matches_full_raster_oracle_bits(h, w, atoms, classes,
+                                                          overlapping):
+    # ce_loss_image, grad_logits and batch_loss on row canvases read the
+    # same bits as the weak loss written over the full raster
+    rng = np.random.default_rng([h, atoms, classes, overlapping])
+    label, probs, index = _dense_case(rng, h, w, atoms, classes, overlapping)
+    items = [(strong_to_canvas(label, classes), probs, index, PIXEL_DENSE)]
+    refs = [weak_terms_full_raster_oracle(one_hot_canvas(label, classes).probs,
+                                          probs, index)]
+    for raster, canvas in _weak_cases(rng, h, w, classes):
+        got = _pixel_terms(canvas, probs, index)
+        ref = weak_terms_full_raster_oracle(raster, probs, index)
+        assert got[2] == ref[2] == canvas.rows.size
+        assert got[0].tobytes() == ref[0].tobytes() and got[0].shape == (h, w)
+        assert got[1].tobytes() == ref[1].tobytes() and got[1].shape == probs.shape
+        if ref[2]:
+            loss = np.float64(ce_loss_image(canvas, probs, index))
+            assert loss.tobytes() == np.float64(ref[0].sum() / ref[2]).tobytes()
+            grad = grad_logits(canvas, probs, index)
+            assert grad.tobytes() == (ref[1] / ref[2]).tobytes()
+        items.append((canvas, probs, index, BBOX))
+        refs.append(ref)
+        probs = softmax_atoms(rng.standard_normal((h, w, atoms)) * 3.0)
+    weak_n = sum(r[2] for r in refs[1:])
+    want_loss, want_grads = 0.0, []
+    for k, (losses, grads, n) in enumerate(refs):
+        denom = refs[0][2] if k == 0 else weak_n
+        want_loss += losses.sum() / denom if n else 0.0
+        want_grads.append(grads / denom if n else grads)
+    loss, grads = batch_loss(items)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
 

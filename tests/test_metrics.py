@@ -34,19 +34,6 @@ def test_confusion_rejects_out_of_range():
         m.add(np.array([[3]]), np.array([[1]]))
 
 
-def test_confusion_merge_equals_joint_add():
-    rng = np.random.default_rng(2)
-    a, b = ConfusionMatrix(3), ConfusionMatrix(3)
-    joint = ConfusionMatrix(3)
-    for m in (a, b):
-        gt = rng.integers(0, 4, size=(5, 5))
-        pred = rng.integers(1, 4, size=(5, 5))
-        m.add(gt, pred)
-        joint.add(gt, pred)
-    a.merge(b)
-    assert np.array_equal(a.counts, joint.counts)
-
-
 def test_iou_small_example():
     # two pixels: gt (1, 2), predictions both 1
     m = ConfusionMatrix(num_classes=2)

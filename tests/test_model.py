@@ -94,9 +94,11 @@ def test_forward_zero_weights_give_constant_logits():
     np.testing.assert_array_equal(logits, 0.0)
 
 
-def test_backward_matches_finite_differences():
+@pytest.mark.parametrize("width", [3, 19])
+def test_backward_matches_finite_differences(width):
+    # width 19 is outside EXACT_CONV1_GRADS, where only values can be checked
     rng = np.random.default_rng(55)
-    p = init_micronet(in_channels=2, width=3, out_channels=4, seed=7)
+    p = init_micronet(in_channels=2, width=width, out_channels=4, seed=7)
     image = rng.standard_normal((5, 4, 2))
     weights = rng.standard_normal((5, 4, 4))  # fixed linear readout
 
