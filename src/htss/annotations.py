@@ -178,7 +178,8 @@ def canvas_from_boxes(label: WeakLabel, height: int, width: int,
                       num_classes: int) -> PseudoCanvas:
     """Accumulate one unity vote per box over the pixels it covers, then
     normalize over the class slots. Only covered pixels get a row, each
-    counted at its position among them; the others are unlabeled."""
+    counted at its position among them; the others are unlabeled. A
+    full-width box (every tag) adds its votes to one slice of rows."""
     if height < 1 or width < 1 or num_classes < 1:
         raise DataError("canvas dimensions and class count must be positive")
     label.check_fits(height, width, num_classes)
@@ -189,7 +190,10 @@ def canvas_from_boxes(label: WeakLabel, height: int, width: int,
     position = np.cumsum(covered).reshape(height, width) - 1  # at covered pixels
     votes = np.zeros((rows.size, num_classes), dtype=np.int64)
     for cls, x0, y0, x1, y1 in label.boxes:
-        votes[position[y0:y1, x0:x1].ravel(), cls - 1] += 1  # no repeats within a box
+        if x1 - x0 == width:  # its pixels hold one run of positions
+            votes[position[y0, 0]:position[y1 - 1, width - 1] + 1, cls - 1] += 1
+        else:
+            votes[position[y0:y1, x0:x1].ravel(), cls - 1] += 1  # no repeats within a box
     vectors = np.zeros((rows.size, num_classes + 1))
     np.divide(votes, reduce_last(np.add, votes)[:, None], out=vectors[:, :num_classes])
     return PseudoCanvas(height, width, rows, vectors)

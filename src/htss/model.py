@@ -10,45 +10,37 @@ When an atom partition with weak-only subclasses is active, the head
 emits logits for the a+p atoms followed by the s atoms; the two
 segments are softmaxed separately.
 
-Patch layout: _im2col writes the (H, W, C) input into a zero-bordered
-(H+2, W+2, C) buffer and copies its 3x3 windows into one (H*W, 9*C)
-array. The windows are one (H, W, dy, dx, C) view over the buffer with
-strides (sy, sx, sy, sx, sc), built by the plain np.ndarray constructor
-(about 1 us a call, against 7 us for as_strided) and only read. Row
-y*W + x holds the patch centred on pixel (y, x), and column
-(3*dy + dx)*C + c holds channel c at offset (dy - 1, dx - 1); this
-matches the (3, 3, C, width) kernel reshaped to (9*C, width). Within one
-window row the dx and C axes are adjacent in memory on both sides, so
-the copy moves runs of 3*C elements.
+Conv 1 runs on a patch matrix: _im2col copies the 3x3 windows of the
+zero-bordered (H+2, W+2, C) input into an (H*W, 9*C) array, in runs of
+3*C elements. The windows are one read-only (H, W, dy, dx, C) view made
+by the np.ndarray constructor (1 us a call; as_strided takes 7 us). Row
+y*W + x holds the patch centred on pixel (y, x), column (3*dy + dx)*C + c
+channel c at offset (dy - 1, dx - 1): the kernel reshaped to (9*C, width).
 
-Input gradient of conv 2: the plain form is one GEMM, dz @ W.T with W
-the (9*C, width) kernel, then a scatter of each (dy, dx) column block
-onto the bordered buffer. _conv_input_grad instead pads dz to rows of
-W+2 pixels, the last two zero, and multiplies it by a contiguous
-per-call copy of the nine (width, C) tap kernels, giving nine contiguous
-(H*(W+2), C) planes. The bordered buffer is kept flat, (H+3) rows of
-W+2 pixels, so tap (dy, dx) lands with one contiguous add at offset
-(dy*(W+2) + dx)*C, in the plain form's (dy, dx) order: plane pixel
-(y, x) goes to buffer pixel (y+dy, x+dx), and a real pixel (x < W)
-never wraps past its row. Every real element is still one dot product
-over width, which OpenBLAS sums at most shapes in the same order for
-these products as for the plain one (see below), so each cell adds the
-same values in the same order.
-The pad pixels add only +-0.0 terms, some wrapped into the next row or
-the extra last row, and these change no bit: x + (+-0.0) is x unless x
-is -0.0, and a running sum started at +0.0 never is -0.0 (IEEE addition
-gives -0.0 only for -0.0 + -0.0). So the gradient keeps the plain form's
-bits wherever BLAS sums each row of both products alike. A one-pixel
-image gets only the centre tap, and there numpy takes a vector-matrix
-path that sums a C-ordered kernel in another order than the plain form's
-transposed one; so that case multiplies by the transposed view
-kernel[1, 1].T, as the plain form does, and adds the product to +0.0, as
-the buffer does. Where BLAS does not sum alike (a row's sums can depend
-on the GEMM's shape and on the row's place in its row blocks), the w1 and
-b1 gradients can differ from the plain form's in the last bits. The table
-EXACT_CONV1_GRADS in tests/test_model.py lists the (width, image size)
-cells where they match with OpenBLAS 0.3.31, and the test bounds every
-other cell to a few ulp.
+Conv 2 has no patch matrix; it works on bordered rows. forward writes a1
+into a flat zero buffer of (H+3) rows of W+2 pixels, pixel (y, x) at row
+y+1, column x+1. Output position p = y*(W+2) + x reads tap (dy, dx) at
+buffer pixel p + dy*(W+2) + dx, so _tap_view gives the nine tap inputs
+as one read-only (3, 3, H*(W+2), C) view, with pad outputs at x = W, W+1.
+The forward pass is one batched matmul of that view by the (3, 3, C,
+width) kernel, summed over the taps in (dy, dx) order by np.add.reduce;
+dW2 is the transposed view times dz padded to rows of W+2 pixels, the
+last two zero (_pad_rows). _conv_input_grad multiplies that padded dz by
+the nine transposed tap kernels and adds each (H*(W+2), C) plane into a
+flat bordered buffer with one contiguous add at offset (dy*(W+2) + dx)*C,
+in (dy, dx) order: plane pixel (y, x) lands on buffer pixel (y+dy, x+dx),
+and a real pixel (x < W) never wraps past its row. A one-pixel image
+takes only the centre tap, as the transposed view kernel[1, 1].T (numpy's
+vector-matrix path sums a C-ordered kernel in another order), added to
++0.0 as the buffer would. The pad pixels add only +-0.0 terms, which
+change no bit: x + (+-0.0) is x unless x is -0.0, and a running sum
+started at +0.0 never is -0.0 (IEEE addition gives -0.0 only for
+-0.0 + -0.0). Every element is still one BLAS dot product, but BLAS can
+sum it in an order that depends on the GEMM's shape and the row's place
+in its row blocks. tests/test_model.py pins forward and backward to the
+per-tap oracles of tests/oracles.py byte for byte at the workload shapes
+and, with OpenBLAS 0.3.31, in the (width, image size) cells its tables
+list; it bounds every other cell to a few ulp.
 """
 
 from __future__ import annotations
@@ -99,8 +91,8 @@ from .taxonomy import (
 
 INIT_SCALE = 0.05
 
-# glibc mallopt parameters and the values train_loop sets. A step's
-# (H, W, atoms) rasters and conv-2 patch matrices lie above glibc's
+# glibc mallopt parameters and the values train_loop and evaluate set. A
+# step's (H, W, atoms) rasters and conv-2 tap products lie above glibc's
 # default 128 KiB mmap threshold, so glibc maps each one afresh and
 # unmaps it on free, or trims the freed heap top, and the next step
 # faults the same pages in again as zeroed ones. 32 MiB is the largest
@@ -190,21 +182,37 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return cols.reshape(h * w, 9 * c)
 
 
+def _pad_rows(x: np.ndarray, h: int, w: int) -> np.ndarray:
+    """(H*W, C) -> (H*(W+2), C): each row of W pixels followed by two zero ones."""
+    rows = np.zeros((h, w + 2, x.shape[-1]), dtype=np.float64)
+    rows[:, :w, :] = x.reshape(h, w, -1)
+    return rows.reshape(h * (w + 2), -1)
+
+
+def _tap_view(bordered: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Read-only (3, 3, H*(W+2), C) view of a flat ((H+3)*(W+2), C)
+    bordered buffer: [dy, dx, p] is the pixel p + dy*(W+2) + dx."""
+    s0, s1 = bordered.strides
+    return np.ndarray((3, 3, h * (w + 2), bordered.shape[1]), np.float64, bordered,
+                      0, ((w + 2) * s0, s0, s0, s1))
+
+
 def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
     """Gradient w.r.t. the (H, W, C) input of a 3x3 same-padding conv,
-    given dz = d(loss)/d(output) as (H*W, width) and kernel (3, 3, C, width).
+    given dz = d(loss)/d(output) as (H*W, width), or as _pad_rows gives
+    it, and kernel (3, 3, C, width).
 
     Used for conv 2, where C == width. With C == 1 each tap's product
     would be a matrix-vector one, which BLAS sums in another order; a
     one-pixel image keeps the vector-matrix product of the plain form."""
     c, width = kernel.shape[2], kernel.shape[3]
     if h * w == 1:
-        return (0.0 + dz @ kernel[1, 1].T).reshape(1, 1, c)
+        return (0.0 + dz[:1] @ kernel[1, 1].T).reshape(1, 1, c)
+    if len(dz) == h * w:
+        dz = _pad_rows(dz, h, w)
     tap_kernels = np.ascontiguousarray(kernel.reshape(9, c, width).transpose(0, 2, 1))
     row = w + 2
-    dz_rows = np.zeros((h, row, width), dtype=np.float64)
-    dz_rows[:, :w, :] = dz.reshape(h, w, width)
-    taps = np.matmul(dz_rows.reshape(h * row, width), tap_kernels).reshape(9, -1)
+    taps = np.matmul(dz, tap_kernels).reshape(9, -1)
     dflat = np.zeros((h + 3) * row * c, dtype=np.float64)
     for t in range(9):
         dy, dx = divmod(t, 3)
@@ -219,8 +227,7 @@ class ForwardCache:
     version: int
     shape: tuple[int, int]
     cols1: np.ndarray
-    a1: np.ndarray  # ReLU outputs: a > 0 equals z > 0, NaN included
-    cols2: np.ndarray
+    a1: np.ndarray  # ReLU outputs, bordered flat: a > 0 equals z > 0, NaN included
     a2: np.ndarray
 
 
@@ -235,17 +242,19 @@ def forward(params: MicroNetParams, image: np.ndarray) -> tuple[np.ndarray, Forw
             f"image {x.shape} vs network expecting (H, W, {params.in_channels})")
     h, w, _ = x.shape
     cols1 = _im2col(x)
-    a1 = (cols1 @ params.w1.reshape(-1, params.width)).reshape(h, w, params.width)
-    a1 += params.b1  # in place on the fresh product: same sums, no temporary
-    np.maximum(a1, 0.0, out=a1)
-    cols2 = _im2col(a1)
-    a2 = (cols2 @ params.w2.reshape(-1, params.width)).reshape(h, w, params.width)
-    a2 += params.b2
-    np.maximum(a2, 0.0, out=a2)
+    z1 = cols1 @ params.w1.reshape(-1, params.width)
+    z1 += params.b1  # in place on the fresh product: same sums, no temporary
+    np.maximum(z1, 0.0, out=z1)
+    a1 = np.zeros(((h + 3) * (w + 2), params.width), dtype=np.float64)
+    a1.reshape(h + 3, w + 2, -1)[1:h + 1, 1:w + 1] = z1.reshape(h, w, -1)
+    taps = np.matmul(_tap_view(a1, h, w), params.w2).reshape(9, h, w + 2, -1)
+    z2 = np.add.reduce(taps, axis=0)
+    z2 += params.b2
+    a2 = np.maximum(z2[:, :w], 0.0)
     logits = a2 @ params.wh
     logits += params.bh
     cache = ForwardCache(params=params, version=params.version, shape=(h, w),
-                         cols1=cols1, a1=a1, cols2=cols2, a2=a2)
+                         cols1=cols1, a1=a1, a2=a2)
     return logits, cache
 
 
@@ -266,10 +275,12 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> MicroNetGrads:
     dz2 = up @ params.wh.T
     dz2 *= a2 > 0.0  # the ReLU mask, in place on the fresh d(loss)/d(a2)
 
-    dw2 = (cache.cols2.T @ dz2).reshape(params.w2.shape)
+    dz_rows = _pad_rows(dz2, h, w)
+    dw2 = np.matmul(_tap_view(cache.a1, h, w).transpose(0, 1, 3, 2), dz_rows)
     db2 = dz2.sum(axis=0)
-    da1 = _conv_input_grad(dz2, params.w2, h, w)
-    dz1 = (da1 * (cache.a1 > 0.0)).reshape(-1, params.width)
+    da1 = _conv_input_grad(dz_rows, params.w2, h, w)
+    a1 = cache.a1.reshape(h + 3, w + 2, params.width)[1:h + 1, 1:w + 1]
+    dz1 = (da1 * (a1 > 0.0)).reshape(-1, params.width)
 
     dw1 = (cache.cols1.T @ dz1).reshape(params.w1.shape)
     db1 = dz1.sum(axis=0)
@@ -491,7 +502,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
 
     An item whose logit gradient has no nonzero entry (a weak canvas the
     gate emptied) skips its backward pass; batch_loss already skipped
-    its loss math. This keeps every bit: a zero upstream gives parameter
+    its loss math, and a box or tag item left with no row keeps no
+    forward cache. This keeps every bit: a zero upstream gives parameter
     gradients of +0.0 and -0.0 only, the running total starts at +0.0
     and so never holds -0.0 (IEEE addition gives -0.0 only for
     -0.0 + -0.0), and x + (+-0.0) is x. With one head (no s atoms) an
@@ -557,6 +569,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                     target = refine_canvas(target, predicted, refine_threshold)
                     head_rows = ap_rows
                 head_probs.reshape(h * w, -1)[rows] = head_rows
+            if not target.rows.size:  # +0.0 gradient: backward never runs
+                cache = None
         items.append((target, head_probs, index, ds.supervision))
         routes.append((cache, dg.head))
 
@@ -608,7 +622,8 @@ def evaluate(params: MicroNetParams, part: AtomPartition, dataset: LoadedDataset
     Coverage is the taxonomy's: build_group_sets over the partition's
     atoms. Raises UncoveredClass when a class covers no atom, and
     DataError when two classes cover one atom or when the net's output
-    width does not fit the partition (checked by predict_atoms).
+    width does not fit the partition (checked by predict_atoms). Like
+    train_loop, it first makes glibc keep freed heap.
     """
     space = dataset.space
     if space.supervision not in PIXEL_KINDS:
@@ -623,6 +638,7 @@ def evaluate(params: MicroNetParams, part: AtomPartition, dataset: LoadedDataset
                     f"evaluation space {space.dataset_id!r} maps atom "
                     f"{part.atom_name(a)!r} to two classes")
             lut[a] = m
+    _keep_freed_heap()
     cm = ConfusionMatrix(space.num_classes)
     for image, label in zip(dataset.images, dataset.labels):
         cm.add(label.class_ids, lut[predict_atoms(params, image, part)])

@@ -5,8 +5,8 @@ than the library: a restart-from-scratch fixed-point scan for atom
 extraction, central finite differences for gradients, a textbook
 softmax cross-entropy for the singleton-group degeneracy, the
 slice-by-slice patch layout the conv kernels must reproduce bit for bit,
-the whole network's forward and backward pass written out of place on
-that layout, the box/tag canvas, the confidence gate and the weak loss
+conv 2 as nine per-tap products, the whole network's forward and
+backward pass written out of place on either, the box/tag canvas, the confidence gate and the weak loss
 over the full raster, and the one-hot canvas of a pixel label, whose
 loss the label itself, taken as the target, must reproduce bit for bit.
 A full (H, W, L+1) canvas raster is a test-only input: canvas_of_raster
@@ -128,34 +128,65 @@ def col2im_oracle(dcols, h, w, c):
     return dpadded[1:-1, 1:-1, :]
 
 
-def forward_oracle(params, image):
+def conv2_taps_oracle(a1, kernel):
+    """(H*W, width) output of a 3x3 same-padding conv of the (H, W, C)
+    input a1 without its bias: nine per-tap products of slices of np.pad,
+    summed in (dy, dx) order from the first tap."""
+    h, w, c = a1.shape
+    padded = np.pad(a1, ((1, 1), (1, 1), (0, 0)))
+    z = None
+    for dy in range(3):
+        for dx in range(3):
+            tap = padded[dy:dy + h, dx:dx + w, :].reshape(h * w, c) @ kernel[dy, dx]
+            z = tap if z is None else z + tap
+    return z
+
+
+def conv2_taps_grad_oracle(a1, dz):
+    """Kernel gradient (3, 3, C, width) of conv2_taps_oracle for
+    dz = d(loss)/d(output) as (H*W, width): one product per tap."""
+    h, w, c = a1.shape
+    padded = np.pad(a1, ((1, 1), (1, 1), (0, 0)))
+    return np.stack([np.stack([padded[dy:dy + h, dx:dx + w, :].reshape(h * w, c).T @ dz
+                               for dx in range(3)]) for dy in range(3)])
+
+
+def forward_oracle(params, image, taps=False):
     """Logits (H, W, out) of the two-conv-plus-head net, plus the layer
     values backward_oracle needs: im2col_oracle patches, out-of-place
-    bias adds and ReLUs, the head applied to the (H, W, width) raster."""
+    bias adds and ReLUs, the head applied to the (H, W, width) raster.
+    Conv 2 is one GEMM over its patches, or conv2_taps_oracle if taps."""
     h, w, _ = image.shape
     width = params.w1.shape[3]
     cols1 = im2col_oracle(np.asarray(image, dtype=np.float64))
     z1 = cols1 @ params.w1.reshape(-1, width) + params.b1
     a1 = np.maximum(z1, 0.0).reshape(h, w, width)
-    cols2 = im2col_oracle(a1)
-    z2 = cols2 @ params.w2.reshape(-1, width) + params.b2
+    if taps:
+        z2 = conv2_taps_oracle(a1, params.w2) + params.b2
+    else:
+        z2 = im2col_oracle(a1) @ params.w2.reshape(-1, width) + params.b2
     a2 = np.maximum(z2, 0.0).reshape(h, w, width)
     logits = a2 @ params.wh + params.bh
-    return logits, (cols1, z1, cols2, z2, a2)
+    return logits, (cols1, z1, a1, z2, a2)
 
 
-def backward_oracle(params, image, upstream):
+def backward_oracle(params, image, upstream, taps=False):
     """The six parameter gradients (w1, b1, w2, b2, wh, bh) for an
     upstream d(loss)/d(logits): out-of-place ReLU masks on z > 0, and
-    each conv-2 input gradient as one GEMM scattered by col2im_oracle."""
+    each conv-2 input gradient as one GEMM scattered by col2im_oracle.
+    The conv-2 kernel gradient is one GEMM over the patches, or
+    conv2_taps_grad_oracle if taps."""
     h, w, _ = image.shape
     width = params.w1.shape[3]
-    _, (cols1, z1, cols2, z2, a2) = forward_oracle(params, image)
+    _, (cols1, z1, a1, z2, a2) = forward_oracle(params, image, taps)
     up = np.asarray(upstream, dtype=np.float64).reshape(h * w, -1)
     dwh = a2.reshape(h * w, width).T @ up
     dbh = up.sum(axis=0)
     dz2 = (up @ params.wh.T) * (z2 > 0.0)
-    dw2 = (cols2.T @ dz2).reshape(params.w2.shape)
+    if taps:
+        dw2 = conv2_taps_grad_oracle(a1, dz2)
+    else:
+        dw2 = (im2col_oracle(a1).T @ dz2).reshape(params.w2.shape)
     db2 = dz2.sum(axis=0)
     da1 = col2im_oracle(dz2 @ params.w2.reshape(-1, width).T, h, w, width)
     dz1 = da1.reshape(h * w, width) * (z1 > 0.0)

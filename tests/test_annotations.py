@@ -352,15 +352,18 @@ def test_row_canvas_checks_only_its_rows():
 
 
 def _fuzz_weak_label(rng, h, w, num):
-    """Boxes that overlap, touch the edges or span the whole frame (or
-    none at all), and tags with repeats."""
+    """Boxes that overlap, touch the edges, span the whole width or the
+    whole frame (or none at all), and tags with repeats."""
     boxes = []
     for _ in range(int(rng.integers(0, 6))):
         cls = int(rng.integers(1, num + 1))
         kind = rng.random()
         if kind < 0.15:
             boxes.append((cls, 0, 0, w, h))
-        elif kind < 0.35:  # one edge pixel column or row
+        elif kind < 0.3:  # a band of whole rows
+            y0 = int(rng.integers(0, h))
+            boxes.append((cls, 0, y0, w, int(rng.integers(y0 + 1, h + 1))))
+        elif kind < 0.45:  # one edge pixel column or row
             x0, y0 = int(rng.choice([0, w - 1])), int(rng.integers(0, h))
             boxes.append((cls, x0, y0, x0 + 1, h))
         else:
@@ -375,13 +378,16 @@ def _fuzz_weak_label(rng, h, w, num):
 
 def test_row_canvases_match_full_raster_oracle():
     # canvas_from_boxes and canvas_from_tags against the full-raster
-    # builder, byte for byte, then their gates against the full-raster gate
+    # builder, byte for byte, then their gates against the full-raster gate;
+    # full-width bands and every tag vote through one slice of rows
     rng = np.random.default_rng(1717)
     keeps = set()
+    bands = 0
     for trial in range(400):
         h, w = (int(rng.integers(1, 9)) for _ in range(2))
         num = int(rng.choice([1, 2, 3, 7, 8, 9, 150]))
         label = _fuzz_weak_label(rng, h, w, num)
+        bands += sum(x1 - x0 == w and y1 - y0 < h for _, x0, y0, x1, y1 in label.boxes)
         full_frame = WeakLabel(boxes=tuple((t, 0, 0, w, h) for t in label.tags))
         for canvas, want in [
                 (canvas_from_boxes(label, h, w, num),
@@ -404,4 +410,4 @@ def test_row_canvases_match_full_raster_oracle():
             if canvas.rows.size:
                 keeps.add(("none", "some", "all")[
                     (got.rows.size > 0) + (got.rows.size == canvas.rows.size)])
-    assert keeps == {"none", "some", "all"}
+    assert keeps == {"none", "some", "all"} and bands > 100

@@ -844,3 +844,46 @@ def test_merge_missing_children():
                          s_set=frozenset(), p_set=frozenset({2}), parent_of={})
     with pytest.raises(MissingChildren):
         merge_subclass_predictions(np.zeros((1, 1, 2)), np.zeros((1, 1, 0)), part)
+
+
+@pytest.mark.parametrize("threshold, dropped", [(0.5, 2), (0.6, 4)])
+def test_train_loop_drops_the_cache_of_an_item_without_rows(monkeypatch, threshold, dropped):
+    # per step two box items have no votes; at threshold 0.6 the gate also
+    # empties the two voted ones. Such an item keeps no forward cache and
+    # runs no backward; with every cache kept and backward run on every
+    # item the losses and weights are the same, byte for byte
+    datasets, tax = _box_world(73)
+    boxes = datasets[2]
+    labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
+    datasets[2] = LoadedDataset(space=boxes.space, images=boxes.images, labels=labels)
+    plan = BatchPlan(quotas={"fine": 1, "coarse": 2, "boxes": 4}, seed=3)
+
+    def train():
+        return train_loop(datasets, tax, None, plan,
+                          OptimizerState(learning_rate=0.1, momentum=0.5), epochs=3,
+                          refine_threshold=threshold, feature_width=3)
+
+    want = train()
+    caches, without = [], []
+    real_forward = model.forward
+
+    def keeping_forward(params, image):
+        logits, cache = real_forward(params, image)
+        caches.append(cache)
+        return logits, cache
+
+    def backward_on_every_item(params, routes, grads, n_ap, n_s):
+        without.append(sum(cache is None for cache, _ in routes))
+        total = model.MicroNetGrads.zeros_like(params)
+        for cache, g in zip(caches, grads):  # one head: g is the whole upstream
+            total.iadd(model.backward(cache, g))
+        caches.clear()
+        return total
+
+    monkeypatch.setattr(model, "forward", keeping_forward)
+    monkeypatch.setattr(model, "_summed_grads", backward_on_every_item)
+    got = train()
+    assert without == [dropped] * 12
+    assert got.losses == want.losses
+    assert ([a.tobytes() for a in got.params.arrays()]
+            == [a.tobytes() for a in want.params.arrays()])
