@@ -378,7 +378,7 @@ def _fuzz_weak_label(rng, h, w, num):
 
 def test_row_canvases_match_full_raster_oracle():
     # canvas_from_boxes and canvas_from_tags against the full-raster
-    # builder, byte for byte, then their gates against the full-raster gate;
+    # canvas oracle, byte for byte, then their gates against the full-raster gate;
     # full-width bands and every tag vote through one slice of rows
     rng = np.random.default_rng(1717)
     keeps = set()
