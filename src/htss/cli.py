@@ -11,7 +11,8 @@ byte-identical files; a failed gen, taxonomy, train or eval writes none.
 Exit codes: 0 success, 2 config error (configs, world specs, quotas,
 c_values and n_t below 1), 4 numeric failure, 3 any data error. The
 HTSS_LOG environment variable sets log verbosity (DEBUG, INFO, WARNING,
-...); logs go to stderr and never into output files.
+..., in any case; anything else means WARNING, with a note on stderr);
+logs go to stderr and never into output files.
 """
 
 from __future__ import annotations
@@ -298,10 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, os.environ.get("HTSS_LOG", "WARNING").upper(), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("HTSS_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # not a level name
+        print(f"HTSS_LOG={level!r} is not a log level; logging at WARNING", file=sys.stderr)
+        level = "WARNING"
+    logging.basicConfig(stream=sys.stderr, level=level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     if args.print_config:
         defaults = {key: d for key, (_, d) in DEFAULTS[args.command].items()}

@@ -39,10 +39,9 @@ A target is either a PseudoCanvas (box and tag items: soft, gated and
 held as their labeled rows) or a StrongLabel (pixel labels: one class id
 per pixel, 0 = void). Both compute on supervised rows only. Row losses
 go into an (H, W) +0.0 raster before any sum, so batch_loss's pairwise
-sum sees a full-raster pass's array, and a canvas's gradient rows into
-a zero raster; its gathers, log and reduce_last act per row, so their
-bits do not depend on the outer shape. A StrongLabel gathers only the
-target class's atoms: with slot = id - 1, s* = sum_k
+sum sees a full-raster pass's array; the gathers, log and reduce_last act
+per row, so their bits do not depend on the outer shape. A StrongLabel
+gathers only the target class's atoms: with slot = id - 1, s* = sum_k
 probs[class_atoms[k, slot]] in k order with padding read as +0.0, the
 loss -log max(s*, 1e-12), the gradient probs * (1 - 1/s*) at the atoms
 of G_slot and probs elsewhere, and +0.0 written at unsupervised pixels.
@@ -52,10 +51,13 @@ class's term there is an exact +-0.0 (log(s_m) * 0 in the loss, 0 / s_m
 in the back-projection), the class sum of y is exactly 1, and adding a
 signed zero to a nonzero sum, or multiplying by 1, changes no bit. At s* == 1 both give the loss -0.0.
 
-An item whose target supervises no pixel (a box or tag canvas the
-confidence gate emptied) skips the loss math after the shape checks and
-gets all-zero losses and gradients, the bits the row path gives it: an
-all-+0.0 item adds +0.0 to the batch total and divides to +0.0.
+A gradient is built already divided by its normalizer n, with the
+operations per element of dividing the built raster: a StrongLabel's is
+probs / n overwritten with +0.0 and (probs * (1 - 1/s*)) / n, a canvas's
+back / n in its rows of a zero raster. An item whose target supervises
+no pixel (a box or tag canvas the gate emptied) skips the loss math after
+the shape checks: its losses are +0.0, adding +0.0 to a batch total, and
+its gradient a read-only +0.0 view, the bits the row path gives it.
 
 All math runs in float64; log arguments are clamped at 1e-12.
 """
@@ -63,7 +65,7 @@ All math runs in float64; log arguments are clamped at 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -174,43 +176,38 @@ def accumulate_groups(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     return _gather_sum(probs, index.class_atoms)
 
 
-def _dense_terms(target: StrongLabel, probs: np.ndarray, index: GroupIndex,
-                 mask: np.ndarray):
-    """Supervised rows' losses and the gradient raster of a StrongLabel
-    with some supervised pixel: gathers only the target class's atoms, at
-    the supervised rows only (see the module docstring). The class slot
-    id - 1 is taken after the row gather, so void pixels are never indexed."""
-    h, w, atoms = probs.shape
-    flat = probs.reshape(-1, atoms)
-    rows = np.flatnonzero(mask)
-    members = index.class_atoms[:, target.class_ids.reshape(-1)[rows] - 1]  # (g, n)
-    real = members < atoms
-    at = np.where(real, members, 0)
-    at += rows * atoms
-    parts = np.take(flat, at)
-    parts[~real] = 0.0
-    s = parts[0]
-    for row in parts[1:]:
-        s += row
-    np.maximum(s, LOG_EPS, out=s)
-    grads = flat.copy()  # a row gather into zeros costs far more
-    if rows.size < h * w:
-        grads[~mask.reshape(-1)] = 0.0
+def _dense_grad(probs, mask, at, real, parts, s, denom) -> np.ndarray:
+    grads = np.empty(probs.size + 1)  # the last slot takes the padding entries' writes
+    out = grads[:-1].reshape(probs.shape)
+    np.divide(probs, denom, out=out)  # a row gather into zeros costs far more
+    if s.size < mask.size:
+        out[~mask] = 0.0
     scale = np.divide(1.0, s)
     np.subtract(1.0, scale, out=scale)  # 1 - 1/s*, per supervised pixel
-    at = at[real]
-    grads.reshape(-1)[at] = np.broadcast_to(scale, real.shape)[real] * np.take(flat, at)
-    return -np.log(s), grads.reshape(h, w, atoms)
+    at[~real] = probs.size
+    grads[at] = scale * parts / denom
+    return out
 
 
-def _pixel_terms(target: Target, probs: np.ndarray, index: GroupIndex):
-    """Unscaled per-pixel losses and gradients, and the number of
-    supervised pixels.
+def _canvas_grad(p_rows, rows, y, s, atom_classes, shape, denom) -> np.ndarray:
+    back = _gather_sum(np.divide(y, s), atom_classes)
+    np.subtract(reduce_last(np.add, y)[:, None], back, out=back)
+    back *= p_rows
+    grads = np.zeros(shape)
+    grads.reshape(-1, shape[-1])[rows] = back / denom
+    return grads
 
-    With no supervised pixel, both are all +0.0 without the math: the
-    full path zeroes every unsupervised pixel to the same bits."""
+
+def _zero_grad(shape, denom) -> np.ndarray:
+    return np.broadcast_to(0.0, shape)  # read-only, with no raster behind it
+
+
+def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
+    """Checks one item; returns its (H, W) unscaled losses, its supervised
+    pixel count and its gradient as (function, what the loss computed for
+    it), to call with the divisor appended."""
     num = target.num_classes
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.ascontiguousarray(probs, dtype=np.float64)  # reshapes below are views
     if index.num_classes != num:
         raise ShapeMismatch(f"{index.num_classes} groups for {num} class slots")
     if probs.ndim != 3 or probs.shape[:2] != (target.height, target.width):
@@ -218,34 +215,51 @@ def _pixel_terms(target: Target, probs: np.ndarray, index: GroupIndex):
             f"distribution {probs.shape} vs target grid "
             f"({target.height}, {target.width})")
     _check_atom_axis(probs, index)
-    mask = target.supervised_mask
-    n = int(np.count_nonzero(mask))
-    if n == 0:
-        return np.zeros(mask.shape), np.zeros(probs.shape), 0
+    h, w, atoms = probs.shape
     if isinstance(target, StrongLabel):
-        row_losses, grads = _dense_terms(target, probs, index, mask)
+        mask = target.supervised_mask  # a fresh comparison: taken once
+        rows = np.flatnonzero(mask)
     else:  # a canvas: its rows, in row-major order
-        p_rows = probs[mask]
+        rows = target.rows
+    losses = np.zeros((h, w))
+    if not rows.size:
+        return losses, 0, (_zero_grad, (probs.shape,))
+    if isinstance(target, StrongLabel):  # slot id - 1 after the row gather: never void
+        members = index.class_atoms[:, target.class_ids.reshape(-1)[rows] - 1]  # (g, n)
+        real = members < atoms
+        at = np.where(real, members, 0)
+        at += rows * atoms
+        parts = np.take(probs, at)
+        parts[~real] = 0.0
+        s = parts[0].copy()  # parts stays the gathered atoms, for the gradient
+        for row in parts[1:]:
+            s += row
+        np.maximum(s, LOG_EPS, out=s)
+        row_losses = -np.log(s)
+        grad = (_dense_grad, (probs, mask, at, real, parts, s))
+    else:
+        p_rows = probs.reshape(-1, atoms).take(rows, axis=0)
         y = target.vectors[:, :num]
         s = _gather_sum(p_rows, index.class_atoms)
         np.maximum(s, LOG_EPS, out=s)
         terms = np.log(s)
         terms *= y
         row_losses = -reduce_last(np.add, terms)
-        back = _gather_sum(np.divide(y, s, out=terms), index.atom_classes)
-        np.subtract(reduce_last(np.add, y)[:, None], back, out=back)
-        back *= p_rows
-        grads = np.zeros(probs.shape)
-        grads[mask] = back
-    losses = np.zeros(mask.shape)
-    losses[mask] = row_losses
-    return losses, grads, n
+        grad = (_canvas_grad, (p_rows, rows, y, s, index.atom_classes, probs.shape))
+    losses.reshape(-1)[rows] = row_losses
+    return losses, rows.size, grad
+
+
+def _pixel_terms(target: Target, probs: np.ndarray, index: GroupIndex):
+    """Unscaled per-pixel losses, gradients (over 1: same bits) and count."""
+    losses, n, (grad, args) = _item_terms(target, probs, index)
+    return losses, grad(*args, 1), n
 
 
 def ce_loss_image(target: Target, probs: np.ndarray, index: GroupIndex) -> float:
     """Cross-entropy between target and accumulated class probabilities,
     averaged over supervised pixels."""
-    losses, _, n = _pixel_terms(target, probs, index)
+    losses, n, _ = _item_terms(target, probs, index)
     if n == 0:
         raise NoSupervisedPixels()
     return float(losses.sum() / n)
@@ -253,14 +267,21 @@ def ce_loss_image(target: Target, probs: np.ndarray, index: GroupIndex) -> float
 
 def grad_logits(target: Target, probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     """Exact gradient of ce_loss_image with respect to the atom logits."""
-    _, grads, n = _pixel_terms(target, probs, index)
+    _, n, (grad, args) = _item_terms(target, probs, index)
     if n == 0:
         raise NoSupervisedPixels()
-    grads /= n
-    return grads
+    return grad(*args, n)
 
 
-def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
+def _gradients(pieces: list, counts: list[int]) -> Iterator[np.ndarray]:
+    """Gradients in item order, built on request; pieces drop once yielded."""
+    pieces.reverse()  # popped in item order
+    while pieces:
+        _, strong, grad, args = pieces.pop()
+        yield grad(*args, counts[strong])
+
+
+def batch_loss(items: Sequence[tuple]) -> tuple[float, Iterator[np.ndarray]]:
     """Mixed-batch loss with per-population normalizers.
 
     Each item is (target, atom distribution, GroupIndex, supervision
@@ -268,43 +289,32 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, list[np.ndarray]]:
     PseudoCanvas for box and tag canvases. Pixel-supervised items share
     one normalizer (the total count of their supervised pixels across the
     batch), box/tag items share the other; the loss is the sum of both
-    normalized populations. Returns the scalar loss and the per-item
-    logit gradients of that scalar. A population that contributes no
-    supervised pixels simply drops out; if both are empty the batch is
-    rejected.
+    normalized populations. A population that contributes no supervised
+    pixels simply drops out; if both are empty the batch is rejected.
 
-    An item with no supervised pixel skips the loss math and gets an
-    all-+0.0 gradient, the bits the full path gives it; train_loop then
-    skips its backward pass (see there why that is exact too). Each
-    returned gradient is the item's own fresh array, divided in place.
+    Returns the scalar loss and an iterator over the per-item logit
+    gradients of that scalar, in item order, each built on request as a
+    fresh array already divided (an item with no supervised pixel yields
+    a read-only +0.0 view). The iterator releases an item's distribution
+    once it has yielded its gradient; the items list is left as it was.
     """
-    per_item = []
-    strong_count = 0
-    weak_count = 0
+    pieces = []
+    counts = [0, 0]  # supervised pixels of the box/tag and the pixel items
     for target, probs, index, kind in items:
         if kind not in SUPERVISION_KINDS:
             raise ShapeMismatch(f"unknown supervision kind {kind!r}")
-        losses, grads, n = _pixel_terms(target, probs, index)
+        losses, n, (grad, args) = _item_terms(target, probs, index)
         strong = kind in PIXEL_KINDS
-        if strong:
-            strong_count += n
-        else:
-            weak_count += n
-        per_item.append((losses, grads, n, strong))
-    if strong_count + weak_count == 0:
+        counts[strong] += n
+        pieces.append((losses.sum() if n else None, strong, grad, args))
+    if not any(counts):
         raise NoSupervisedPixels()
 
     total = 0.0
-    out_grads = []
-    for losses, grads, n, strong in per_item:
-        if n == 0:  # all +0.0, so adding or dividing would change no bit
-            out_grads.append(grads)
-            continue
-        denom = strong_count if strong else weak_count
-        total += losses.sum() / denom
-        grads /= denom  # fresh per item, so dividing in place is safe
-        out_grads.append(grads)
-    return float(total), out_grads
+    for item_sum, strong, _, _ in pieces:
+        if item_sum is not None:  # an item of all +0.0 would change no bit
+            total += item_sum / counts[strong]
+    return float(total), _gradients(pieces, counts)
 
 
 def merge_subclass_predictions(ap_probs: np.ndarray, s_probs: np.ndarray,

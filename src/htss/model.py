@@ -4,7 +4,8 @@ The network is deliberately tiny: two 3x3 same-padding convolutions with
 ReLU, then a 1x1 linear head producing one logit per output atom. All
 parameters and activations are float64 and every pass is a fixed
 sequence of numpy operations, so a training run is bitwise reproducible
-for a given seed.
+for a given seed and BLAS thread count (OpenBLAS sums some GEMMs in
+another order on one thread than on two).
 
 When an atom partition with weak-only subclasses is active, the head
 emits logits for the a+p atoms followed by the s atoms; the two
@@ -48,7 +49,7 @@ from __future__ import annotations
 import ctypes  # numpy imports it already, so this costs no start-up time
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -452,25 +453,21 @@ def _keep_freed_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
-def _summed_grads(params: MicroNetParams, routes: list, grads: list,
+def _summed_grads(params: MicroNetParams, routes: list, grads: Iterator[np.ndarray],
                   n_ap: int, n_s: int) -> MicroNetGrads:
-    """Parameter gradients of a batch, summed in item order. Each item's
-    (cache, head) route and logit gradient are dropped from the two
-    lists as its backward pass consumes them."""
+    """Parameter gradients of a batch, summed in item order; each logit gradient
+    and its item's cache are dropped before the next gradient is requested."""
     total = MicroNetGrads.zeros_like(params)
-    for k, (cache, head) in enumerate(routes):
-        g = grads[k]
-        routes[k] = grads[k] = None
-        if not g.any():
-            continue
+    routes.reverse()  # popped in item order
+    for g in grads:
+        cache, head = routes.pop()
         upstream = g  # one head: the gradient is the whole upstream
-        if n_s:
-            upstream = np.zeros(g.shape[:2] + (n_ap + n_s,))
-            if head == "ap":
-                upstream[:, :, :n_ap] = g
-            else:
-                upstream[:, :, n_ap:] = g
-        total.iadd(backward(cache, upstream))
+        if cache is not None:
+            if n_s:  # two heads: g fills its head's atoms of a zero upstream
+                upstream = np.zeros(g.shape[:2] + (n_ap + n_s,))
+                upstream[:, :, slice(None, n_ap) if head == "ap" else slice(n_ap, None)] = g
+            total.iadd(backward(cache, upstream))
+        del g, upstream, cache
     return total
 
 
@@ -491,8 +488,10 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     net's own predictions, which only pixel labels anchor.
 
     Nothing of a step outlives it: the batch items (targets and head
-    rasters) are dropped once batch_loss returns, and each item's forward
-    cache and logit gradient once its backward pass has run. On glibc the
+    rasters) are dropped once batch_loss returns; each logit gradient,
+    built by batch_loss's iterator on request, feeds backward at once,
+    and it and the item's forward cache are dropped before the next is
+    requested, so a step holds one gradient raster at a time. On glibc the
     loop first raises the mmap and trim thresholds (see M_MMAP_THRESHOLD),
     so the freed arrays stay on the heap for the next step to reuse, and
     the process keeps that freed heap after training. The two go
@@ -500,14 +499,12 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     and be faulted in again; kept, later steps would stack their arrays
     above the still-live ones of the step before.
 
-    An item whose logit gradient has no nonzero entry (a weak canvas the
-    gate emptied) skips its backward pass; batch_loss already skipped
-    its loss math, and a box or tag item left with no row keeps no
-    forward cache. This keeps every bit: a zero upstream gives parameter
-    gradients of +0.0 and -0.0 only, the running total starts at +0.0
-    and so never holds -0.0 (IEEE addition gives -0.0 only for
-    -0.0 + -0.0), and x + (+-0.0) is x. With one head (no s atoms) an
-    item's gradient is its upstream as is, not copied into a zero raster.
+    A box or tag item left with no row (a weak canvas the gate emptied)
+    keeps no forward cache and skips its backward pass; a pixel item with
+    no supervised pixel runs it on its +0.0 gradient. Both keep every
+    bit: a zero upstream gives parameter gradients of +-0.0 only, the
+    running total starts at +0.0 and so never holds -0.0 (IEEE addition
+    gives -0.0 only for -0.0 + -0.0), and x + (+-0.0) is x.
 
     A box or tag item computes only on its raw canvas's rows, the pixels
     some box or tag votes on: the softmax, dataset predictions and gate run

@@ -112,3 +112,36 @@ def test_train_loop_builds_one_target_per_pixel_item(monkeypatch):
     assert len(res.losses) == 8
     assert len(calls) == 8 * (quotas["fine"] + quotas["coarse"])  # not the boxes
     assert sorted(set(calls)) == [1, 2]
+
+
+def test_traced_train_loop_counts_steps_backward_passes_and_gated_rows():
+    # the tracer reads batch_loss's items after the call returns, so the
+    # gradient iterator must leave them as they were. One box class: every
+    # voted row predicts it with probability 1, so the gate keeps them all
+    spaces = [LabelSpace("px", ("void", "cat", "dog"), PIXEL_DENSE),
+              LabelSpace("boxes", ("void", "cat"), BBOX)]
+    relations = RelationTable.empty()
+    tax = build_group_sets(build_semantic_atoms(spaces, relations), spaces, relations)
+    rng = np.random.default_rng(61)
+    images = [rng.random((5, 4, 3)) for _ in range(4)]
+    px = LoadedDataset(spaces[0], images, [StrongLabel(rng.integers(1, 3, (5, 4)), 2)
+                                           for _ in images])
+    box_labels = [WeakLabel(boxes=((1, 0, 0, 2, 3),)), WeakLabel(),
+                  WeakLabel(boxes=((1, 1, 1, 4, 4),)), WeakLabel()]
+    boxes = LoadedDataset(spaces[1], images, box_labels)
+    tracer = _load("spans").Tracer()
+    tracer.install()
+    try:
+        res = model.train_loop([px, boxes], tax, None, BatchPlan({"px": 1, "boxes": 4}, 3),
+                               OptimizerState(learning_rate=0.1), epochs=2,
+                               refine_threshold=0.5, feature_width=3)
+    finally:
+        tracer.uninstall()
+    assert model.train_loop is train_loop
+    steps = len(res.losses)
+    assert steps == 8  # 4 pixel images at quota 1, two epochs
+    calls = {name: n for name, (n, _) in tracer.self_times().items()}
+    assert calls["lossgrad.batch_loss"] == steps
+    assert calls["model.backward"] == steps * (1 + 2)  # the pixel item, two voted boxes
+    assert tracer.counters["gate.kept_px"] == steps * (2 * 3 + 3 * 3)
+    assert tracer.counters["gate.raw_px"] == steps * (2 * 3 + 3 * 3)

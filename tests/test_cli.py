@@ -1,5 +1,9 @@
 import json
+import logging
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +68,35 @@ def test_print_config_exits_zero(capsys):
 
 def test_missing_config_is_config_error(capsys):
     assert main(["gen"]) == 2
+
+
+def test_unknown_log_level_exits_cleanly():
+    # in a fresh interpreter: under pytest the root logger has handlers
+    # already, so basicConfig would not read the level at all
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, HTSS_LOG="basic_format",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "htss.cli", "gen"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    note, error = done.stderr.splitlines()
+    assert note == "HTSS_LOG='basic_format' is not a log level; logging at WARNING"
+    assert error.startswith("config error: ")
+
+
+@pytest.mark.parametrize("value, level", [
+    ("basic_format", None), ("raiseexceptions", None), ("", None),
+    ("debug", "DEBUG"), ("Error", "ERROR"), ("WARNING", "WARNING")])
+def test_log_level_names(value, level, monkeypatch, capsys):
+    # anything but a level name (None) is WARNING, with a one-line note
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    monkeypatch.setenv("HTSS_LOG", value)
+    assert main(["gen"]) == 2
+    assert levels == [level or "WARNING"]
+    note = f"HTSS_LOG={value!r} is not a log level; logging at WARNING\n"
+    assert capsys.readouterr().err.startswith(note) == (level is None)
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -275,6 +275,7 @@ def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
 
     def counting_loss(items):
         loss, grads = real_loss(items)
+        grads = list(grads)
         pixel = sum(kind != BBOX for *_, kind in items)
         per_step.append([len(items), sum(bool(g.any()) for g in grads), 0, pixel])
         return loss, grads
@@ -508,6 +509,7 @@ def _item(vecs, logits, index=PAIR, kind=PIXEL_DENSE):
 def test_batch_single_item_matches_image_loss():
     item = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]])
     loss, grads = batch_loss([item])
+    grads = list(grads)
     assert abs(loss - math.log(2.0)) < 1e-12
     np.testing.assert_allclose(grads[0][0, 0], [-0.5, 0.5], atol=1e-12)
 
@@ -545,6 +547,7 @@ def test_batch_strong_and_weak_normalized_separately():
     weak = _item([[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
                  [[[0.0, 0.0], [0.0, 0.0]]], kind=BBOX)
     loss, grads = batch_loss([strong, weak])
+    grads = list(grads)
     # ln2 (strong pool, 1 px) + ln2 (weak pool, 2 px averaged)
     assert abs(loss - 2.0 * math.log(2.0)) < 1e-12
     np.testing.assert_allclose(grads[1][0, 0], [-0.25, 0.25], atol=1e-12)
@@ -554,6 +557,7 @@ def test_batch_empty_population_drops_out():
     strong = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]], kind=PIXEL_DENSE)
     empty_weak = _item([[[0.0, 0.0, 1.0]]], [[[0.0, 0.0]]], kind=BBOX)
     loss, grads = batch_loss([strong, empty_weak])
+    grads = list(grads)
     assert abs(loss - math.log(2.0)) < 1e-12
     np.testing.assert_allclose(grads[1], 0.0, atol=1e-15)
 
@@ -573,15 +577,18 @@ def test_batch_empty_item_gets_positive_zeros_and_changes_no_bit():
     empty_px = item([[2, 2], [2, 2], [2, 2]], PIXEL_DENSE)
     empty_weak = item([[2, 2, 2]], BBOX)
     loss, grads = batch_loss([partial, weak])
+    grads = list(grads)
     assert grads[0].any() and grads[1].any()  # partly supervised items keep theirs
     got_loss, got = batch_loss([empty_px, partial, empty_weak, weak])
+    got = list(got)
     assert got_loss == loss
     assert got[1].tobytes() == grads[0].tobytes()
     assert got[3].tobytes() == grads[1].tobytes()
     _, alone = batch_loss([partial, empty_weak])  # an empty weak population
+    alone = list(alone)
     for g, (_, probs, _, _) in [(got[0], empty_px), (got[2], empty_weak),
                                 (alone[1], empty_weak)]:
-        assert g.shape == probs.shape
+        assert g.shape == probs.shape and not g.flags.writeable  # a view: no raster
         assert not g.any() and not np.signbit(g).any()
 
 
@@ -633,7 +640,7 @@ def test_batch_gradient_matches_finite_differences():
     flat = np.concatenate([z1.ravel(), z2.ravel()])
     items = [(t1, softmax_atoms(z1), index_a, PIXEL_DENSE),
              (t2, softmax_atoms(z2), index_b, BBOX)]
-    _, grads = batch_loss(items)
+    grads = list(batch_loss(items)[1])
     got = np.concatenate([grads[0].ravel(), grads[1].ravel()])
     want = fd_grad(f, flat, eps=1e-5)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
@@ -799,6 +806,8 @@ def test_dense_target_grad_matches_finite_differences():
 
         got = grad_logits(target, softmax_atoms(z), index)
         np.testing.assert_allclose(got, fd_grad(f, z, eps=1e-5), rtol=1e-5, atol=1e-7)
+        fortran = grad_logits(target, np.asfortranarray(softmax_atoms(z)), index)
+        assert fortran.tobytes() == got.tobytes()  # any memory order, same bits
 
 
 # --- subclass merge ---

@@ -559,12 +559,56 @@ def test_train_loop_frees_each_step_before_the_next(monkeypatch):
         entered.append(sum(ref() is not None for ref in alive))
         alive.clear()
         loss, grads = batch_loss(items)
+        grads = list(grads)
         alive.extend(weakref.ref(a) for a in [*grads, *(item[1] for item in items)])
-        return loss, grads
+        return loss, iter(grads)  # a fresh iterable: train_loop still trains
 
     monkeypatch.setattr(model, "batch_loss", tracked)
     many_atom_training(steps=4)
     assert entered == [0, 0, 0, 0]
+
+
+class _Watched:
+    """Passes a gradient iterator on. At each request it logs whether every
+    gradient handed out so far is dead and, once the underlying iterator
+    has moved on, whether the head rasters of those items are dead too."""
+
+    def __init__(self, grads, dists):
+        self.grads, self.dists = grads, dists
+        self.handed = []
+        self.log = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        grads_dead = all(ref() is None for ref in self.handed)
+        try:
+            g = next(self.grads)
+        finally:
+            dists_dead = all(ref() is None for ref in self.dists[:len(self.handed)])
+            self.log.append((grads_dead, dists_dead))
+        self.handed.append(weakref.ref(g))
+        return g
+
+
+def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
+    # item k's logit gradient is dead when item k+1's is requested, and its
+    # head raster once the gradient iterator has moved past it
+    watched = []
+
+    def watching(items):
+        dists = [weakref.ref(item[1]) for item in items]
+        loss, grads = batch_loss(items)
+        watched.append(_Watched(grads, dists))
+        return loss, watched[-1]
+
+    monkeypatch.setattr(model, "batch_loss", watching)
+    many_atom_training(steps=4)
+    assert len(watched) == 4
+    for step in watched:
+        assert len(step.handed) == 4  # two pixel and two box items
+        assert step.log == [(True, True)] * 5  # the fifth request ends it
 
 
 def test_train_loop_trains_without_mallopt(monkeypatch):
