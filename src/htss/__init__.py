@@ -21,8 +21,6 @@ from .annotations import (
 from .lossgrad import (
     accumulate_groups,
     batch_loss,
-    ce_loss_image,
-    grad_logits,
     group_index,
     merge_subclass_predictions,
     softmax_atoms,

@@ -32,8 +32,9 @@ partition. Per pixel, the gathers touch L*g + A*c entries, g being the
 largest group and c the most classes sharing an atom; for disjoint groups
 of even size that is O(A + sum_m |G_m|), so a dataset costs
 O(HW * (A + sum_m |G_m|)) where the matrix products cost O(HW * A * L).
-The loss functions take only a GroupIndex: callers build it once per
-group map with group_index (train_loop does so per dataset) and reuse it.
+batch_loss is the one entry point: each of its items takes a GroupIndex,
+which callers build once per group map with group_index (train_loop does
+so per dataset) and reuse.
 
 A target is either a PseudoCanvas (box and tag items: soft, gated and
 held as their labeled rows) or a StrongLabel (pixel labels: one class id
@@ -65,6 +66,7 @@ All math runs in float64; log arguments are clamped at 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -198,14 +200,10 @@ def _canvas_grad(p_rows, rows, y, s, atom_classes, shape, denom) -> np.ndarray:
     return grads
 
 
-def _zero_grad(shape, denom) -> np.ndarray:
-    return np.broadcast_to(0.0, shape)  # read-only, with no raster behind it
-
-
 def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
     """Checks one item; returns its (H, W) unscaled losses, its supervised
-    pixel count and its gradient as (function, what the loss computed for
-    it), to call with the divisor appended."""
+    pixel count and grad, where grad(denom) builds its gradient divided
+    by denom."""
     num = target.num_classes
     probs = np.ascontiguousarray(probs, dtype=np.float64)  # reshapes below are views
     if index.num_classes != num:
@@ -223,7 +221,9 @@ def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
         rows = target.rows
     losses = np.zeros((h, w))
     if not rows.size:
-        return losses, 0, (_zero_grad, (probs.shape,))
+        # read-only, with no raster behind it; built on request, since a view
+        # held here would outlive the item's backward pass
+        return losses, 0, lambda denom: np.broadcast_to(0.0, (h, w, atoms))
     if isinstance(target, StrongLabel):  # slot id - 1 after the row gather: never void
         members = index.class_atoms[:, target.class_ids.reshape(-1)[rows] - 1]  # (g, n)
         real = members < atoms
@@ -236,7 +236,7 @@ def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
             s += row
         np.maximum(s, LOG_EPS, out=s)
         row_losses = -np.log(s)
-        grad = (_dense_grad, (probs, mask, at, real, parts, s))
+        grad = partial(_dense_grad, probs, mask, at, real, parts, s)
     else:
         p_rows = probs.reshape(-1, atoms).take(rows, axis=0)
         y = target.vectors[:, :num]
@@ -245,40 +245,17 @@ def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
         terms = np.log(s)
         terms *= y
         row_losses = -reduce_last(np.add, terms)
-        grad = (_canvas_grad, (p_rows, rows, y, s, index.atom_classes, probs.shape))
+        grad = partial(_canvas_grad, p_rows, rows, y, s, index.atom_classes, probs.shape)
     losses.reshape(-1)[rows] = row_losses
     return losses, rows.size, grad
-
-
-def _pixel_terms(target: Target, probs: np.ndarray, index: GroupIndex):
-    """Unscaled per-pixel losses, gradients (over 1: same bits) and count."""
-    losses, n, (grad, args) = _item_terms(target, probs, index)
-    return losses, grad(*args, 1), n
-
-
-def ce_loss_image(target: Target, probs: np.ndarray, index: GroupIndex) -> float:
-    """Cross-entropy between target and accumulated class probabilities,
-    averaged over supervised pixels."""
-    losses, n, _ = _item_terms(target, probs, index)
-    if n == 0:
-        raise NoSupervisedPixels()
-    return float(losses.sum() / n)
-
-
-def grad_logits(target: Target, probs: np.ndarray, index: GroupIndex) -> np.ndarray:
-    """Exact gradient of ce_loss_image with respect to the atom logits."""
-    _, n, (grad, args) = _item_terms(target, probs, index)
-    if n == 0:
-        raise NoSupervisedPixels()
-    return grad(*args, n)
 
 
 def _gradients(pieces: list, counts: list[int]) -> Iterator[np.ndarray]:
     """Gradients in item order, built on request; pieces drop once yielded."""
     pieces.reverse()  # popped in item order
     while pieces:
-        _, strong, grad, args = pieces.pop()
-        yield grad(*args, counts[strong])
+        _, strong, grad = pieces.pop()
+        yield grad(counts[strong])
 
 
 def batch_loss(items: Sequence[tuple]) -> tuple[float, Iterator[np.ndarray]]:
@@ -303,15 +280,15 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, Iterator[np.ndarray]]:
     for target, probs, index, kind in items:
         if kind not in SUPERVISION_KINDS:
             raise ShapeMismatch(f"unknown supervision kind {kind!r}")
-        losses, n, (grad, args) = _item_terms(target, probs, index)
+        losses, n, grad = _item_terms(target, probs, index)
         strong = kind in PIXEL_KINDS
         counts[strong] += n
-        pieces.append((losses.sum() if n else None, strong, grad, args))
+        pieces.append((losses.sum() if n else None, strong, grad))
     if not any(counts):
         raise NoSupervisedPixels()
 
     total = 0.0
-    for item_sum, strong, _, _ in pieces:
+    for item_sum, strong, _ in pieces:
         if item_sum is not None:  # an item of all +0.0 would change no bit
             total += item_sum / counts[strong]
     return float(total), _gradients(pieces, counts)

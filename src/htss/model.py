@@ -200,8 +200,8 @@ def _tap_view(bordered: np.ndarray, h: int, w: int) -> np.ndarray:
 
 def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
     """Gradient w.r.t. the (H, W, C) input of a 3x3 same-padding conv,
-    given dz = d(loss)/d(output) as (H*W, width), or as _pad_rows gives
-    it, and kernel (3, 3, C, width).
+    given dz = d(loss)/d(output) as _pad_rows gives it and kernel
+    (3, 3, C, width).
 
     Used for conv 2, where C == width. With C == 1 each tap's product
     would be a matrix-vector one, which BLAS sums in another order; a
@@ -209,8 +209,6 @@ def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.n
     c, width = kernel.shape[2], kernel.shape[3]
     if h * w == 1:
         return (0.0 + dz[:1] @ kernel[1, 1].T).reshape(1, 1, c)
-    if len(dz) == h * w:
-        dz = _pad_rows(dz, h, w)
     tap_kernels = np.ascontiguousarray(kernel.reshape(9, c, width).transpose(0, 2, 1))
     row = w + 2
     taps = np.matmul(dz, tap_kernels).reshape(9, -1)
@@ -324,13 +322,13 @@ def load_checkpoint(path) -> MicroNetParams:
         raise FormatError(path, f"checkpoint holds {len(arrays)} arrays, expected 6")
     if not all(np.isfinite(a).all() for a in arrays):
         raise FormatError(path, "checkpoint holds NaN or infinite values")
-    params = MicroNetParams(*arrays)
-    if params.w1.shape[:2] != (3, 3) or params.w2.shape[:2] != (3, 3):
-        raise FormatError(path, "checkpoint kernel shapes are not 3x3")
-    if (params.w1.shape[3] != params.width or params.w2.shape[2] != params.width
-            or params.wh.shape[0] != params.width):
-        raise FormatError(path, "checkpoint widths are inconsistent")
-    return params
+    dims = arrays[0].shape[2:] + arrays[4].shape[1:]  # (C, W, O) at the right ranks
+    c, width, out = dims if len(dims) == 3 else (0, 0, 0)  # a wrong rank fails below
+    want = [(3, 3, c, width), (width,), (3, 3, width, width), (width,), (width, out), (out,)]
+    if [a.shape for a in arrays] != want:
+        raise FormatError(path, f"checkpoint array shapes {[a.shape for a in arrays]} are not "
+                                "(3, 3, C, W) (W,) (3, 3, W, W) (W,) (W, O) (O,)")
+    return MicroNetParams(*arrays)
 
 
 @dataclass(frozen=True)

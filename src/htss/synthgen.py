@@ -137,18 +137,6 @@ class WorldSpec:
     def parent_of(self) -> dict[str, str]:
         return {f: p for p, fs in self.hierarchy for f in fs}
 
-    def to_dict(self) -> dict:
-        return {
-            "height": self.height, "width": self.width, "channels": self.channels,
-            "concepts": [{"name": c.name, "signature": list(c.signature),
-                          "noise": c.noise} for c in self.concepts],
-            "hierarchy": [[p, list(fs)] for p, fs in self.hierarchy],
-            "background": self.background,
-            "objects_min": self.objects_min, "objects_max": self.objects_max,
-            "size_min": self.size_min, "size_max": self.size_max,
-            "seed": self.seed, "box_pad": self.box_pad,
-        }
-
     @classmethod
     def from_dict(cls, doc) -> "WorldSpec":
         f = checked_fields(doc, _WORLD_FIELDS, "world spec", ConfigError)

@@ -18,6 +18,7 @@ Index conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -114,26 +115,10 @@ class RelationTable:
         return cls({}, {})
 
     def _check_acyclic(self):
-        # iterative DFS; the stack holds the current path, so a cycle can be reported
-        state: dict[str, int] = {}  # 1 = on the stack, 2 = done
-        for root in sorted(self.narrower):
-            if state.get(root):
-                continue
-            state[root] = 1
-            stack = [(root, iter(self.narrower[root]))]
-            while stack:
-                node, it = stack[-1]
-                for nxt in it:
-                    if state.get(nxt) == 1:
-                        path = [n for n, _ in stack]
-                        raise CyclicRelations(path[path.index(nxt):] + [nxt])
-                    if state.get(nxt) != 2:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(self.narrower.get(nxt, ()))))
-                        break
-                else:
-                    state[node] = 2
-                    stack.pop()
+        try:
+            graphlib.TopologicalSorter(self.narrower).prepare()
+        except graphlib.CycleError as exc:  # graphlib lists it against the edges
+            raise CyclicRelations(exc.args[1][::-1]) from None
 
     def generalizes(self, subject: str, obj: str) -> bool:
         """True when subject is a hypernym or holonym of obj."""

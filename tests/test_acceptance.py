@@ -19,7 +19,7 @@ from htss.annotations import (
     refine_canvas,
 )
 from htss.cli import main as cli_main
-from htss.lossgrad import ce_loss_image, grad_logits, group_index, softmax_atoms
+from htss.lossgrad import batch_loss, group_index, softmax_atoms
 from htss.metrics import iou_per_class, knowledgeability, miou
 from htss.model import (
     BatchPlan,
@@ -44,6 +44,7 @@ from htss.synthgen import (
     view_space,
 )
 from htss.taxonomy import (
+    PIXEL_DENSE,
     AtomPartition,
     RelationTable,
     build_group_sets,
@@ -66,6 +67,12 @@ from oracles import (
 
 def one_pixel(vec):
     return canvas_of_raster(np.array([[vec]], dtype=np.float64))
+
+
+def one_item_loss(target, probs, index):
+    """Loss and logit gradient of a one-item batch: what training computes."""
+    loss, grads = batch_loss([(target, probs, index, PIXEL_DENSE)])
+    return loss, next(grads)
 
 
 def memory_dataset(world, view):
@@ -208,9 +215,9 @@ def test_criterion_1_group_ce_gradients_match_finite_differences():
         index = group_index(groups, z.shape[-1])
 
         def f(logits):
-            return ce_loss_image(target, softmax_atoms(logits), index)
+            return one_item_loss(target, softmax_atoms(logits), index)[0]
 
-        got = grad_logits(target, softmax_atoms(z), index)
+        _, got = one_item_loss(target, softmax_atoms(z), index)
         fd = fd_grad(f, z, eps=1e-4)
         err = np.abs(got - fd).max() / max(1.0, np.abs(fd).max())
         worst = max(worst, err)
@@ -221,23 +228,23 @@ def test_criterion_1_group_ce_gradients_match_finite_differences():
     target = one_pixel([1.0, 0.0, 0.0])
     probs = softmax_atoms(np.zeros((1, 1, 2)))
     index = group_index((frozenset({0}), frozenset({1})), 2)
-    assert abs(ce_loss_image(target, probs, index) - math.log(2.0)) < 1e-12
-    np.testing.assert_allclose(grad_logits(target, probs, index)[0, 0],
-                               [-0.5, 0.5], atol=1e-12)
+    loss, grad = one_item_loss(target, probs, index)
+    assert abs(loss - math.log(2.0)) < 1e-12
+    np.testing.assert_allclose(grad[0, 0], [-0.5, 0.5], atol=1e-12)
 
     probs = softmax_atoms(np.zeros((1, 1, 3)))
     index = group_index((frozenset({0, 1}), frozenset({2})), 3)
-    assert abs(ce_loss_image(target, probs, index)
-               - (-math.log(2.0 / 3.0))) < 1e-12
-    np.testing.assert_allclose(grad_logits(target, probs, index)[0, 0],
-                               [-1.0 / 6.0, -1.0 / 6.0, 1.0 / 3.0], atol=1e-12)
+    loss, grad = one_item_loss(target, probs, index)
+    assert abs(loss - (-math.log(2.0 / 3.0))) < 1e-12
+    np.testing.assert_allclose(grad[0, 0], [-1.0 / 6.0, -1.0 / 6.0, 1.0 / 3.0],
+                               atol=1e-12)
 
     target = one_pixel([1.0, 0.0])
     probs = softmax_atoms(np.array([[[0.3, -1.2, 2.0]]]))
     index = group_index((frozenset({0, 1, 2}),), 3)
-    assert ce_loss_image(target, probs, index) == 0.0
-    np.testing.assert_allclose(grad_logits(target, probs, index), 0.0,
-                               atol=1e-12)
+    loss, grad = one_item_loss(target, probs, index)
+    assert loss == 0.0
+    np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
 
 # --- criterion 2: degeneracy to plain softmax cross-entropy ---

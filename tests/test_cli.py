@@ -409,7 +409,7 @@ def test_train_and_eval_roundtrip(tmp_path, gen_tree):
     assert tree_bytes(tmp_path / "eval_out") == tree_bytes(tmp_path / "eval_out2")
 
 
-def test_eval_checkpoint_atom_mismatch(tmp_path, gen_tree):
+def test_eval_checkpoint_atom_mismatch(tmp_path, gen_tree, capsys):
     from htss.formats import write_array_file
     rng = np.random.default_rng(0)
     bad = tmp_path / "bad.ckpt"
@@ -424,6 +424,19 @@ def test_eval_checkpoint_atom_mismatch(tmp_path, gen_tree):
     })
     assert main(["eval", "--config", cfg]) == 3
     assert not (tmp_path / "eval_out").exists()
+    # a net for the 3 fine_px atoms with one array malformed: w1 of rank 2,
+    # b1 (4, 2), wh of rank 1, bh and b2 one entry too long, w2 one output
+    # channel too many
+    net = [(3, 3, 2, 4), (4,), (3, 3, 4, 4), (4,), (4, 3), (3,)]
+    for k, shape in [(0, (3, 3)), (1, (4, 2)), (4, (4,)), (5, (4,)), (3, (5,)),
+                     (2, (3, 3, 4, 5))]:
+        shapes = net[:k] + [shape] + net[k + 1:]
+        write_array_file(bad, [rng.standard_normal(s) for s in shapes])
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg]) == 3, shape
+        err = capsys.readouterr().err
+        assert "data error" in err and str(bad) in err and "Traceback" not in err, err
+        assert not (tmp_path / "eval_out").exists()
 
 
 def test_eval_rejects_weak_dataset(tmp_path, gen_tree):

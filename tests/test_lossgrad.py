@@ -20,11 +20,9 @@ from htss.annotations import (
 )
 from htss.lossgrad import (
     _gather_sum,
-    _pixel_terms,
+    _item_terms,
     accumulate_groups,
     batch_loss,
-    ce_loss_image,
-    grad_logits,
     group_index,
     group_matrix,
     merge_subclass_predictions,
@@ -63,6 +61,12 @@ def canvas(rows):
 
 def one_pixel(vec):
     return canvas([[vec]])
+
+
+def one_item_loss(target, probs, index):
+    """Loss and logit gradient of a one-item batch: what training computes."""
+    loss, grads = batch_loss([(target, probs, index, PIXEL_DENSE)])
+    return loss, next(grads)
 
 
 # --- softmax ---
@@ -202,9 +206,7 @@ def test_group_index_rejects_mismatched_atom_count():
     with pytest.raises(ShapeMismatch):
         accumulate_groups(probs, index)
     with pytest.raises(ShapeMismatch):
-        ce_loss_image(one_pixel([1.0, 0.0, 0.0]), probs, index)
-    with pytest.raises(ShapeMismatch):
-        batch_loss([(one_pixel([1.0, 0.0, 0.0]), probs, index, PIXEL_DENSE)])
+        one_item_loss(one_pixel([1.0, 0.0, 0.0]), probs, index)
     with pytest.raises(IndexOutOfRange):
         group_index(groups, 2)
 
@@ -349,9 +351,8 @@ def test_loss_singleton_groups_uniform():
     target = one_pixel([1.0, 0.0, 0.0])
     probs = softmax_atoms(np.zeros((1, 1, 2)))
     index = group_index((frozenset({0}), frozenset({1})), 2)
-    loss = ce_loss_image(target, probs, index)
+    loss, g = one_item_loss(target, probs, index)
     assert abs(loss - math.log(2.0)) < 1e-12
-    g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g[0, 0], [-0.5, 0.5], atol=1e-12)
 
 
@@ -360,9 +361,8 @@ def test_loss_two_atom_group_of_three():
     target = one_pixel([1.0, 0.0, 0.0])
     probs = softmax_atoms(np.zeros((1, 1, 3)))
     index = group_index((frozenset({0, 1}), frozenset({2})), 3)
-    loss = ce_loss_image(target, probs, index)
+    loss, g = one_item_loss(target, probs, index)
     assert abs(loss - (-math.log(2.0 / 3.0))) < 1e-12
-    g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g[0, 0],
                                [-1.0 / 6.0, -1.0 / 6.0, 1.0 / 3.0], atol=1e-12)
 
@@ -371,8 +371,8 @@ def test_loss_all_atom_group_is_zero():
     target = one_pixel([1.0, 0.0])
     probs = softmax_atoms(np.array([[[0.3, -1.2, 2.0]]]))
     index = group_index((frozenset({0, 1, 2}),), 3)
-    assert ce_loss_image(target, probs, index) == 0.0
-    g = grad_logits(target, probs, index)
+    loss, g = one_item_loss(target, probs, index)
+    assert loss == 0.0
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -380,9 +380,8 @@ def test_loss_averages_over_supervised_pixels_only():
     target = canvas([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
     probs = softmax_atoms(np.zeros((1, 2, 2)))
     index = group_index((frozenset({0}), frozenset({1})), 2)
-    loss = ce_loss_image(target, probs, index)
+    loss, g = one_item_loss(target, probs, index)
     assert abs(loss - math.log(2.0)) < 1e-12  # |P| = 1
-    g = grad_logits(target, probs, index)
     np.testing.assert_allclose(g[0, 1], 0.0, atol=1e-15)
     np.testing.assert_allclose(g[0, 0], [-0.5, 0.5], atol=1e-12)
 
@@ -395,7 +394,7 @@ def test_loss_soft_targets_mix():
     index = group_index((frozenset({0}), frozenset({1})), 2)
     s = probs[0, 0]
     expect = -0.5 * math.log(s[0]) - 0.5 * math.log(s[1])
-    assert abs(ce_loss_image(target, probs, index) - expect) < 1e-12
+    assert abs(one_item_loss(target, probs, index)[0] - expect) < 1e-12
 
 
 def test_loss_no_supervised_pixels():
@@ -403,7 +402,7 @@ def test_loss_no_supervised_pixels():
     probs = softmax_atoms(np.zeros((1, 1, 2)))
     index = group_index((frozenset({0}), frozenset({1})), 2)
     with pytest.raises(NoSupervisedPixels):
-        ce_loss_image(target, probs, index)
+        one_item_loss(target, probs, index)
 
 
 def test_loss_shape_mismatch():
@@ -411,7 +410,7 @@ def test_loss_shape_mismatch():
     probs = softmax_atoms(np.zeros((2, 1, 2)))
     index = group_index((frozenset({0}), frozenset({1})), 2)
     with pytest.raises(ShapeMismatch):
-        ce_loss_image(target, probs, index)
+        one_item_loss(target, probs, index)
 
 
 # --- gradient properties ---
@@ -423,7 +422,7 @@ def test_grad_rows_sum_to_zero():
     raw = rng.random((3, 4, 4))
     target = canvas_of_raster(raw / raw.sum(axis=2, keepdims=True))
     index = group_index((frozenset({0, 1}), frozenset({2}), frozenset({3, 4})), 5)
-    g = grad_logits(target, probs, index)
+    _, g = one_item_loss(target, probs, index)
     np.testing.assert_allclose(g.sum(axis=2), 0.0, atol=1e-12)
 
 
@@ -447,9 +446,9 @@ def test_grad_matches_finite_differences():
         z = rng.standard_normal((h, w, atoms))
 
         def f(logits):
-            return ce_loss_image(target, softmax_atoms(logits), index)
+            return one_item_loss(target, softmax_atoms(logits), index)[0]
 
-        got = grad_logits(target, softmax_atoms(z), index)
+        _, got = one_item_loss(target, softmax_atoms(z), index)
         want = fd_grad(f, z, eps=1e-5)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
@@ -464,13 +463,13 @@ def test_naive_indicator_gradient_is_wrong_for_merged_groups():
     index = group_index((frozenset({0, 1}),), 3)
 
     def f(logits):
-        return ce_loss_image(target, softmax_atoms(logits), index)
+        return one_item_loss(target, softmax_atoms(logits), index)[0]
 
     fd = fd_grad(f, z, eps=1e-5)
     naive = probs.copy()
     naive[0, 0, [0, 1]] -= 1.0  # indicator of the target group
     assert np.abs(naive - fd).max() > 1e-2
-    np.testing.assert_allclose(grad_logits(target, probs, index), fd,
+    np.testing.assert_allclose(one_item_loss(target, probs, index)[1], fd,
                                rtol=1e-5, atol=1e-8)
 
 
@@ -490,9 +489,9 @@ def test_singleton_groups_equal_plain_ce():
         mask = ids < n
         ref_targets = np.eye(n)[np.where(mask, ids, 0)] * mask[..., None]
         want_loss, want_grad = ref_ce_loss_grad(z, ref_targets, mask)
-        assert abs(ce_loss_image(target, probs, index) - want_loss) < 1e-12
-        np.testing.assert_allclose(grad_logits(target, probs, index),
-                                   want_grad, atol=1e-12)
+        loss, grad = one_item_loss(target, probs, index)
+        assert abs(loss - want_loss) < 1e-12
+        np.testing.assert_allclose(grad, want_grad, atol=1e-12)
 
 
 # --- batch pooling ---
@@ -504,14 +503,6 @@ PAIR = group_index((frozenset({0}), frozenset({1})), 2)
 def _item(vecs, logits, index=PAIR, kind=PIXEL_DENSE):
     return (canvas(vecs), softmax_atoms(np.asarray(logits, dtype=np.float64)),
             index, kind)
-
-
-def test_batch_single_item_matches_image_loss():
-    item = _item([[[1.0, 0.0, 0.0]]], [[[0.0, 0.0]]])
-    loss, grads = batch_loss([item])
-    grads = list(grads)
-    assert abs(loss - math.log(2.0)) < 1e-12
-    np.testing.assert_allclose(grads[0][0, 0], [-0.5, 0.5], atol=1e-12)
 
 
 def test_batch_pools_pixel_counts_within_population():
@@ -536,7 +527,7 @@ def test_batch_mean_property_for_equal_counts():
         ids = rng.integers(0, 2, size=(2, 2))
         target = canvas_of_raster(np.eye(3)[ids])  # fully supervised: equal counts
         items.append((target, softmax_atoms(z), index, PIXEL_DENSE))
-        per_image.append(ce_loss_image(target, softmax_atoms(z), index))
+        per_image.append(one_item_loss(target, softmax_atoms(z), index)[0])
     loss, _ = batch_loss(items)
     assert abs(loss - float(np.mean(per_image))) < 1e-12
 
@@ -607,9 +598,7 @@ def test_empty_item_still_checks_shapes():
             batch_loss([strong, (empty, probs, idx, BBOX)])
     probs = np.full((1, 2, 2), 0.5)
     with pytest.raises(NoSupervisedPixels):
-        ce_loss_image(empty, probs, index)
-    with pytest.raises(NoSupervisedPixels):
-        grad_logits(empty, probs, index)
+        one_item_loss(empty, probs, index)
 
 
 def test_batch_all_unsupervised_raises():
@@ -687,11 +676,11 @@ def test_dense_target_matches_one_hot_canvas_bits(h, w, atoms, classes, overlapp
     for _ in range(3):
         label, probs, index = _dense_case(rng, h, w, atoms, classes, overlapping)
         dense, hot = strong_to_canvas(label, classes), one_hot_canvas(label, classes)
-        got, want = _pixel_terms(dense, probs, index), _pixel_terms(hot, probs, index)
-        assert got[2] == want[2] == int((label.class_ids > 0).sum())
+        got, want = _item_terms(dense, probs, index), _item_terms(hot, probs, index)
+        assert got[1] == want[1] == int((label.class_ids > 0).sum())
         assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[1].shape == probs.shape and got[0].shape == (h, w)
+        assert got[2](1).tobytes() == want[2](1).tobytes()
+        assert got[2](1).shape == probs.shape and got[0].shape == (h, w)
         # s* == 1.0 gives the loss -0.0; s* == 0.0 is clamped to 1e-12
         assert got[0][0, 0] == 0.0 and np.signbit(got[0][0, 0])
         assert got[0][0, 1] == -math.log(1e-12)
@@ -699,11 +688,11 @@ def test_dense_target_matches_one_hot_canvas_bits(h, w, atoms, classes, overlapp
         items["canvas"].append((hot, probs, index, PIXEL_DENSE))
     void = StrongLabel(np.zeros((h, w), dtype=np.int64), classes)
     probs = softmax_atoms(rng.standard_normal((h, w, atoms)))
-    got = _pixel_terms(strong_to_canvas(void, classes), probs, index)
-    want = _pixel_terms(one_hot_canvas(void, classes), probs, index)
-    assert got[2] == want[2] == 0
+    got = _item_terms(strong_to_canvas(void, classes), probs, index)
+    want = _item_terms(one_hot_canvas(void, classes), probs, index)
+    assert got[1] == want[1] == 0
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2](1).tobytes() == want[2](1).tobytes()
     items["dense"].append((strong_to_canvas(void, classes), probs, index, PIXEL_DENSE))
     items["canvas"].append((one_hot_canvas(void, classes), probs, index, PIXEL_DENSE))
     boxes = WeakLabel(boxes=((1, 0, 0, w // 2, h // 2), (classes, 1, 1, w, h)))
@@ -744,23 +733,23 @@ WEAK_SHAPES = [(16, 16, 330, 150), (20, 20, 6, 3), (48, 48, 3, 2), (3, 4, 12, 9)
 @pytest.mark.parametrize("overlapping", [False, True])
 def test_row_canvas_loss_matches_full_raster_oracle_bits(h, w, atoms, classes,
                                                           overlapping):
-    # ce_loss_image, grad_logits and batch_loss on row canvases read the
-    # same bits as the weak loss written over the full raster
+    # _item_terms, a one-item and a mixed batch_loss on row canvases read
+    # the same bits as the weak loss written over the full raster
     rng = np.random.default_rng([h, atoms, classes, overlapping])
     label, probs, index = _dense_case(rng, h, w, atoms, classes, overlapping)
     items = [(strong_to_canvas(label, classes), probs, index, PIXEL_DENSE)]
     refs = [weak_terms_full_raster_oracle(one_hot_canvas(label, classes).probs,
                                           probs, index)]
     for raster, canvas in _weak_cases(rng, h, w, classes):
-        got = _pixel_terms(canvas, probs, index)
+        losses, n, grad = _item_terms(canvas, probs, index)
         ref = weak_terms_full_raster_oracle(raster, probs, index)
-        assert got[2] == ref[2] == canvas.rows.size
-        assert got[0].tobytes() == ref[0].tobytes() and got[0].shape == (h, w)
-        assert got[1].tobytes() == ref[1].tobytes() and got[1].shape == probs.shape
+        assert n == ref[2] == canvas.rows.size
+        assert losses.tobytes() == ref[0].tobytes() and losses.shape == (h, w)
+        assert grad(1).tobytes() == ref[1].tobytes() and grad(1).shape == probs.shape
         if ref[2]:
-            loss = np.float64(ce_loss_image(canvas, probs, index))
-            assert loss.tobytes() == np.float64(ref[0].sum() / ref[2]).tobytes()
-            grad = grad_logits(canvas, probs, index)
+            loss, grad = one_item_loss(canvas, probs, index)
+            want = np.float64(ref[0].sum() / ref[2])
+            assert np.float64(loss).tobytes() == want.tobytes()
             assert grad.tobytes() == (ref[1] / ref[2]).tobytes()
         items.append((canvas, probs, index, BBOX))
         refs.append(ref)
@@ -781,12 +770,12 @@ def test_dense_target_checks_shapes():
     target = strong_to_canvas(label, 2)
     index = group_index((frozenset({0}), frozenset({1})), 2)
     with pytest.raises(ShapeMismatch):  # grid
-        ce_loss_image(target, np.full((3, 1, 2), 0.5), index)
+        one_item_loss(target, np.full((3, 1, 2), 0.5), index)
     with pytest.raises(ShapeMismatch):  # class slots
-        ce_loss_image(target, np.full((1, 3, 2), 0.5), group_index((frozenset({0}),), 2))
+        one_item_loss(target, np.full((1, 3, 2), 0.5), group_index((frozenset({0}),), 2))
     with pytest.raises(NoSupervisedPixels):
-        grad_logits(strong_to_canvas(StrongLabel(np.zeros((1, 3), dtype=int), 2), 2),
-                    np.full((1, 3, 2), 0.5), index)
+        one_item_loss(strong_to_canvas(StrongLabel(np.zeros((1, 3), dtype=int), 2), 2),
+                      np.full((1, 3, 2), 0.5), index)
 
 
 def test_dense_target_grad_matches_finite_differences():
@@ -802,11 +791,11 @@ def test_dense_target_grad_matches_finite_differences():
         z = rng.standard_normal((h, w, atoms))
 
         def f(logits):
-            return ce_loss_image(target, softmax_atoms(logits), index)
+            return one_item_loss(target, softmax_atoms(logits), index)[0]
 
-        got = grad_logits(target, softmax_atoms(z), index)
+        _, got = one_item_loss(target, softmax_atoms(z), index)
         np.testing.assert_allclose(got, fd_grad(f, z, eps=1e-5), rtol=1e-5, atol=1e-7)
-        fortran = grad_logits(target, np.asfortranarray(softmax_atoms(z)), index)
+        _, fortran = one_item_loss(target, np.asfortranarray(softmax_atoms(z)), index)
         assert fortran.tobytes() == got.tobytes()  # any memory order, same bits
 
 

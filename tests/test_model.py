@@ -27,6 +27,7 @@ from htss.model import (
     OptimizerState,
     _conv_input_grad,
     _im2col,
+    _pad_rows,
     backward,
     derive_train_seeds,
     evaluate,
@@ -153,7 +154,8 @@ def test_conv2_input_grad_matches_gemm_then_col2im_bit_for_bit(h, w, width):
         dz = da * (rng.random((h * w, width)) < 0.6)
         kernel = rng.standard_normal((3, 3, width, width))
         want = col2im_oracle(dz @ kernel.reshape(-1, width).T, h, w, width)
-        assert _conv_input_grad(dz, kernel, h, w).tobytes() == want.tobytes()
+        got = _conv_input_grad(_pad_rows(dz, h, w), kernel, h, w)
+        assert got.tobytes() == want.tobytes()
 
 
 # Every array of forward and backward lies within this many ulp of the
@@ -377,11 +379,15 @@ def test_checkpoint_rejects_inconsistent_arrays(tmp_path):
     p = init_micronet(3, 4, 5, seed=21)
     path = tmp_path / "net.ckpt"
     from htss import formats
-    arrays = p.arrays()
-    arrays[4] = np.zeros((7, 5))  # head width disagrees with conv width
-    formats.write_array_file(path, arrays)
-    with pytest.raises(FormatError):
-        load_checkpoint(path)
+    # head width against conv width, then w1 of rank 2, b1 (4, 2), wh of
+    # rank 1, bh and b2 one entry too long, w2 one output channel too many
+    for k, shape in [(4, (7, 5)), (0, (3, 3)), (1, (4, 2)), (4, (4,)), (5, (6,)),
+                     (3, (5,)), (2, (3, 3, 4, 5))]:
+        arrays = p.arrays()
+        arrays[k] = np.zeros(shape)
+        formats.write_array_file(path, arrays)
+        with pytest.raises(FormatError, match="net.ckpt"):
+            load_checkpoint(path)
 
 
 def test_derive_train_seeds_stable_and_distinct():

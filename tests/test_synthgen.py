@@ -64,11 +64,6 @@ def test_world_validation():
         ))  # duplicate signature
 
 
-def test_world_dict_roundtrip():
-    w = tiny_world()
-    assert WorldSpec.from_dict(w.to_dict()) == w
-
-
 def test_scene_deterministic_per_index():
     w = tiny_world()
     a = generate_scene(w, 3)

@@ -67,8 +67,9 @@ def test_relations_reject_cycle():
 
 
 def test_relations_reject_mixed_kind_cycle():
-    # acyclicity is over the union of hypernym and holonym edges
-    with pytest.raises(CyclicRelations):
+    # acyclicity is over the union of hypernym and holonym edges; the
+    # message lists the cycle along the edges
+    with pytest.raises(CyclicRelations, match="cycle: a -> b -> c -> a$"):
         RelationTable.from_triples([
             (HYPERNYM, "a", "b"), (HOLONYM, "b", "c"), (HYPERNYM, "c", "a"),
         ])
