@@ -23,25 +23,25 @@ into a flat zero buffer of (H+3) rows of W+2 pixels, pixel (y, x) at row
 y+1, column x+1. Output position p = y*(W+2) + x reads tap (dy, dx) at
 buffer pixel p + dy*(W+2) + dx, so _tap_view gives the nine tap inputs
 as one read-only (3, 3, H*(W+2), C) view, with pad outputs at x = W, W+1.
-The forward pass is one batched matmul of that view by the (3, 3, C,
-width) kernel, summed over the taps in (dy, dx) order by np.add.reduce;
-dW2 is the transposed view times dz padded to rows of W+2 pixels, the
-last two zero (_pad_rows). _conv_input_grad multiplies that padded dz by
-the nine transposed tap kernels and adds each (H*(W+2), C) plane into a
-flat bordered buffer with one contiguous add at offset (dy*(W+2) + dx)*C,
-in (dy, dx) order: plane pixel (y, x) lands on buffer pixel (y+dy, x+dx),
-and a real pixel (x < W) never wraps past its row. A one-pixel image
-takes only the centre tap, as the transposed view kernel[1, 1].T (numpy's
-vector-matrix path sums a C-ordered kernel in another order), added to
-+0.0 as the buffer would. The pad pixels add only +-0.0 terms, which
-change no bit: x + (+-0.0) is x unless x is -0.0, and a running sum
-started at +0.0 never is -0.0 (IEEE addition gives -0.0 only for
--0.0 + -0.0). Every element is still one BLAS dot product, but BLAS can
-sum it in an order that depends on the GEMM's shape and the row's place
-in its row blocks. tests/test_model.py pins forward and backward to the
+forward sums the nine tap products (input times (C, width) kernel) in
+(dy, dx) order, by np.add.reduce or from tap 0 + 0.0, as np.add.reduce
+starts from +0.0. dW2 is the transposed view times dz padded to rows of
+W+2 pixels, the last two zero (_pad_rows). _conv_input_grad adds each
+product of that dz by a transposed tap kernel into a flat bordered
+buffer at pixel offset dy*(W+2) + dx, in (dy, dx) order: plane pixel
+(y, x) lands on buffer pixel (y+dy, x+dx), and a real pixel (x < W)
+never wraps past its row. _tap_products makes the nine in one batched
+matmul while their (9, H*(W+2), width) stack fits TAP_STACK_BYTES, else
+tap by tap into one buffer: the same BLAS call per tap, so the same
+bits. A larger stack outgrows a core's 2 MiB L2, and the adds read it
+back from memory (see README for timings). Pad pixels add only +-0.0
+terms, which change no bit: x + (+-0.0) is x unless x is -0.0, and a
+sum started at +0.0 never is -0.0 (IEEE addition gives -0.0 only for
+-0.0 + -0.0). BLAS sums each element in an order that can depend on the
+GEMM's shape; tests/test_model.py pins forward and backward to the
 per-tap oracles of tests/oracles.py byte for byte at the workload shapes
 and, with OpenBLAS 0.3.31, in the (width, image size) cells its tables
-list; it bounds every other cell to a few ulp.
+list, and bounds every other cell to a few ulp.
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ from .taxonomy import (
 )
 
 INIT_SCALE = 0.05
+TAP_STACK_BYTES = 1 << 20  # largest batched conv-2 tap stack (see the module docstring)
 
 # glibc mallopt parameters and the values train_loop and evaluate set. A
-# step's (H, W, atoms) rasters and conv-2 tap products lie above glibc's
-# default 128 KiB mmap threshold, so glibc maps each one afresh and
-# unmaps it on free, or trims the freed heap top, and the next step
-# faults the same pages in again as zeroed ones. 32 MiB is the largest
-# mmap threshold glibc accepts; the trim threshold keeps freed heap.
+# step's (H, W, atoms) rasters and conv-2 tap arrays lie above glibc's default
+# 128 KiB mmap threshold, so glibc maps each afresh and unmaps it on free (or
+# trims the freed heap top), and the next step faults the pages in again.
+# 32 MiB is the largest mmap threshold glibc accepts; the trim threshold keeps freed heap.
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 32 << 20
@@ -198,26 +198,32 @@ def _tap_view(bordered: np.ndarray, h: int, w: int) -> np.ndarray:
                       0, ((w + 2) * s0, s0, s0, s1))
 
 
-def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Gradient w.r.t. the (H, W, C) input of a 3x3 same-padding conv,
-    given dz = d(loss)/d(output) as _pad_rows gives it and kernel
-    (3, 3, C, width).
+def _tap_products(a: np.ndarray, b: np.ndarray) -> np.ndarray | Iterator[np.ndarray]:
+    """The nine (P, N) products a[dy, dx] @ b[dy, dx] in (dy, dx) order (a (P, K)
+    a serves all nine): a (9, P, N) stack, or an iterator into one reused buffer."""
+    p, n = a.shape[-2], b.shape[-1]
+    if 9 * p * n * 8 <= TAP_STACK_BYTES:
+        return np.matmul(a, b).reshape(9, p, n)
+    buf = np.empty((p, n), dtype=np.float64)
+    return (np.matmul(a[dy, dx] if a.ndim > 2 else a, b[dy, dx], out=buf)
+            for dy in range(3) for dx in range(3))
 
-    Used for conv 2, where C == width. With C == 1 each tap's product
-    would be a matrix-vector one, which BLAS sums in another order; a
-    one-pixel image keeps the vector-matrix product of the plain form."""
-    c, width = kernel.shape[2], kernel.shape[3]
+
+def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Gradient w.r.t. the (H, W, C) input of conv 2 (C == width), given
+    dz = d(loss)/d(output) as _pad_rows gives it and kernel (3, 3, C, width).
+
+    A one-pixel image takes only the centre tap, as kernel[1, 1].T (numpy's
+    vector-matrix path sums a C-ordered kernel in another order), added to
+    +0.0 as the buffer would be."""
+    c = kernel.shape[2]
     if h * w == 1:
         return (0.0 + dz[:1] @ kernel[1, 1].T).reshape(1, 1, c)
-    tap_kernels = np.ascontiguousarray(kernel.reshape(9, c, width).transpose(0, 2, 1))
-    row = w + 2
-    taps = np.matmul(dz, tap_kernels).reshape(9, -1)
-    dflat = np.zeros((h + 3) * row * c, dtype=np.float64)
-    for t in range(9):
-        dy, dx = divmod(t, 3)
-        start = (dy * row + dx) * c
-        dflat[start:start + taps.shape[1]] += taps[t]
-    return dflat.reshape(h + 3, row, c)[1:h + 1, 1:w + 1, :]
+    dflat = np.zeros(((h + 3) * (w + 2), c), dtype=np.float64)
+    taps = _tap_products(dz, np.ascontiguousarray(kernel.transpose(0, 1, 3, 2)))
+    for start, tap in zip([dy * (w + 2) + dx for dy in range(3) for dx in range(3)], taps):
+        dflat[start:start + len(tap)] += tap
+    return dflat.reshape(h + 3, w + 2, c)[1:h + 1, 1:w + 1, :]
 
 
 @dataclass
@@ -246,15 +252,25 @@ def forward(params: MicroNetParams, image: np.ndarray) -> tuple[np.ndarray, Forw
     np.maximum(z1, 0.0, out=z1)
     a1 = np.zeros(((h + 3) * (w + 2), params.width), dtype=np.float64)
     a1.reshape(h + 3, w + 2, -1)[1:h + 1, 1:w + 1] = z1.reshape(h, w, -1)
-    taps = np.matmul(_tap_view(a1, h, w), params.w2).reshape(9, h, w + 2, -1)
-    z2 = np.add.reduce(taps, axis=0)
+    taps = _tap_products(_tap_view(a1, h, w), params.w2)
+    if isinstance(taps, np.ndarray):  # one reduce call: cheaper on small images
+        z2 = np.add.reduce(taps, axis=0)
+    else:  # from +0.0, as np.add.reduce starts
+        z2 = next(taps) + 0.0
+        for tap in taps:
+            z2 += tap
     z2 += params.b2
-    a2 = np.maximum(z2[:, :w], 0.0)
+    a2 = np.maximum(z2.reshape(h, w + 2, -1)[:, :w], 0.0)
     logits = a2 @ params.wh
     logits += params.bh
     cache = ForwardCache(params=params, version=params.version, shape=(h, w),
                          cols1=cols1, a1=a1, a2=a2)
     return logits, cache
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) bit for bit, faster: einsum adds rows in order as numpy does on 2+ columns."""
+    return np.einsum("ij->j", x) if x.shape[1] > 1 else x.sum(axis=0)
 
 
 def backward(cache: ForwardCache, upstream: np.ndarray) -> MicroNetGrads:
@@ -270,19 +286,19 @@ def backward(cache: ForwardCache, upstream: np.ndarray) -> MicroNetGrads:
     a2 = cache.a2.reshape(-1, params.width)
 
     dwh = a2.T @ up
-    dbh = up.sum(axis=0)
+    dbh = _column_sums(up)
     dz2 = up @ params.wh.T
     dz2 *= a2 > 0.0  # the ReLU mask, in place on the fresh d(loss)/d(a2)
 
     dz_rows = _pad_rows(dz2, h, w)
     dw2 = np.matmul(_tap_view(cache.a1, h, w).transpose(0, 1, 3, 2), dz_rows)
-    db2 = dz2.sum(axis=0)
+    db2 = _column_sums(dz2)
     da1 = _conv_input_grad(dz_rows, params.w2, h, w)
     a1 = cache.a1.reshape(h + 3, w + 2, params.width)[1:h + 1, 1:w + 1]
     dz1 = (da1 * (a1 > 0.0)).reshape(-1, params.width)
 
     dw1 = (cache.cols1.T @ dz1).reshape(params.w1.shape)
-    db1 = dz1.sum(axis=0)
+    db1 = _column_sums(dz1)
     return MicroNetGrads(w1=dw1, b1=db1, w2=dw2, b2=db2, wh=dwh, bh=dbh)
 
 
@@ -481,9 +497,9 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     become canvases refined against the current predictions), applies the
     mixed-batch loss, backpropagates and takes one momentum-SGD step.
     An epoch is the number of steps the largest dataset needs for a full
-    pass. The plan must draw at least
-    one pixel-supervised dataset: box/tag canvases are gated against the
-    net's own predictions, which only pixel labels anchor.
+    pass. The plan must draw at least one pixel-supervised dataset: box/tag
+    canvases are gated against the net's own predictions, which only pixel
+    labels anchor.
 
     Nothing of a step outlives it: the batch items (targets and head
     rasters) are dropped once batch_loss returns; each logit gradient,
@@ -506,11 +522,11 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
 
     A box or tag item computes only on its raw canvas's rows, the pixels
     some box or tag votes on: the softmax, dataset predictions and gate run
-    there, its head raster is +0.0 elsewhere, and an unvoted item skips the
-    softmax, its raw canvas being its target. Same bits: softmax_atoms and
-    reduce_last treat each row alike, the gate is per pixel, and batch_loss
-    reads the gated rows only. The logits stay full: the head GEMM's row
-    count can change BLAS sums.
+    there, its head raster is +0.0 elsewhere, and an unvoted item skips
+    forward and softmax, its raw canvas being its target. Same bits:
+    softmax_atoms and reduce_last treat each row alike, the gate is per
+    pixel, and batch_loss reads the gated rows only. The logits stay full:
+    the head GEMM's row count can change BLAS sums.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -533,6 +549,9 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     if not any(by_id[ds_id].supervision in PIXEL_KINDS for ds_id in sampler.ids):
         raise ConfigError("batch plan draws only box/tag datasets; "
                           "give a pixel-supervised dataset a quota")
+    for ds_id in sampler.ids:  # an unvoted item skips forward and its check
+        if any(im.ndim != 3 or im.shape[2] != in_ch for im in by_id[ds_id].images):
+            raise ShapeMismatch(f"dataset {ds_id!r} holds an image not (H, W, {in_ch})")
     indexes = {ds_id: group_index(heads[ds_id].loss_groups,
                                   n_ap if heads[ds_id].head == "ap" else n_s)
                for ds_id in sampler.ids}
@@ -542,16 +561,17 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         dg = heads[ds.dataset_id]
         index = indexes[ds.dataset_id]
         num = ds.space.num_classes
-        logits, cache = forward(params, ds.images[idx])
         if ds.supervision in PIXEL_KINDS:
+            logits, cache = forward(params, ds.images[idx])
             target = strong_to_canvas(ds.labels[idx], num)
             head_probs = softmax_atoms(logits[:, :, :n_ap])
         else:
-            h, w = logits.shape[:2]
+            h, w = ds.images[idx].shape[:2]
             target = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
             rows = target.rows
             head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
             if rows.size:  # else the raw canvas is all unlabeled already
+                logits, cache = forward(params, ds.images[idx])
                 voted = logits.reshape(h * w, -1).take(rows, axis=0)
                 ap_rows = softmax_atoms(voted[:, :n_ap])
                 if dg.head == "s":  # subclass votes kept, localization gated

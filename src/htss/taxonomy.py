@@ -233,11 +233,6 @@ class Taxonomy:
     def atom_name(self, index: int) -> str:
         return VOID if index == 0 else self.atoms[index - 1]
 
-    def atom_index(self, name: str) -> int:
-        if name == VOID:
-            return 0
-        return self.atoms.index(name) + 1
-
     def groups_for(self, space: LabelSpace) -> list[frozenset[int]]:
         """Groups of one dataset as a list over class indices 0..L."""
         return [self.groups[(space.dataset_id, m)] for m in range(space.num_classes + 1)]

@@ -848,8 +848,9 @@ def test_merge_missing_children():
 def test_train_loop_drops_the_cache_of_an_item_without_rows(monkeypatch, threshold, dropped):
     # per step two box items have no votes; at threshold 0.6 the gate also
     # empties the two voted ones. Such an item keeps no forward cache and
-    # runs no backward; with every cache kept and backward run on every
-    # item the losses and weights are the same, byte for byte
+    # runs no backward, and one without votes runs no forward either; with
+    # every cache kept and backward run on every item that ran forward the
+    # losses and weights are the same, byte for byte
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
@@ -870,15 +871,26 @@ def test_train_loop_drops_the_cache_of_an_item_without_rows(monkeypatch, thresho
         caches.append(cache)
         return logits, cache
 
+    real_weak_canvas = model.weak_canvas
+
+    def marking_weak_canvas(*args):
+        canvas = real_weak_canvas(*args)
+        if not canvas.rows.size:
+            caches.append(None)  # in item order: forward is called after this
+        return canvas
+
     def backward_on_every_item(params, routes, grads, n_ap, n_s):
         without.append(sum(cache is None for cache, _ in routes))
+        assert caches.count(None) == 2
         total = model.MicroNetGrads.zeros_like(params)
         for cache, g in zip(caches, grads):  # one head: g is the whole upstream
-            total.iadd(model.backward(cache, g))
+            if cache is not None:
+                total.iadd(model.backward(cache, g))
         caches.clear()
         return total
 
     monkeypatch.setattr(model, "forward", keeping_forward)
+    monkeypatch.setattr(model, "weak_canvas", marking_weak_canvas)
     monkeypatch.setattr(model, "_summed_grads", backward_on_every_item)
     got = train()
     assert without == [dropped] * 12

@@ -1,5 +1,6 @@
 import ctypes
 import math
+import tracemalloc
 import types
 import weakref
 
@@ -300,6 +301,26 @@ def test_zero_upstream_backward_adds_nothing(h, w, width, out):
         assert [a.tobytes() for a in total.arrays()] == before
 
 
+def test_forward_and_backward_peak_below_one_nine_tap_stack():
+    # at 48x48, width 16 conv 2's nine tap products take 2.76 MB, above
+    # TAP_STACK_BYTES: each pass adds them one at a time and never holds all nine
+    stack_bytes = 9 * 48 * 50 * 16 * 8
+    assert stack_bytes > model.TAP_STACK_BYTES
+    rng = np.random.default_rng(48)
+    p = init_micronet(3, 16, 7, seed=16)
+    image, upstream = rng.standard_normal((48, 48, 3)), rng.standard_normal((48, 48, 7))
+    tracemalloc.start()
+    try:
+        _, cache = forward(p, image)
+        held, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        backward(cache, upstream)
+        backward_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert max(forward_peak, backward_peak) < stack_bytes, (forward_peak, backward_peak)
+
+
 def test_backward_rejects_stale_cache():
     p = init_micronet(2, 3, 2, seed=3)
     _, cache = forward(p, np.zeros((3, 3, 2)))
@@ -531,6 +552,22 @@ def test_train_loop_rejects_plan_without_pixel_dataset():
             train_loop([px, boxes], tax, None, BatchPlan({"boxes": 1}, seed=0),
                        OptimizerState(learning_rate=0.1), epochs=1,
                        refine_threshold=threshold)
+
+
+def test_train_loop_checks_the_channels_of_every_drawn_image():
+    # a box item without a box skips forward and its channel check, so
+    # train_loop checks every image of the planned datasets before step 1
+    spaces = [LabelSpace("px", ("void", "cat"), "pixel_dense"),
+              LabelSpace("boxes", ("void", "cat"), "bbox")]
+    rel = RelationTable.empty()
+    tax = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    px = LoadedDataset(spaces[0], [np.zeros((4, 4, 2))] * 2,
+                       [StrongLabel(np.ones((4, 4), dtype=np.int64), 1)] * 2)
+    for bad in (np.zeros((4, 4, 3)), np.zeros((4, 4))):
+        boxes = LoadedDataset(spaces[1], [np.zeros((4, 4, 2)), bad], [WeakLabel()] * 2)
+        with pytest.raises(ShapeMismatch, match="'boxes'"):
+            train_loop([px, boxes], tax, None, BatchPlan({"px": 1, "boxes": 1}, seed=0),
+                       OptimizerState(learning_rate=0.1), epochs=1, refine_threshold=0.5)
 
 
 def many_atom_training(steps, atoms=150, size=16):

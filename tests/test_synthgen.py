@@ -266,4 +266,4 @@ def test_world_taxonomy_roundtrip(tmp_path):
     csp = spaces[1]
     for coarse_name, fine_children in w.hierarchy:
         got = t.groups[("c", csp.class_index(coarse_name))]
-        assert got == frozenset(t.atom_index(f) for f in fine_children)
+        assert got == frozenset(t.atoms.index(f) + 1 for f in fine_children)

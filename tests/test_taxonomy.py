@@ -409,7 +409,7 @@ def test_partition_parent_tiebreak_smallest_name():
     ])
     t = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
     part = partition_atoms(t, spaces, rel)
-    parent = part.parent_of[t.atom_index("stop_sign")]
+    parent = part.parent_of[t.atoms.index("stop_sign") + 1]
     assert part.atom_name(parent) == "marker_front"
 
 
