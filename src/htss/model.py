@@ -11,6 +11,12 @@ When an atom partition with weak-only subclasses is active, the head
 emits logits for the a+p atoms followed by the s atoms; the two
 segments are softmaxed separately.
 
+forward and backward take a chunk: n same-size images, their rows stacked
+into one (n*H, W, C) image, plus n. For n > 1 the arrays below lead with
+an image axis, and each GEMM keeps its one-image shape (a stacked np.matmul
+calls BLAS once per image and tap), so a chunk saves numpy calls only and
+an image gets the bits it gets alone.
+
 Conv 1 runs on a patch matrix: _im2col copies the 3x3 windows of the
 zero-bordered (H+2, W+2, C) input into an (H*W, 9*C) array, in runs of
 3*C elements. The windows are one read-only (H, W, dy, dx, C) view made
@@ -22,7 +28,7 @@ Conv 2 has no patch matrix; it works on bordered rows. forward writes a1
 into a flat zero buffer of (H+3) rows of W+2 pixels, pixel (y, x) at row
 y+1, column x+1. Output position p = y*(W+2) + x reads tap (dy, dx) at
 buffer pixel p + dy*(W+2) + dx, so _tap_view gives the nine tap inputs
-as one read-only (3, 3, H*(W+2), C) view, with pad outputs at x = W, W+1.
+as one read-only (3, 3, [n,] H*(W+2), C) view, with pad outputs at x = W, W+1.
 forward sums the nine tap products (input times (C, width) kernel) in
 (dy, dx) order, by np.add.reduce or from tap 0 + 0.0, as np.add.reduce
 starts from +0.0. dW2 is the transposed view times dz padded to rows of
@@ -31,7 +37,7 @@ product of that dz by a transposed tap kernel into a flat bordered
 buffer at pixel offset dy*(W+2) + dx, in (dy, dx) order: plane pixel
 (y, x) lands on buffer pixel (y+dy, x+dx), and a real pixel (x < W)
 never wraps past its row. _tap_products makes the nine in one batched
-matmul while their (9, H*(W+2), width) stack fits TAP_STACK_BYTES, else
+matmul while their (9, [n,] H*(W+2), width) stack fits TAP_STACK_BYTES, else
 tap by tap into one buffer: the same BLAS call per tap, so the same
 bits. A larger stack outgrows a core's 2 MiB L2, and the adds read it
 back from memory (see README for timings). Pad pixels add only +-0.0
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import ctypes  # numpy imports it already, so this costs no start-up time
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -80,6 +86,7 @@ from .lossgrad import (
 )
 from .metrics import ConfusionMatrix
 from .taxonomy import (
+    BBOX,
     PIXEL_KINDS,
     AtomPartition,
     DatasetGroups,
@@ -151,8 +158,10 @@ class MicroNetGrads(MicroNetArrays):
         return cls(*(np.zeros_like(a) for a in params.arrays()))
 
     def iadd(self, other: "MicroNetGrads") -> None:
+        """Add other in place; a leading image axis (a chunk's backward) is added image by image."""
         for mine, theirs in zip(self.arrays(), other.arrays()):
-            mine += theirs
+            for image in theirs if theirs.ndim > mine.ndim else (theirs,):
+                mine += image
 
 
 def init_micronet(in_channels: int, width: int, out_channels: int,
@@ -172,87 +181,106 @@ def init_micronet(in_channels: int, width: int, out_channels: int,
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """(H, W, C) -> (H*W, 9*C) patches for a 3x3 same-padding conv."""
-    h, w, c = x.shape
-    padded = np.zeros((h + 2, w + 2, c), dtype=np.float64)
-    padded[1:-1, 1:-1, :] = x
-    sy, sx, sc = padded.strides
-    windows = np.ndarray((h, w, 3, 3, c), np.float64, padded, 0, (sy, sx, sy, sx, sc))
-    cols = np.empty((h, w, 3, 3, c), dtype=np.float64)
+    """(..., H, W, C) -> (..., H*W, 9*C) patches of each image for a 3x3 same-padding conv."""
+    *lead, h, w, c = x.shape
+    padded = np.zeros((*lead, h + 2, w + 2, c), dtype=np.float64)
+    padded[..., 1:-1, 1:-1, :] = x
+    *so, sy, sx, sc = padded.strides
+    windows = np.ndarray((*lead, h, w, 3, 3, c), np.float64, padded, 0, (*so, sy, sx, sy, sx, sc))
+    cols = np.empty(windows.shape, dtype=np.float64)
     cols[...] = windows
-    return cols.reshape(h * w, 9 * c)
+    return cols.reshape(*lead, h * w, 9 * c)
 
 
 def _pad_rows(x: np.ndarray, h: int, w: int) -> np.ndarray:
-    """(H*W, C) -> (H*(W+2), C): each row of W pixels followed by two zero ones."""
-    rows = np.zeros((h, w + 2, x.shape[-1]), dtype=np.float64)
-    rows[:, :w, :] = x.reshape(h, w, -1)
-    return rows.reshape(h * (w + 2), -1)
+    """(..., H*W, C) -> (..., H*(W+2), C): each row of W pixels followed by two zero ones."""
+    lead = x.shape[:-2]
+    rows = np.zeros((*lead, h, w + 2, x.shape[-1]), dtype=np.float64)
+    rows[..., :w, :] = x.reshape(*lead, h, w, -1)
+    return rows.reshape(*lead, h * (w + 2), -1)
 
 
 def _tap_view(bordered: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Read-only (3, 3, H*(W+2), C) view of a flat ((H+3)*(W+2), C)
-    bordered buffer: [dy, dx, p] is the pixel p + dy*(W+2) + dx."""
-    s0, s1 = bordered.strides
-    return np.ndarray((3, 3, h * (w + 2), bordered.shape[1]), np.float64, bordered,
-                      0, ((w + 2) * s0, s0, s0, s1))
+    """Read-only (3, 3, ..., H*(W+2), C) view of flat ((H+3)*(W+2), C) bordered
+    buffers: [dy, dx, ..., p] is the pixel p + dy*(W+2) + dx of its buffer."""
+    *lead, s1, s2 = bordered.strides
+    return np.ndarray((3, 3, *bordered.shape[:-2], h * (w + 2), bordered.shape[-1]), np.float64,
+                      bordered, 0, ((w + 2) * s1, s1, *lead, s1, s2))
 
 
-def _tap_products(a: np.ndarray, b: np.ndarray) -> np.ndarray | Iterator[np.ndarray]:
-    """The nine (P, N) products a[dy, dx] @ b[dy, dx] in (dy, dx) order (a (P, K)
-    a serves all nine): a (9, P, N) stack, or an iterator into one reused buffer."""
+def _tap_products(a: np.ndarray, b: np.ndarray,
+                  lead: tuple) -> np.ndarray | Iterator[np.ndarray]:
+    """The nine (*lead, P, N) products a[dy, dx] @ b[dy, dx] in (dy, dx) order (a
+    (*lead, P, K) a serves all nine): a (9, *lead, P, N) stack, or an iterator into
+    one reused buffer. b[dy, dx] serves every image of the leading axis."""
     p, n = a.shape[-2], b.shape[-1]
-    if 9 * p * n * 8 <= TAP_STACK_BYTES:
-        return np.matmul(a, b).reshape(9, p, n)
-    buf = np.empty((p, n), dtype=np.float64)
-    return (np.matmul(a[dy, dx] if a.ndim > 2 else a, b[dy, dx], out=buf)
+    if 9 * math.prod(lead) * p * n * 8 <= TAP_STACK_BYTES:
+        return np.matmul(a, b.reshape(3, 3, *(1,) * len(lead), -1, n)).reshape(9, *lead, p, n)
+    buf = np.empty((*lead, p, n), dtype=np.float64)
+    return (np.matmul(a[dy, dx] if a.ndim > len(lead) + 2 else a, b[dy, dx], out=buf)
             for dy in range(3) for dx in range(3))
 
 
 def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Gradient w.r.t. the (H, W, C) input of conv 2 (C == width), given
+    """Gradient w.r.t. the (..., H, W, C) input of conv 2 (C == width), given
     dz = d(loss)/d(output) as _pad_rows gives it and kernel (3, 3, C, width).
 
     A one-pixel image takes only the centre tap, as kernel[1, 1].T (numpy's
     vector-matrix path sums a C-ordered kernel in another order), added to
     +0.0 as the buffer would be."""
     c = kernel.shape[2]
+    lead = dz.shape[:-2]
     if h * w == 1:
-        return (0.0 + dz[:1] @ kernel[1, 1].T).reshape(1, 1, c)
-    dflat = np.zeros(((h + 3) * (w + 2), c), dtype=np.float64)
-    taps = _tap_products(dz, np.ascontiguousarray(kernel.transpose(0, 1, 3, 2)))
+        return (0.0 + dz[..., :1, :] @ kernel[1, 1].T).reshape(*lead, 1, 1, c)
+    dflat = np.zeros((*lead, (h + 3) * (w + 2), c), dtype=np.float64)
+    taps = _tap_products(dz, np.ascontiguousarray(kernel.transpose(0, 1, 3, 2)), lead)
     for start, tap in zip([dy * (w + 2) + dx for dy in range(3) for dx in range(3)], taps):
-        dflat[start:start + len(tap)] += tap
-    return dflat.reshape(h + 3, w + 2, c)[1:h + 1, 1:w + 1, :]
+        dflat[..., start:start + tap.shape[-2], :] += tap
+    return dflat.reshape(*lead, h + 3, w + 2, c)[..., 1:h + 1, 1:w + 1, :]
 
 
 @dataclass
 class ForwardCache:
+    """A forward pass's arrays, with a leading image axis when count > 1."""
+
     params: MicroNetParams
     version: int
-    shape: tuple[int, int]
+    shape: tuple[int, int]  # (count*H, W)
+    count: int
     cols1: np.ndarray
     a1: np.ndarray  # ReLU outputs, bordered flat: a > 0 equals z > 0, NaN included
     a2: np.ndarray
 
+    def select(self, keep: list[int]) -> "ForwardCache":
+        """The cache of images keep (ascending) alone; itself when it keeps all."""
+        if len(keep) == self.count:
+            return self
+        at = keep if len(keep) > 1 else keep[0]  # one image: no image axis
+        h = self.shape[0] // self.count
+        return replace(self, shape=(len(keep) * h, self.shape[1]), count=len(keep),
+                       cols1=self.cols1[at], a1=self.a1[at], a2=self.a2[at])
 
-def forward(params: MicroNetParams, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Logit raster (H, W, out_channels) plus the cache for backward.
+
+def forward(params: MicroNetParams, image: np.ndarray,
+            count: int = 1) -> tuple[np.ndarray, ForwardCache]:
+    """Logit raster (count*H, W, out_channels) of a chunk, count images of
+    H rows stacked row-wise, plus the cache for backward (see the module docstring).
 
     The image may hold any real dtype (the loaded ones are float32): the
     first im2col copy, into its float64 buffer, widens it exactly."""
     x = np.asarray(image)
-    if x.ndim != 3 or x.shape[2] != params.in_channels:
-        raise ShapeMismatch(
-            f"image {x.shape} vs network expecting (H, W, {params.in_channels})")
-    h, w, _ = x.shape
-    cols1 = _im2col(x)
+    if x.ndim != 3 or x.shape[2] != params.in_channels or count < 1 or x.shape[0] % count:
+        raise ShapeMismatch(f"image {x.shape} vs network expecting {count} stacked "
+                            f"(H, W, {params.in_channels})")
+    h, w = x.shape[0] // count, x.shape[1]
+    lead = (count,) if count > 1 else ()
+    cols1 = _im2col(x.reshape(*lead, h, w, -1))
     z1 = cols1 @ params.w1.reshape(-1, params.width)
     z1 += params.b1  # in place on the fresh product: same sums, no temporary
     np.maximum(z1, 0.0, out=z1)
-    a1 = np.zeros(((h + 3) * (w + 2), params.width), dtype=np.float64)
-    a1.reshape(h + 3, w + 2, -1)[1:h + 1, 1:w + 1] = z1.reshape(h, w, -1)
-    taps = _tap_products(_tap_view(a1, h, w), params.w2)
+    a1 = np.zeros((*lead, (h + 3) * (w + 2), params.width), dtype=np.float64)
+    a1.reshape(*lead, h + 3, w + 2, -1)[..., 1:h + 1, 1:w + 1, :] = z1.reshape(*lead, h, w, -1)
+    taps = _tap_products(_tap_view(a1, h, w), params.w2, lead)
     if isinstance(taps, np.ndarray):  # one reduce call: cheaper on small images
         z2 = np.add.reduce(taps, axis=0)
     else:  # from +0.0, as np.add.reduce starts
@@ -260,46 +288,51 @@ def forward(params: MicroNetParams, image: np.ndarray) -> tuple[np.ndarray, Forw
         for tap in taps:
             z2 += tap
     z2 += params.b2
-    a2 = np.maximum(z2.reshape(h, w + 2, -1)[:, :w], 0.0)
+    a2 = np.maximum(z2.reshape(*lead, h, w + 2, -1)[..., :w, :], 0.0)
     logits = a2 @ params.wh
     logits += params.bh
-    cache = ForwardCache(params=params, version=params.version, shape=(h, w),
-                         cols1=cols1, a1=a1, a2=a2)
-    return logits, cache
+    cache = ForwardCache(params=params, version=params.version, shape=(count * h, w),
+                         count=count, cols1=cols1, a1=a1, a2=a2)
+    return logits.reshape(count * h, w, -1), cache
 
 
 def _column_sums(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=0) bit for bit, faster: einsum adds rows in order as numpy does on 2+ columns."""
-    return np.einsum("ij->j", x) if x.shape[1] > 1 else x.sum(axis=0)
+    """x.sum(axis=-2) bit for bit, per image of a (..., rows, C) stack, faster:
+    einsum adds rows in order as numpy does on 2+ columns."""
+    return np.einsum("...ij->...j", x) if x.shape[-1] > 1 else x.sum(axis=-2)
 
 
 def backward(cache: ForwardCache, upstream: np.ndarray) -> MicroNetGrads:
-    """Exact parameter gradients for an upstream d(loss)/d(logits)."""
+    """Exact parameter gradients for an upstream d(loss)/d(logits), per image:
+    with a leading image axis for a chunk (MicroNetGrads.iadd adds them in order)."""
     params = cache.params
     if params.version != cache.version:
         raise StaleCache()
-    h, w = cache.shape
-    if upstream.shape != (h, w, params.out_channels):
+    n = cache.count
+    h, w = cache.shape[0] // n, cache.shape[1]
+    if upstream.shape != (n * h, w, params.out_channels):
         raise ShapeMismatch(
-            f"upstream {upstream.shape} vs logits ({h}, {w}, {params.out_channels})")
-    up = np.asarray(upstream, dtype=np.float64).reshape(-1, params.out_channels)
-    a2 = cache.a2.reshape(-1, params.width)
+            f"upstream {upstream.shape} vs logits ({n * h}, {w}, {params.out_channels})")
+    lead = (n,) if n > 1 else ()
+    up = np.asarray(upstream, dtype=np.float64).reshape(*lead, h * w, params.out_channels)
+    a2 = cache.a2.reshape(*lead, h * w, params.width)
 
-    dwh = a2.T @ up
+    dwh = a2.swapaxes(-1, -2) @ up
     dbh = _column_sums(up)
     dz2 = up @ params.wh.T
     dz2 *= a2 > 0.0  # the ReLU mask, in place on the fresh d(loss)/d(a2)
 
     dz_rows = _pad_rows(dz2, h, w)
-    dw2 = np.matmul(_tap_view(cache.a1, h, w).transpose(0, 1, 3, 2), dz_rows)
+    dw2 = np.matmul(_tap_view(cache.a1, h, w).swapaxes(-1, -2), dz_rows)
     db2 = _column_sums(dz2)
     da1 = _conv_input_grad(dz_rows, params.w2, h, w)
-    a1 = cache.a1.reshape(h + 3, w + 2, params.width)[1:h + 1, 1:w + 1]
-    dz1 = (da1 * (a1 > 0.0)).reshape(-1, params.width)
+    a1 = cache.a1.reshape(*lead, h + 3, w + 2, params.width)[..., 1:h + 1, 1:w + 1, :]
+    dz1 = (da1 * (a1 > 0.0)).reshape(*lead, h * w, params.width)
 
-    dw1 = (cache.cols1.T @ dz1).reshape(params.w1.shape)
+    dw1 = (cache.cols1.swapaxes(-1, -2) @ dz1).reshape(*lead, *params.w1.shape)
     db1 = _column_sums(dz1)
-    return MicroNetGrads(w1=dw1, b1=db1, w2=dw2, b2=db2, wh=dwh, bh=dbh)
+    return MicroNetGrads(w1=dw1, b1=db1, w2=dw2.transpose(2, 0, 1, 3, 4) if lead else dw2,
+                         b2=db2, wh=dwh, bh=dbh)
 
 
 @dataclass
@@ -467,21 +500,59 @@ def _keep_freed_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
+def _plan_chunks(shapes: Sequence[tuple[int, int] | None], width: int,
+                 atoms: int) -> list[list[int]]:
+    """Item positions of a step's forward chunks, in item order. shapes[i] is
+    item i's image (H, W), or None if it runs no forward pass (it then neither
+    joins nor splits a chunk). Consecutive items of one size join a chunk while
+    their conv-2 tap stacks and logit rasters, 8*(9*H*(W+2)*width + H*W*atoms)
+    bytes an image, fit TAP_STACK_BYTES; an image over that is a chunk alone."""
+    chunks, used = [], 0
+    for i, shape in enumerate(shapes):
+        if shape is not None:
+            h, w = shape
+            cost = 8 * (9 * h * (w + 2) * width + h * w * atoms)
+            if not (chunks and shapes[chunks[-1][0]] == shape and used + cost <= TAP_STACK_BYTES):
+                chunks.append([])
+                used = 0
+            chunks[-1].append(i)
+            used += cost
+    return chunks
+
+
+@dataclass
+class _Chunk:
+    """A chunk's cache, the positions of its images that reach backward, their upstream."""
+
+    cache: ForwardCache | None
+    kept: list[int]
+    upstream: np.ndarray | None = None
+
+
 def _summed_grads(params: MicroNetParams, routes: list, grads: Iterator[np.ndarray],
                   n_ap: int, n_s: int) -> MicroNetGrads:
-    """Parameter gradients of a batch, summed in item order; each logit gradient
-    and its item's cache are dropped before the next gradient is requested."""
+    """Parameter gradients of a batch, summed per image in item order. A logit
+    gradient is the upstream of a one-head chunk that keeps one image, else it
+    fills its rows and head atoms of a zero upstream over the kept images;
+    backward runs at the last kept item. Everything is dropped once spent."""
     total = MicroNetGrads.zeros_like(params)
     routes.reverse()  # popped in item order
     for g in grads:
-        cache, head = routes.pop()
-        upstream = g  # one head: the gradient is the whole upstream
-        if cache is not None:
-            if n_s:  # two heads: g fills its head's atoms of a zero upstream
-                upstream = np.zeros(g.shape[:2] + (n_ap + n_s,))
-                upstream[:, :, slice(None, n_ap) if head == "ap" else slice(n_ap, None)] = g
-            total.iadd(backward(cache, upstream))
-        del g, upstream, cache
+        route = routes.pop()
+        if route is not None:
+            chunk, k, head = route
+            upstream = g
+            if n_s or len(chunk.kept) > 1:
+                if chunk.upstream is None:
+                    chunk.upstream = np.zeros((len(chunk.kept),) + g.shape[:2] + (n_ap + n_s,))
+                atoms = slice(None, n_ap) if head == "ap" else slice(n_ap, None)
+                chunk.upstream[chunk.kept.index(k), :, :, atoms] = g
+                upstream = chunk.upstream.reshape(-1, *chunk.upstream.shape[2:])
+            if k == chunk.kept[-1]:
+                total.iadd(backward(chunk.cache.select(chunk.kept), upstream))
+                chunk.cache = chunk.upstream = None
+            del upstream, chunk
+        del g, route
     return total
 
 
@@ -501,11 +572,17 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     canvases are gated against the net's own predictions, which only pixel
     labels anchor.
 
+    Small images train in chunks, planned from the labels by _plan_chunks.
+    Items are still taken in order: a chunk runs forward at its first item,
+    its pixel items share one softmax_atoms call, and each target is built
+    at its item. Each image's gradients join the step total in item order.
+
     Nothing of a step outlives it: the batch items (targets and head
     rasters) are dropped once batch_loss returns; each logit gradient,
-    built by batch_loss's iterator on request, feeds backward at once,
-    and it and the item's forward cache are dropped before the next is
-    requested, so a step holds one gradient raster at a time. On glibc the
+    built by batch_loss's iterator on request, feeds backward (or its
+    chunk's upstream) and is dropped before the next is requested, and a
+    chunk's cache and upstream go once its backward ran, so a step holds
+    one chunk's upstream, within TAP_STACK_BYTES, at a time. On glibc the
     loop first raises the mmap and trim thresholds (see M_MMAP_THRESHOLD),
     so the freed arrays stay on the heap for the next step to reuse, and
     the process keeps that freed heap after training. The two go
@@ -514,7 +591,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     above the still-live ones of the step before.
 
     A box or tag item left with no row (a weak canvas the gate emptied)
-    keeps no forward cache and skips its backward pass; a pixel item with
+    leaves its chunk's kept images, so its image skips backward (a chunk
+    left with none drops its cache at once); a pixel item with
     no supervised pixel runs it on its +0.0 gradient. Both keep every
     bit: a zero upstream gives parameter gradients of +-0.0 only, the
     running total starts at +0.0 and so never holds -0.0 (IEEE addition
@@ -556,23 +634,38 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                                   n_ap if heads[ds_id].head == "ap" else n_s)
                for ds_id in sampler.ids}
 
-    def add_item(ds: LoadedDataset, idx: int, items: list, routes: list) -> None:
-        """Append one image's batch_loss item and its (cache, head) route."""
+    def run_chunk(draws: list) -> tuple[_Chunk, list]:
+        """A chunk's forward pass; per image, its position and head softmax or logits."""
+        images = [ds.images[idx] for ds, idx in draws]
+        n = len(images)
+        logits, cache = forward(params, images[0] if n == 1 else np.concatenate(images), n)
+        logits = logits.reshape(n, *images[0].shape[:2], -1)
+        outs = list(logits)
+        pixel = [k for k, (ds, _) in enumerate(draws) if ds.supervision in PIXEL_KINDS]
+        if pixel:  # one call: softmax_atoms treats each row alike
+            run = slice(pixel[0], pixel[-1] + 1) if pixel[-1] - pixel[0] < len(pixel) else pixel
+            for k, probs in zip(pixel, softmax_atoms(logits[run, :, :, :n_ap])):
+                outs[k] = probs
+        return _Chunk(cache, list(range(n))), list(enumerate(outs))
+
+    def add_item(ds: LoadedDataset, idx: int, slot: tuple | None, items: list,
+                 routes: list) -> None:
+        """Append one image's batch_loss item and its (chunk, position, head) route,
+        None if it reaches no backward pass; slot is its chunk and run_chunk's pair."""
         dg = heads[ds.dataset_id]
         index = indexes[ds.dataset_id]
         num = ds.space.num_classes
+        chunk, k, out = slot or (None, None, None)
         if ds.supervision in PIXEL_KINDS:
-            logits, cache = forward(params, ds.images[idx])
             target = strong_to_canvas(ds.labels[idx], num)
-            head_probs = softmax_atoms(logits[:, :, :n_ap])
+            head_probs = out
         else:
             h, w = ds.images[idx].shape[:2]
             target = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
             rows = target.rows
             head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
             if rows.size:  # else the raw canvas is all unlabeled already
-                logits, cache = forward(params, ds.images[idx])
-                voted = logits.reshape(h * w, -1).take(rows, axis=0)
+                voted = out.reshape(h * w, -1).take(rows, axis=0)
                 ap_rows = softmax_atoms(voted[:, :n_ap])
                 if dg.head == "s":  # subclass votes kept, localization gated
                     parents = np.asarray(dg.parent_slots, dtype=np.int64)
@@ -584,21 +677,29 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                     target = refine_canvas(target, predicted, refine_threshold)
                     head_rows = ap_rows
                 head_probs.reshape(h * w, -1)[rows] = head_rows
-            if not target.rows.size:  # +0.0 gradient: backward never runs
-                cache = None
+                if not target.rows.size:  # +0.0 gradient: backward never runs
+                    chunk.kept.remove(k)
+                    if not chunk.kept:
+                        chunk.cache = None
         items.append((target, head_probs, index, ds.supervision))
-        routes.append((cache, dg.head))
+        routes.append((chunk, k, dg.head) if chunk is not None and k in chunk.kept else None)
 
     _keep_freed_heap()
     losses: list[float] = []
     total_steps = epochs * sampler.steps_per_epoch
     for step in range(total_steps):
         picks = sampler.next_batch()
-        items = []
-        routes = []
-        for ds_id in sampler.ids:
-            for idx in picks[ds_id]:
-                add_item(by_id[ds_id], idx, items, routes)
+        draws = [(by_id[ds_id], idx) for ds_id in sampler.ids for idx in picks[ds_id]]
+        # the images of the items that run forward: pixel items, box or tag items with one
+        shapes = [ds.images[idx].shape[:2] if ds.supervision in PIXEL_KINDS or (
+                  ds.labels[idx].boxes if ds.supervision == BBOX else ds.labels[idx].tags)
+                  else None for ds, idx in draws]
+        starts = {c[0]: c for c in _plan_chunks(shapes, feature_width, n_ap + n_s)}
+        items, routes = [], []
+        for i, (ds, idx) in enumerate(draws):
+            if i in starts:
+                chunk, outs = run_chunk([draws[j] for j in starts[i]])
+            add_item(ds, idx, (chunk, *outs.pop(0)) if shapes[i] else None, items, routes)
         loss, grads = batch_loss(items)
         del items
         if not np.isfinite(loss):

@@ -271,8 +271,9 @@ def test_train_loop_pixel_items_take_their_loaded_label(monkeypatch):
 
 def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
     # at threshold 1.0 the gate keeps no box pixel, so every box item has
-    # an all-zero gradient and must not reach backward
-    per_step = []  # [items drawn, nonzero gradients, backward calls, pixel items]
+    # an all-zero gradient and its image must not reach backward; every
+    # image that does has a nonzero upstream
+    per_step = []  # [items drawn, nonzero gradients, images in backward, pixel items]
     real_loss, real_backward = model.batch_loss, model.backward
 
     def counting_loss(items):
@@ -283,7 +284,8 @@ def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
         return loss, grads
 
     def counting_backward(cache, upstream):
-        per_step[-1][2] += 1
+        per_step[-1][2] += cache.count
+        assert all(image.any() for image in upstream.reshape(cache.count, -1))
         return real_backward(cache, upstream)
 
     monkeypatch.setattr(model, "batch_loss", counting_loss)
@@ -293,15 +295,16 @@ def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
     train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
                epochs=2, refine_threshold=1.0, feature_width=3)
     assert len(per_step) == 8  # 4 coarse images at quota 1, two epochs
-    for drawn, nonzero, calls, pixel in per_step:
-        assert calls == nonzero == pixel < drawn
+    for drawn, nonzero, images, pixel in per_step:
+        assert images == nonzero == pixel < drawn
 
 
 def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
     # per step: a box item with no votes calls no softmax and its target is
     # the all-unlabeled raw canvas; a voted one softmaxes exactly its
     # labeled rows, all of them for a full-frame box; pixel items softmax
-    # all H*W rows
+    # all H*W rows, in one call per chunk: all images are 5x4, so the
+    # three pixel items share one
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
@@ -312,8 +315,8 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
     calls, steps = [], []
     real_softmax, real_loss = model.softmax_atoms, model.batch_loss
 
-    def counting_softmax(logits):
-        calls.append(logits.size // logits.shape[-1])
+    def counting_softmax(logits):  # a chunk's pixel images come stacked, 4-d
+        calls.append((logits.ndim == 4, logits.size // logits.shape[-1]))
         return real_softmax(logits)
 
     def recording_loss(items):
@@ -328,20 +331,20 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
                epochs=2, refine_threshold=0.0, feature_width=3)
     assert len(steps) == 8 and [v.size for v in voted.values()] == [17, 20]
     for seen, items in steps:
-        want, unvoted = [], 0
+        want, unvoted = [(True, 20 * 3)], 0
         for target, probs, _, kind in items:
             if kind != BBOX:
-                want.append(20)
                 continue
             nonzero = np.flatnonzero(probs.reshape(20, -1).any(axis=1))
             if nonzero.size:
-                want.append(nonzero.size)
+                want.append((False, nonzero.size))
                 assert np.array_equal(nonzero, voted[nonzero.size])
             else:
                 unvoted += 1
                 assert target.probs.tobytes() == unlabeled.tobytes()
         assert seen == want
-        assert len(items) == 7 and want[:2] in ([17, 20], [20, 17]) and unvoted == 2
+        assert len(items) == 7 and want[1:] in ([(False, 17), (False, 20)],
+                                                [(False, 20), (False, 17)]) and unvoted == 2
 
 
 # --- loss closed forms ---
@@ -847,10 +850,11 @@ def test_merge_missing_children():
 @pytest.mark.parametrize("threshold, dropped", [(0.5, 2), (0.6, 4)])
 def test_train_loop_drops_the_cache_of_an_item_without_rows(monkeypatch, threshold, dropped):
     # per step two box items have no votes; at threshold 0.6 the gate also
-    # empties the two voted ones. Such an item keeps no forward cache and
-    # runs no backward, and one without votes runs no forward either; with
-    # every cache kept and backward run on every item that ran forward the
-    # losses and weights are the same, byte for byte
+    # empties the two voted ones. Such an item reaches no backward pass, and
+    # one without votes runs no forward either. All images are 5x4, so the
+    # items that run forward make one chunk a step; backward on that whole
+    # chunk, every image on its own gradient, gives the same losses and
+    # weights, byte for byte
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
@@ -863,35 +867,34 @@ def test_train_loop_drops_the_cache_of_an_item_without_rows(monkeypatch, thresho
                           refine_threshold=threshold, feature_width=3)
 
     want = train()
-    caches, without = [], []
-    real_forward = model.forward
+    caches, voted, without = [], [], []
+    real_forward, real_weak_canvas = model.forward, model.weak_canvas
 
-    def keeping_forward(params, image):
-        logits, cache = real_forward(params, image)
+    def keeping_forward(params, image, count=1):
+        logits, cache = real_forward(params, image, count)
         caches.append(cache)
         return logits, cache
 
-    real_weak_canvas = model.weak_canvas
-
     def marking_weak_canvas(*args):
         canvas = real_weak_canvas(*args)
-        if not canvas.rows.size:
-            caches.append(None)  # in item order: forward is called after this
+        voted.append(bool(canvas.rows.size))
         return canvas
 
-    def backward_on_every_item(params, routes, grads, n_ap, n_s):
-        without.append(sum(cache is None for cache, _ in routes))
-        assert caches.count(None) == 2
+    def backward_on_every_image(params, routes, grads, n_ap, n_s):
+        without.append(sum(route is None for route in routes))
+        (cache,) = caches
+        ran = voted + [True] * 3  # items: the 4 boxes, then 2 coarse and 1 fine
+        assert voted.count(False) == 2 and cache.count == sum(ran) == 5
+        upstream = np.concatenate([g for g, r in zip(grads, ran) if r])  # one head
         total = model.MicroNetGrads.zeros_like(params)
-        for cache, g in zip(caches, grads):  # one head: g is the whole upstream
-            if cache is not None:
-                total.iadd(model.backward(cache, g))
+        total.iadd(model.backward(cache, upstream))
         caches.clear()
+        voted.clear()
         return total
 
     monkeypatch.setattr(model, "forward", keeping_forward)
     monkeypatch.setattr(model, "weak_canvas", marking_weak_canvas)
-    monkeypatch.setattr(model, "_summed_grads", backward_on_every_item)
+    monkeypatch.setattr(model, "_summed_grads", backward_on_every_image)
     got = train()
     assert without == [dropped] * 12
     assert got.losses == want.losses

@@ -301,6 +301,69 @@ def test_zero_upstream_backward_adds_nothing(h, w, width, out):
         assert [a.tobytes() for a in total.arrays()] == before
 
 
+@pytest.mark.parametrize("h, w", PATCH_SHAPES)
+@pytest.mark.parametrize("width", [1, 3, 8, 16, 17])
+def test_chunk_forward_and_backward_equal_per_image_bit_for_bit(h, w, width):
+    # three images stacked row-wise, the middle one with a zero upstream:
+    # each image's logits and parameter gradients are its own one-image
+    # results byte for byte, and the chunk's gradients add into a total in
+    # image order as three single backward passes do
+    rng = np.random.default_rng([h, w, width])
+    p = init_micronet(3, width, 5, seed=width)
+    images = [_signed_zeros(rng, rng.standard_normal((h, w, 3))) for _ in range(3)]
+    upstreams = [_signed_zeros(rng, rng.standard_normal((h, w, 5))) for _ in range(3)]
+    upstreams[1][:] = 0.0
+    logits, cache = forward(p, np.concatenate(images), 3)
+    assert logits.shape == (3 * h, w, 5) and cache.shape == (3 * h, w) and cache.count == 3
+    grads = backward(cache, np.concatenate(upstreams))
+    chunk_total, single_total = MicroNetGrads.zeros_like(p), MicroNetGrads.zeros_like(p)
+    chunk_total.iadd(grads)
+    for k, (image, upstream) in enumerate(zip(images, upstreams)):
+        want_logits, one = forward(p, image)
+        want = backward(one, upstream)
+        single_total.iadd(want)
+        assert logits[k * h:(k + 1) * h].tobytes() == want_logits.tobytes()
+        for got, expected in zip(grads.arrays(), want.arrays()):
+            assert got[k].shape == expected.shape
+            assert got[k].tobytes() == expected.tobytes()
+    assert ([a.tobytes() for a in chunk_total.arrays()]
+            == [a.tobytes() for a in single_total.arrays()])
+
+
+def test_chunk_cache_selects_its_kept_images():
+    # backward on images 0 and 2 of a three-image cache equals backward on
+    # a chunk of those two, and on image 1 alone on that image, byte for byte
+    rng = np.random.default_rng(7)
+    p = init_micronet(3, 8, 6, seed=8)
+    images = [rng.standard_normal((20, 20, 3)) for _ in range(3)]
+    upstream = rng.standard_normal((40, 20, 6))
+    _, cache = forward(p, np.concatenate(images), 3)
+    _, pair = forward(p, np.concatenate([images[0], images[2]]), 2)
+    assert cache.select([0, 1, 2]) is cache
+    kept = cache.select([0, 2])
+    assert kept.shape == (40, 20) and kept.count == 2
+    assert ([a.tobytes() for a in backward(kept, upstream).arrays()]
+            == [a.tobytes() for a in backward(pair, upstream).arrays()])
+    _, alone = forward(p, images[1])
+    assert ([a.tobytes() for a in backward(cache.select([1]), upstream[:20]).arrays()]
+            == [a.tobytes() for a in backward(alone, upstream[:20]).arrays()])
+    with pytest.raises(ShapeMismatch):
+        forward(p, np.concatenate(images), 7)  # 60 rows are not 7 images of one height
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 256, 2304])
+@pytest.mark.parametrize("cols", [1, 2, 5, 16, 330])
+def test_column_sums_equal_numpy_sum_bit_for_bit(rows, cols):
+    # on one image and per image of a three-image chunk, signed zeros included
+    rng = np.random.default_rng([rows, cols])
+    x = _signed_zeros(rng, rng.standard_normal((3, rows, cols)))
+    assert model._column_sums(x[0]).tobytes() == x[0].sum(axis=0).tobytes()
+    sums = model._column_sums(x)
+    assert sums.shape == (3, cols)
+    for k in range(3):
+        assert sums[k].tobytes() == x[k].sum(axis=0).tobytes()
+
+
 def test_forward_and_backward_peak_below_one_nine_tap_stack():
     # at 48x48, width 16 conv 2's nine tap products take 2.76 MB, above
     # TAP_STACK_BYTES: each pass adds them one at a time and never holds all nine
@@ -570,6 +633,133 @@ def test_train_loop_checks_the_channels_of_every_drawn_image():
                        OptimizerState(learning_rate=0.1), epochs=1, refine_threshold=0.5)
 
 
+def _chunk_cost(shape, width, atoms):
+    h, w = shape
+    return 8 * (9 * h * (w + 2) * width + h * w * atoms)
+
+
+def test_plan_chunks_at_the_workload_shapes():
+    # dense-joint: 8 images of 20x20, width 8, 6 atoms, 272,640 bytes each
+    assert model._plan_chunks([(20, 20)] * 8, 8, 6) == [[0, 1, 2], [3, 4, 5], [6, 7]]
+    # weak-twohead (48x48, width 16) and many-labels (16x16, width 8, ~300
+    # atoms) take more than half of TAP_STACK_BYTES an image
+    assert model._plan_chunks([(48, 48)] * 4, 16, 5) == [[0], [1], [2], [3]]
+    assert model._plan_chunks([(16, 16)] * 3, 8, 300) == [[0], [1], [2]]
+    # an item without a forward pass neither joins nor splits a chunk
+    assert model._plan_chunks([None, (5, 4), None, (5, 4), (6, 4), None], 3, 4) == [[1, 3], [4]]
+
+
+def test_plan_chunks_keeps_sizes_apart_and_each_chunk_within_budget():
+    rng = np.random.default_rng(23)
+    sizes = [(20, 20), (16, 16), (48, 48), (5, 4), (4, 5), (1, 1), None]
+    for _ in range(300):
+        width, atoms = int(rng.integers(1, 20)), int(rng.integers(1, 400))
+        shapes = [sizes[k] for k in rng.integers(0, len(sizes), int(rng.integers(0, 14)))]
+        chunks = model._plan_chunks(shapes, width, atoms)
+        assert [i for c in chunks for i in c] == [i for i, s in enumerate(shapes) if s]
+        for chunk in chunks:
+            assert len({shapes[i] for i in chunk}) == 1
+            costs = [_chunk_cost(shapes[i], width, atoms) for i in chunk]
+            if len(chunk) > 1:
+                assert sum(costs) <= model.TAP_STACK_BYTES
+                assert max(costs) <= model.TAP_STACK_BYTES
+        for a, b in zip(chunks, chunks[1:]):  # a chunk ends only where it must
+            if shapes[a[0]] == shapes[b[0]]:
+                used = sum(_chunk_cost(shapes[i], width, atoms) for i in a)
+                assert used + _chunk_cost(shapes[b[0]], width, atoms) > model.TAP_STACK_BYTES
+
+
+def _dense_joint_plan():
+    """The criterion-6 training config on 16 images a dataset, 4 steps."""
+    from test_acceptance import build_tax, memory_dataset, six_atom_world
+    from htss.synthgen import View
+    world = six_atom_world(424242)
+    datasets = [memory_dataset(world, View("dsa", "pixel_dense", "coarse", 16, 0)),
+                memory_dataset(world, View("dsb", "pixel_dense", "fine", 16, 200))]
+    return (datasets, build_tax(world, datasets)[0], BatchPlan({"dsa": 4, "dsb": 4}, seed=0),
+            0.9, 8)
+
+
+def _mixed_plan(sizes):
+    """Fine, coarse and box sets of 4 images of the given (H, W) sizes, the
+    box set with two images without a box, at threshold 0.6: there the gate
+    empties every voted box."""
+    rng = np.random.default_rng(29)
+    spaces = [LabelSpace("fine", ("void", "cat", "dog", "grass"), "pixel_dense"),
+              LabelSpace("coarse", ("void", "animal", "grass"), "pixel_coarse"),
+              LabelSpace("boxes", ("void", "cat", "dog"), "bbox")]
+    rel = RelationTable.from_triples([("hypernym", "animal", "cat"),
+                                      ("hypernym", "animal", "dog")])
+    tax = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    datasets = []
+    for space, (h, w) in zip(spaces, sizes):
+        images = [rng.random((h, w, 2)) for _ in range(4)]
+        if space.supervision == "bbox":
+            labels = [WeakLabel(boxes=((1, 0, 0, 3, 3), (2, 1, 1, 4, 4))), WeakLabel(),
+                      WeakLabel(boxes=((2, 0, 0, 4, 4),)), WeakLabel()]
+        else:
+            labels = [StrongLabel(rng.integers(0, space.num_classes + 1, (h, w)),
+                                  space.num_classes) for _ in images]
+        datasets.append(LoadedDataset(space, images, labels))
+    return datasets, tax, BatchPlan({"fine": 2, "coarse": 2, "boxes": 4}, seed=3), 0.6, 3
+
+
+# per plan: the image count of each forward and each backward call of a
+# step, and the chunks whose cache is still held when batch_loss is called.
+# Items come in dataset-id order: boxes, coarse, fine
+@pytest.mark.parametrize("plan, counts, kept, held", [
+    ("dense-joint", [3, 3, 2], [3, 3, 2], 3),
+    # the voted boxes share a chunk with the coarse images; backward runs on those
+    ("gate empties boxes beside unvoted ones", [4, 2], [2, 2], 2),
+    # the voted boxes make a chunk of their own, which drops its cache
+    ("two image sizes", [2, 2, 2], [2, 2], 2)])
+def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts, kept, held):
+    # TAP_STACK_BYTES = 0 makes every chunk one image: the losses and
+    # weights must be the same byte for byte
+    datasets, tax, batch, threshold, width = {
+        "dense-joint": _dense_joint_plan,
+        "gate empties boxes beside unvoted ones": lambda: _mixed_plan([(4, 6), (5, 4), (5, 4)]),
+        "two image sizes": lambda: _mixed_plan([(4, 6), (5, 4), (4, 4)])}[plan]()
+    calls, caches, alive, backward_calls = [], [], [], []
+    real_forward, real_loss, real_backward = model.forward, model.batch_loss, model.backward
+
+    def counting_forward(params, image, count=1):
+        logits, cache = real_forward(params, image, count)
+        calls.append(count)
+        caches.append(weakref.ref(cache))
+        return logits, cache
+
+    def counting_loss(items):
+        alive.append(sum(ref() is not None for ref in caches))
+        caches.clear()
+        return real_loss(items)
+
+    def counting_backward(cache, upstream):
+        backward_calls.append(cache.count)
+        return real_backward(cache, upstream)
+
+    def train():
+        for log in (calls, alive, backward_calls):
+            log.clear()
+        return train_loop(datasets, tax, None, batch,
+                          OptimizerState(learning_rate=0.3, momentum=0.9), epochs=2,
+                          refine_threshold=threshold, feature_width=width)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    monkeypatch.setattr(model, "batch_loss", counting_loss)
+    monkeypatch.setattr(model, "backward", counting_backward)
+    want = train()
+    steps = len(want.losses)
+    assert calls == counts * steps and backward_calls == kept * steps
+    assert alive == [held] * steps
+    monkeypatch.setattr(model, "TAP_STACK_BYTES", 0)
+    got = train()
+    assert calls == [1] * sum(counts) * steps and backward_calls == [1] * sum(kept) * steps
+    assert got.losses == want.losses
+    assert ([a.tobytes() for a in got.params.arrays()]
+            == [a.tobytes() for a in want.params.arrays()])
+
+
 def many_atom_training(steps, atoms=150, size=16):
     """Train a pixel plus a box dataset of `atoms` classes on size x size
     images: each (H, W, atoms) float64 raster of a step, 300 KiB at the
@@ -637,8 +827,12 @@ class _Watched:
 
 def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
     # item k's logit gradient is dead when item k+1's is requested, and its
-    # head raster once the gradient iterator has moved past it
-    watched = []
+    # head raster once the gradient iterator has moved past it. The upstream
+    # a backward pass gets (a chunk's, or one item's gradient) is dead when
+    # the next pass starts and takes at most TAP_STACK_BYTES, so a step
+    # holds one chunk's upstream at a time
+    watched, upstreams, counts = [], [], []
+    real_backward = model.backward
 
     def watching(items):
         dists = [weakref.ref(item[1]) for item in items]
@@ -646,12 +840,22 @@ def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
         watched.append(_Watched(grads, dists))
         return loss, watched[-1]
 
+    def checking_backward(cache, upstream):
+        assert all(ref() is None for ref in upstreams)
+        owner = upstream if upstream.base is None else upstream.base
+        assert owner.nbytes <= model.TAP_STACK_BYTES
+        upstreams.append(weakref.ref(owner))
+        counts.append(cache.count)
+        return real_backward(cache, upstream)
+
     monkeypatch.setattr(model, "batch_loss", watching)
+    monkeypatch.setattr(model, "backward", checking_backward)
     many_atom_training(steps=4)
     assert len(watched) == 4
     for step in watched:
         assert len(step.handed) == 4  # two pixel and two box items
         assert step.log == [(True, True)] * 5  # the fifth request ends it
+    assert counts.count(2) >= 4  # each step's two pixel images share one chunk
 
 
 def test_train_loop_trains_without_mallopt(monkeypatch):
