@@ -11,11 +11,10 @@ When an atom partition with weak-only subclasses is active, the head
 emits logits for the a+p atoms followed by the s atoms; the two
 segments are softmaxed separately.
 
-forward and backward take a chunk: n same-size images, their rows stacked
-into one (n*H, W, C) image, plus n. For n > 1 the arrays below lead with
-an image axis, and each GEMM keeps its one-image shape (a stacked np.matmul
-calls BLAS once per image and tap), so a chunk saves numpy calls only and
-an image gets the bits it gets alone.
+forward and backward take a chunk of n same-size images stacked row-wise
+into one (n*H, W, C) image. For n > 1 the arrays below lead with an image
+axis; a stacked np.matmul calls BLAS once per image and tap, so a chunk
+saves numpy calls only and each image gets the bits it gets alone.
 
 Conv 1 runs on a patch matrix: _im2col copies the 3x3 windows of the
 zero-bordered (H+2, W+2, C) input into an (H*W, 9*C) array, in runs of
@@ -53,8 +52,9 @@ list, and bounds every other cell to a few ulp.
 from __future__ import annotations
 
 import ctypes  # numpy imports it already, so this costs no start-up time
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -86,7 +86,6 @@ from .lossgrad import (
 )
 from .metrics import ConfusionMatrix
 from .taxonomy import (
-    BBOX,
     PIXEL_KINDS,
     AtomPartition,
     DatasetGroups,
@@ -158,9 +157,8 @@ class MicroNetGrads(MicroNetArrays):
         return cls(*(np.zeros_like(a) for a in params.arrays()))
 
     def iadd(self, other: "MicroNetGrads") -> None:
-        """Add other in place; a leading image axis (a chunk's backward) is added image by image."""
         for mine, theirs in zip(self.arrays(), other.arrays()):
-            for image in theirs if theirs.ndim > mine.ndim else (theirs,):
+            for image in theirs if theirs.ndim > mine.ndim else (theirs,):  # a chunk's
                 mine += image
 
 
@@ -208,17 +206,23 @@ def _tap_view(bordered: np.ndarray, h: int, w: int) -> np.ndarray:
                       bordered, 0, ((w + 2) * s1, s1, *lead, s1, s2))
 
 
-def _tap_products(a: np.ndarray, b: np.ndarray,
-                  lead: tuple) -> np.ndarray | Iterator[np.ndarray]:
-    """The nine (*lead, P, N) products a[dy, dx] @ b[dy, dx] in (dy, dx) order (a
-    (*lead, P, K) a serves all nine): a (9, *lead, P, N) stack, or an iterator into
-    one reused buffer. b[dy, dx] serves every image of the leading axis."""
+def _tap_products(a: np.ndarray, b: np.ndarray, lead: tuple) -> np.ndarray | Iterator[np.ndarray]:
+    """The nine (*lead, P, N) products a[dy, dx] @ b[dy, dx] in (dy, dx) order (a (*lead, P, K)
+    a serves all nine): a (9, *lead, P, N) stack, or an iterator into one reused buffer."""
     p, n = a.shape[-2], b.shape[-1]
+    b = b.reshape(3, 3, 1, -1, n) if lead else b  # b[dy, dx] serves every image
     if 9 * math.prod(lead) * p * n * 8 <= TAP_STACK_BYTES:
-        return np.matmul(a, b.reshape(3, 3, *(1,) * len(lead), -1, n)).reshape(9, *lead, p, n)
+        return np.matmul(a, b).reshape(9, *lead, p, n)
     buf = np.empty((*lead, p, n), dtype=np.float64)
     return (np.matmul(a[dy, dx] if a.ndim > len(lead) + 2 else a, b[dy, dx], out=buf)
             for dy in range(3) for dx in range(3))
+
+
+@functools.cache
+def _tap_rows(h: int, w: int, n_lead: int) -> list[tuple]:
+    """Each tap's H*(W+2) rows of a flat bordered buffer, from pixel dy*(W+2) + dx."""
+    return [(slice(None),) * n_lead + (slice(start, start + h * (w + 2)),)
+            for start in (dy * (w + 2) + dx for dy in range(3) for dx in range(3))]
 
 
 def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -234,37 +238,25 @@ def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.n
         return (0.0 + dz[..., :1, :] @ kernel[1, 1].T).reshape(*lead, 1, 1, c)
     dflat = np.zeros((*lead, (h + 3) * (w + 2), c), dtype=np.float64)
     taps = _tap_products(dz, np.ascontiguousarray(kernel.transpose(0, 1, 3, 2)), lead)
-    for start, tap in zip([dy * (w + 2) + dx for dy in range(3) for dx in range(3)], taps):
-        dflat[..., start:start + tap.shape[-2], :] += tap
+    for rows, tap in zip(_tap_rows(h, w, len(lead)), taps):
+        dflat[rows] += tap
     return dflat.reshape(*lead, h + 3, w + 2, c)[..., 1:h + 1, 1:w + 1, :]
 
 
 @dataclass
 class ForwardCache:
-    """A forward pass's arrays, with a leading image axis when count > 1."""
-
     params: MicroNetParams
     version: int
     shape: tuple[int, int]  # (count*H, W)
-    count: int
+    count: int  # images; for count > 1 the arrays lead with an image axis
     cols1: np.ndarray
     a1: np.ndarray  # ReLU outputs, bordered flat: a > 0 equals z > 0, NaN included
     a2: np.ndarray
 
-    def select(self, keep: list[int]) -> "ForwardCache":
-        """The cache of images keep (ascending) alone; itself when it keeps all."""
-        if len(keep) == self.count:
-            return self
-        at = keep if len(keep) > 1 else keep[0]  # one image: no image axis
-        h = self.shape[0] // self.count
-        return replace(self, shape=(len(keep) * h, self.shape[1]), count=len(keep),
-                       cols1=self.cols1[at], a1=self.a1[at], a2=self.a2[at])
-
 
 def forward(params: MicroNetParams, image: np.ndarray,
             count: int = 1) -> tuple[np.ndarray, ForwardCache]:
-    """Logit raster (count*H, W, out_channels) of a chunk, count images of
-    H rows stacked row-wise, plus the cache for backward (see the module docstring).
+    """Logit raster (count*H, W, out_channels) of a chunk plus the cache for backward.
 
     The image may hold any real dtype (the loaded ones are float32): the
     first im2col copy, into its float64 buffer, widens it exactly."""
@@ -274,7 +266,7 @@ def forward(params: MicroNetParams, image: np.ndarray,
                             f"(H, W, {params.in_channels})")
     h, w = x.shape[0] // count, x.shape[1]
     lead = (count,) if count > 1 else ()
-    cols1 = _im2col(x.reshape(*lead, h, w, -1))
+    cols1 = _im2col(x.reshape(count, h, w, -1) if lead else x)
     z1 = cols1 @ params.w1.reshape(-1, params.width)
     z1 += params.b1  # in place on the fresh product: same sums, no temporary
     np.maximum(z1, 0.0, out=z1)
@@ -293,18 +285,16 @@ def forward(params: MicroNetParams, image: np.ndarray,
     logits += params.bh
     cache = ForwardCache(params=params, version=params.version, shape=(count * h, w),
                          count=count, cols1=cols1, a1=a1, a2=a2)
-    return logits.reshape(count * h, w, -1), cache
+    return (logits.reshape(count * h, w, -1) if lead else logits), cache
 
 
 def _column_sums(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=-2) bit for bit, per image of a (..., rows, C) stack, faster:
-    einsum adds rows in order as numpy does on 2+ columns."""
+    """x.sum(axis=-2) bit for bit, faster: einsum adds rows in order as sum does on 2+ columns."""
     return np.einsum("...ij->...j", x) if x.shape[-1] > 1 else x.sum(axis=-2)
 
 
 def backward(cache: ForwardCache, upstream: np.ndarray) -> MicroNetGrads:
-    """Exact parameter gradients for an upstream d(loss)/d(logits), per image:
-    with a leading image axis for a chunk (MicroNetGrads.iadd adds them in order)."""
+    """Exact parameter gradients for an upstream d(loss)/d(logits), per image of a chunk."""
     params = cache.params
     if params.version != cache.version:
         raise StaleCache()
@@ -502,57 +492,43 @@ def _keep_freed_heap() -> None:
 
 def _plan_chunks(shapes: Sequence[tuple[int, int] | None], width: int,
                  atoms: int) -> list[list[int]]:
-    """Item positions of a step's forward chunks, in item order. shapes[i] is
-    item i's image (H, W), or None if it runs no forward pass (it then neither
-    joins nor splits a chunk). Consecutive items of one size join a chunk while
-    their conv-2 tap stacks and logit rasters, 8*(9*H*(W+2)*width + H*W*atoms)
-    bytes an image, fit TAP_STACK_BYTES; an image over that is a chunk alone."""
+    """Item positions of a step's chunks. shapes[i] is pixel item i's (H, W),
+    None for a box or tag item, a chunk alone. Consecutive pixel items of one
+    size join a chunk while their conv-2 tap stacks and logit rasters,
+    8*H*(9*(W+2)*width + W*atoms) bytes an image, fit TAP_STACK_BYTES."""
     chunks, used = [], 0
     for i, shape in enumerate(shapes):
-        if shape is not None:
-            h, w = shape
-            cost = 8 * (9 * h * (w + 2) * width + h * w * atoms)
-            if not (chunks and shapes[chunks[-1][0]] == shape and used + cost <= TAP_STACK_BYTES):
-                chunks.append([])
-                used = 0
+        cost = shape and 8 * shape[0] * (9 * (shape[1] + 2) * width + shape[1] * atoms)
+        if cost and chunks and shapes[chunks[-1][0]] == shape and used + cost <= TAP_STACK_BYTES:
             chunks[-1].append(i)
             used += cost
+        else:
+            chunks.append([i])
+            used = cost
     return chunks
-
-
-@dataclass
-class _Chunk:
-    """A chunk's cache, the positions of its images that reach backward, their upstream."""
-
-    cache: ForwardCache | None
-    kept: list[int]
-    upstream: np.ndarray | None = None
 
 
 def _summed_grads(params: MicroNetParams, routes: list, grads: Iterator[np.ndarray],
                   n_ap: int, n_s: int) -> MicroNetGrads:
-    """Parameter gradients of a batch, summed per image in item order. A logit
-    gradient is the upstream of a one-head chunk that keeps one image, else it
-    fills its rows and head atoms of a zero upstream over the kept images;
-    backward runs at the last kept item. Everything is dropped once spent."""
+    """Parameter gradients of a batch, per image in item order. A route is (cache
+    or None, image k of its chunk, head). A one-head, one-image chunk's gradient
+    is its upstream, else gradients fill a zero one; all is dropped once spent."""
     total = MicroNetGrads.zeros_like(params)
     routes.reverse()  # popped in item order
     for g in grads:
-        route = routes.pop()
-        if route is not None:
-            chunk, k, head = route
-            upstream = g
-            if n_s or len(chunk.kept) > 1:
-                if chunk.upstream is None:
-                    chunk.upstream = np.zeros((len(chunk.kept),) + g.shape[:2] + (n_ap + n_s,))
+        cache, k, head = routes.pop()
+        if cache is not None:
+            if not (n_s or cache.count > 1):
+                upstream = g
+            else:
+                if not k:
+                    upstream = np.zeros((cache.count * len(g), g.shape[1], n_ap + n_s))
                 atoms = slice(None, n_ap) if head == "ap" else slice(n_ap, None)
-                chunk.upstream[chunk.kept.index(k), :, :, atoms] = g
-                upstream = chunk.upstream.reshape(-1, *chunk.upstream.shape[2:])
-            if k == chunk.kept[-1]:
-                total.iadd(backward(chunk.cache.select(chunk.kept), upstream))
-                chunk.cache = chunk.upstream = None
-            del upstream, chunk
-        del g, route
+                upstream[k * len(g):(k + 1) * len(g), :, atoms] = g
+            if k == cache.count - 1:
+                total.iadd(backward(cache, upstream))
+                upstream = None
+        del g, cache
     return total
 
 
@@ -572,27 +548,25 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     canvases are gated against the net's own predictions, which only pixel
     labels anchor.
 
-    Small images train in chunks, planned from the labels by _plan_chunks.
-    Items are still taken in order: a chunk runs forward at its first item,
-    its pixel items share one softmax_atoms call, and each target is built
-    at its item. Each image's gradients join the step total in item order.
+    Small pixel images train in chunks (_plan_chunks): consecutive pixel
+    items of one size share one forward, softmax_atoms and backward call.
+    Box and tag items run alone, so each image's gradients still join the
+    step total in item order.
 
     Nothing of a step outlives it: the batch items (targets and head
     rasters) are dropped once batch_loss returns; each logit gradient,
-    built by batch_loss's iterator on request, feeds backward (or its
-    chunk's upstream) and is dropped before the next is requested, and a
-    chunk's cache and upstream go once its backward ran, so a step holds
-    one chunk's upstream, within TAP_STACK_BYTES, at a time. On glibc the
-    loop first raises the mmap and trim thresholds (see M_MMAP_THRESHOLD),
-    so the freed arrays stay on the heap for the next step to reuse, and
-    the process keeps that freed heap after training. The two go
-    together: freed early, the arrays' pages would go back to the kernel
-    and be faulted in again; kept, later steps would stack their arrays
-    above the still-live ones of the step before.
+    built by batch_loss's iterator on request, feeds its chunk's upstream
+    and is dropped before the next is requested, and the chunk's cache and
+    upstream go once its backward ran: a step holds one upstream at a time.
+    On glibc the loop first raises the mmap and trim thresholds (see
+    M_MMAP_THRESHOLD), so the freed arrays stay on the heap for the next
+    step to reuse, and the process keeps that freed heap after training.
+    The two go together: freed early, the arrays' pages would go back to
+    the kernel and be faulted in again; kept, later steps would stack
+    their arrays above the still-live ones of the step before.
 
     A box or tag item left with no row (a weak canvas the gate emptied)
-    leaves its chunk's kept images, so its image skips backward (a chunk
-    left with none drops its cache at once); a pixel item with
+    keeps no forward cache and skips its backward pass; a pixel item with
     no supervised pixel runs it on its +0.0 gradient. Both keep every
     bit: a zero upstream gives parameter gradients of +-0.0 only, the
     running total starts at +0.0 and so never holds -0.0 (IEEE addition
@@ -634,55 +608,42 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                                   n_ap if heads[ds_id].head == "ap" else n_s)
                for ds_id in sampler.ids}
 
-    def run_chunk(draws: list) -> tuple[_Chunk, list]:
-        """A chunk's forward pass; per image, its position and head softmax or logits."""
-        images = [ds.images[idx] for ds, idx in draws]
-        n = len(images)
-        logits, cache = forward(params, images[0] if n == 1 else np.concatenate(images), n)
-        logits = logits.reshape(n, *images[0].shape[:2], -1)
-        outs = list(logits)
-        pixel = [k for k, (ds, _) in enumerate(draws) if ds.supervision in PIXEL_KINDS]
-        if pixel:  # one call: softmax_atoms treats each row alike
-            run = slice(pixel[0], pixel[-1] + 1) if pixel[-1] - pixel[0] < len(pixel) else pixel
-            for k, probs in zip(pixel, softmax_atoms(logits[run, :, :, :n_ap])):
-                outs[k] = probs
-        return _Chunk(cache, list(range(n))), list(enumerate(outs))
+    def add_chunk(run: list, items: list, routes: list) -> None:
+        """Append the items and (cache, k, head) routes of a chunk of pixel items."""
+        images = [ds.images[idx] for ds, idx in run]
+        logits, cache = forward(params, np.concatenate(images) if run[1:] else images[0], len(run))
+        targets = [strong_to_canvas(ds.labels[idx], ds.space.num_classes) for ds, idx in run]
+        probs = softmax_atoms(logits[:, :, :n_ap])  # one call: it treats each row alike
+        h = len(images[0])
+        for k, ((ds, _), target) in enumerate(zip(run, targets)):
+            items.append((target, probs[k * h:(k + 1) * h], indexes[ds.dataset_id], ds.supervision))
+            routes.append((cache, k, heads[ds.dataset_id].head))
 
-    def add_item(ds: LoadedDataset, idx: int, slot: tuple | None, items: list,
-                 routes: list) -> None:
-        """Append one image's batch_loss item and its (chunk, position, head) route,
-        None if it reaches no backward pass; slot is its chunk and run_chunk's pair."""
+    def add_weak_item(ds: LoadedDataset, idx: int, items: list, routes: list) -> None:
+        """Append a box or tag item and its (cache, 0, head) route."""
         dg = heads[ds.dataset_id]
         index = indexes[ds.dataset_id]
-        num = ds.space.num_classes
-        chunk, k, out = slot or (None, None, None)
-        if ds.supervision in PIXEL_KINDS:
-            target = strong_to_canvas(ds.labels[idx], num)
-            head_probs = out
-        else:
-            h, w = ds.images[idx].shape[:2]
-            target = weak_canvas(ds.labels[idx], ds.supervision, h, w, num)
-            rows = target.rows
-            head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
-            if rows.size:  # else the raw canvas is all unlabeled already
-                voted = out.reshape(h * w, -1).take(rows, axis=0)
-                ap_rows = softmax_atoms(voted[:, :n_ap])
-                if dg.head == "s":  # subclass votes kept, localization gated
-                    parents = np.asarray(dg.parent_slots, dtype=np.int64)
-                    target = gate_canvas(target, ap_rows, parents[target.voted_argmax],
-                                         refine_threshold)
-                    head_rows = softmax_atoms(voted[:, n_ap:])
-                else:
-                    predicted = _dataset_predictions(ap_rows, index)
-                    target = refine_canvas(target, predicted, refine_threshold)
-                    head_rows = ap_rows
-                head_probs.reshape(h * w, -1)[rows] = head_rows
-                if not target.rows.size:  # +0.0 gradient: backward never runs
-                    chunk.kept.remove(k)
-                    if not chunk.kept:
-                        chunk.cache = None
+        h, w = ds.images[idx].shape[:2]
+        target = weak_canvas(ds.labels[idx], ds.supervision, h, w, ds.space.num_classes)
+        rows = target.rows
+        head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
+        if rows.size:  # else the raw canvas is all unlabeled already
+            logits, cache = forward(params, ds.images[idx])
+            voted = logits.reshape(h * w, -1).take(rows, axis=0)
+            ap_rows = softmax_atoms(voted[:, :n_ap])
+            if dg.head == "s":  # subclass votes kept, localization gated
+                parents = np.asarray(dg.parent_slots, dtype=np.int64)
+                target = gate_canvas(target, ap_rows, parents[target.voted_argmax],
+                                     refine_threshold)
+                head_rows = softmax_atoms(voted[:, n_ap:])
+            else:
+                predicted = _dataset_predictions(ap_rows, index)
+                target = refine_canvas(target, predicted, refine_threshold)
+                head_rows = ap_rows
+            head_probs.reshape(h * w, -1)[rows] = head_rows
         items.append((target, head_probs, index, ds.supervision))
-        routes.append((chunk, k, dg.head) if chunk is not None and k in chunk.kept else None)
+        # +0.0 gradient without rows: backward never runs
+        routes.append((cache if target.rows.size else None, 0, dg.head))
 
     _keep_freed_heap()
     losses: list[float] = []
@@ -690,16 +651,14 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     for step in range(total_steps):
         picks = sampler.next_batch()
         draws = [(by_id[ds_id], idx) for ds_id in sampler.ids for idx in picks[ds_id]]
-        # the images of the items that run forward: pixel items, box or tag items with one
-        shapes = [ds.images[idx].shape[:2] if ds.supervision in PIXEL_KINDS or (
-                  ds.labels[idx].boxes if ds.supervision == BBOX else ds.labels[idx].tags)
-                  else None for ds, idx in draws]
-        starts = {c[0]: c for c in _plan_chunks(shapes, feature_width, n_ap + n_s)}
+        shapes = [ds.images[idx].shape[:2] if ds.supervision in PIXEL_KINDS else None
+                  for ds, idx in draws]
         items, routes = [], []
-        for i, (ds, idx) in enumerate(draws):
-            if i in starts:
-                chunk, outs = run_chunk([draws[j] for j in starts[i]])
-            add_item(ds, idx, (chunk, *outs.pop(0)) if shapes[i] else None, items, routes)
+        for chunk in _plan_chunks(shapes, feature_width, n_ap + n_s):
+            if shapes[chunk[0]] is None:
+                add_weak_item(*draws[chunk[0]], items, routes)
+            else:
+                add_chunk([draws[i] for i in chunk], items, routes)
         loss, grads = batch_loss(items)
         del items
         if not np.isfinite(loss):

@@ -142,10 +142,10 @@ def test_traced_train_loop_counts_steps_backward_passes_and_gated_rows():
     assert steps == 8  # 4 pixel images at quota 1, two epochs
     calls = {name: n for name, (n, _) in tracer.self_times().items()}
     assert calls["lossgrad.batch_loss"] == steps
-    # the pixel item and the two voted boxes, all 5x4, make one chunk: one
-    # forward and one backward call a step, and the FLOP counter, which
-    # reads the stacked shapes, counts three images each way
-    assert calls["model.forward"] == calls["model.backward"] == steps
+    # the pixel item and the two voted boxes, each a chunk of one image;
+    # the FLOP counter, which reads the stacked shapes, counts three images
+    # each way
+    assert calls["model.forward"] == calls["model.backward"] == steps * (1 + 2)
     spans = _load("spans")
     p = model.init_micronet(3, 3, res.params.out_channels, seed=0)
     per_image = (spans._forward_flops((p, images[0]), None, None)

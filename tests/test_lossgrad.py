@@ -303,8 +303,8 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
     # per step: a box item with no votes calls no softmax and its target is
     # the all-unlabeled raw canvas; a voted one softmaxes exactly its
     # labeled rows, all of them for a full-frame box; pixel items softmax
-    # all H*W rows, in one call per chunk: all images are 5x4, so the
-    # three pixel items share one
+    # all H*W rows, in one call per chunk: the three 5x4 pixel items come
+    # after the boxes and share one
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
@@ -315,8 +315,8 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
     calls, steps = [], []
     real_softmax, real_loss = model.softmax_atoms, model.batch_loss
 
-    def counting_softmax(logits):  # a chunk's pixel images come stacked, 4-d
-        calls.append((logits.ndim == 4, logits.size // logits.shape[-1]))
+    def counting_softmax(logits):
+        calls.append(logits.size // logits.shape[-1])
         return real_softmax(logits)
 
     def recording_loss(items):
@@ -331,20 +331,19 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
                epochs=2, refine_threshold=0.0, feature_width=3)
     assert len(steps) == 8 and [v.size for v in voted.values()] == [17, 20]
     for seen, items in steps:
-        want, unvoted = [(True, 20 * 3)], 0
+        want, unvoted = [], 0
         for target, probs, _, kind in items:
             if kind != BBOX:
                 continue
             nonzero = np.flatnonzero(probs.reshape(20, -1).any(axis=1))
             if nonzero.size:
-                want.append((False, nonzero.size))
+                want.append(nonzero.size)
                 assert np.array_equal(nonzero, voted[nonzero.size])
             else:
                 unvoted += 1
                 assert target.probs.tobytes() == unlabeled.tobytes()
-        assert seen == want
-        assert len(items) == 7 and want[1:] in ([(False, 17), (False, 20)],
-                                                [(False, 20), (False, 17)]) and unvoted == 2
+        assert seen == want + [20 * 3]
+        assert len(items) == 7 and want in ([17, 20], [20, 17]) and unvoted == 2
 
 
 # --- loss closed forms ---
@@ -850,11 +849,11 @@ def test_merge_missing_children():
 @pytest.mark.parametrize("threshold, dropped", [(0.5, 2), (0.6, 4)])
 def test_train_loop_drops_the_cache_of_an_item_without_rows(monkeypatch, threshold, dropped):
     # per step two box items have no votes; at threshold 0.6 the gate also
-    # empties the two voted ones. Such an item reaches no backward pass, and
-    # one without votes runs no forward either. All images are 5x4, so the
-    # items that run forward make one chunk a step; backward on that whole
-    # chunk, every image on its own gradient, gives the same losses and
-    # weights, byte for byte
+    # empties the two voted ones. Such an item keeps no forward cache and
+    # runs no backward, and one without votes runs no forward either; with
+    # every cache kept and backward run on every item that ran forward (the
+    # three 5x4 pixel items as their one chunk) the losses and weights are
+    # the same, byte for byte
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
@@ -867,34 +866,37 @@ def test_train_loop_drops_the_cache_of_an_item_without_rows(monkeypatch, thresho
                           refine_threshold=threshold, feature_width=3)
 
     want = train()
-    caches, voted, without = [], [], []
-    real_forward, real_weak_canvas = model.forward, model.weak_canvas
+    caches, without = [], []
+    real_forward = model.forward
 
     def keeping_forward(params, image, count=1):
         logits, cache = real_forward(params, image, count)
         caches.append(cache)
         return logits, cache
 
+    real_weak_canvas = model.weak_canvas
+
     def marking_weak_canvas(*args):
         canvas = real_weak_canvas(*args)
-        voted.append(bool(canvas.rows.size))
+        if not canvas.rows.size:
+            caches.append(None)  # in item order: forward is called after this
         return canvas
 
-    def backward_on_every_image(params, routes, grads, n_ap, n_s):
-        without.append(sum(route is None for route in routes))
-        (cache,) = caches
-        ran = voted + [True] * 3  # items: the 4 boxes, then 2 coarse and 1 fine
-        assert voted.count(False) == 2 and cache.count == sum(ran) == 5
-        upstream = np.concatenate([g for g, r in zip(grads, ran) if r])  # one head
+    def backward_on_every_item(params, routes, grads, n_ap, n_s):
+        without.append(sum(cache is None for cache, _, _ in routes))
+        *box_caches, pixel = caches  # items: the 4 boxes, then 2 coarse and 1 fine
+        assert box_caches.count(None) == 2 and pixel.count == 3
         total = model.MicroNetGrads.zeros_like(params)
-        total.iadd(model.backward(cache, upstream))
+        for cache, g in zip(box_caches, grads):  # one head: g is the whole upstream
+            if cache is not None:
+                total.iadd(model.backward(cache, g))
+        total.iadd(model.backward(pixel, np.concatenate(list(grads))))
         caches.clear()
-        voted.clear()
         return total
 
     monkeypatch.setattr(model, "forward", keeping_forward)
     monkeypatch.setattr(model, "weak_canvas", marking_weak_canvas)
-    monkeypatch.setattr(model, "_summed_grads", backward_on_every_image)
+    monkeypatch.setattr(model, "_summed_grads", backward_on_every_item)
     got = train()
     assert without == [dropped] * 12
     assert got.losses == want.losses

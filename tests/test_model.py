@@ -328,27 +328,8 @@ def test_chunk_forward_and_backward_equal_per_image_bit_for_bit(h, w, width):
             assert got[k].tobytes() == expected.tobytes()
     assert ([a.tobytes() for a in chunk_total.arrays()]
             == [a.tobytes() for a in single_total.arrays()])
-
-
-def test_chunk_cache_selects_its_kept_images():
-    # backward on images 0 and 2 of a three-image cache equals backward on
-    # a chunk of those two, and on image 1 alone on that image, byte for byte
-    rng = np.random.default_rng(7)
-    p = init_micronet(3, 8, 6, seed=8)
-    images = [rng.standard_normal((20, 20, 3)) for _ in range(3)]
-    upstream = rng.standard_normal((40, 20, 6))
-    _, cache = forward(p, np.concatenate(images), 3)
-    _, pair = forward(p, np.concatenate([images[0], images[2]]), 2)
-    assert cache.select([0, 1, 2]) is cache
-    kept = cache.select([0, 2])
-    assert kept.shape == (40, 20) and kept.count == 2
-    assert ([a.tobytes() for a in backward(kept, upstream).arrays()]
-            == [a.tobytes() for a in backward(pair, upstream).arrays()])
-    _, alone = forward(p, images[1])
-    assert ([a.tobytes() for a in backward(cache.select([1]), upstream[:20]).arrays()]
-            == [a.tobytes() for a in backward(alone, upstream[:20]).arrays()])
-    with pytest.raises(ShapeMismatch):
-        forward(p, np.concatenate(images), 7)  # 60 rows are not 7 images of one height
+    with pytest.raises(ShapeMismatch):  # 3*h rows are not 7 images of one height
+        forward(p, np.concatenate(images), 7)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 5, 256, 2304])
@@ -645,8 +626,9 @@ def test_plan_chunks_at_the_workload_shapes():
     # atoms) take more than half of TAP_STACK_BYTES an image
     assert model._plan_chunks([(48, 48)] * 4, 16, 5) == [[0], [1], [2], [3]]
     assert model._plan_chunks([(16, 16)] * 3, 8, 300) == [[0], [1], [2]]
-    # an item without a forward pass neither joins nor splits a chunk
-    assert model._plan_chunks([None, (5, 4), None, (5, 4), (6, 4), None], 3, 4) == [[1, 3], [4]]
+    # a box or tag item is a chunk alone and splits pixel items around it
+    assert (model._plan_chunks([None, (5, 4), (5, 4), None, (5, 4), (6, 4), None], 3, 4)
+            == [[0], [1, 2], [3], [4], [5], [6]])
 
 
 def test_plan_chunks_keeps_sizes_apart_and_each_chunk_within_budget():
@@ -656,15 +638,17 @@ def test_plan_chunks_keeps_sizes_apart_and_each_chunk_within_budget():
         width, atoms = int(rng.integers(1, 20)), int(rng.integers(1, 400))
         shapes = [sizes[k] for k in rng.integers(0, len(sizes), int(rng.integers(0, 14)))]
         chunks = model._plan_chunks(shapes, width, atoms)
-        assert [i for c in chunks for i in c] == [i for i, s in enumerate(shapes) if s]
+        assert [i for c in chunks for i in c] == list(range(len(shapes)))
         for chunk in chunks:
             assert len({shapes[i] for i in chunk}) == 1
-            costs = [_chunk_cost(shapes[i], width, atoms) for i in chunk]
-            if len(chunk) > 1:
+            assert chunk == list(range(chunk[0], chunk[-1] + 1))
+            if len(chunk) > 1:  # of pixel items, within budget
+                assert shapes[chunk[0]] is not None
+                costs = [_chunk_cost(shapes[i], width, atoms) for i in chunk]
                 assert sum(costs) <= model.TAP_STACK_BYTES
                 assert max(costs) <= model.TAP_STACK_BYTES
         for a, b in zip(chunks, chunks[1:]):  # a chunk ends only where it must
-            if shapes[a[0]] == shapes[b[0]]:
+            if shapes[a[0]] == shapes[b[0]] is not None:
                 used = sum(_chunk_cost(shapes[i], width, atoms) for i in a)
                 assert used + _chunk_cost(shapes[b[0]], width, atoms) > model.TAP_STACK_BYTES
 
@@ -680,14 +664,14 @@ def _dense_joint_plan():
             0.9, 8)
 
 
-def _mixed_plan(sizes):
+def _mixed_plan(sizes, box_id, threshold):
     """Fine, coarse and box sets of 4 images of the given (H, W) sizes, the
-    box set with two images without a box, at threshold 0.6: there the gate
-    empties every voted box."""
+    box set, named box_id, with two images without a box. At threshold 0.6
+    the gate empties every voted box, at 0.0 it keeps them all."""
     rng = np.random.default_rng(29)
     spaces = [LabelSpace("fine", ("void", "cat", "dog", "grass"), "pixel_dense"),
               LabelSpace("coarse", ("void", "animal", "grass"), "pixel_coarse"),
-              LabelSpace("boxes", ("void", "cat", "dog"), "bbox")]
+              LabelSpace(box_id, ("void", "cat", "dog"), "bbox")]
     rel = RelationTable.from_triples([("hypernym", "animal", "cat"),
                                       ("hypernym", "animal", "dog")])
     tax = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
@@ -701,25 +685,27 @@ def _mixed_plan(sizes):
             labels = [StrongLabel(rng.integers(0, space.num_classes + 1, (h, w)),
                                   space.num_classes) for _ in images]
         datasets.append(LoadedDataset(space, images, labels))
-    return datasets, tax, BatchPlan({"fine": 2, "coarse": 2, "boxes": 4}, seed=3), 0.6, 3
+    return datasets, tax, BatchPlan({"fine": 2, "coarse": 2, box_id: 4}, seed=3), threshold, 3
 
 
 # per plan: the image count of each forward and each backward call of a
 # step, and the chunks whose cache is still held when batch_loss is called.
-# Items come in dataset-id order: boxes, coarse, fine
+# Items come in dataset-id order
 @pytest.mark.parametrize("plan, counts, kept, held", [
     ("dense-joint", [3, 3, 2], [3, 3, 2], 3),
-    # the voted boxes share a chunk with the coarse images; backward runs on those
-    ("gate empties boxes beside unvoted ones", [4, 2], [2, 2], 2),
-    # the voted boxes make a chunk of their own, which drops its cache
-    ("two image sizes", [2, 2, 2], [2, 2], 2)])
+    # coarse, boxes, fine: the two voted boxes run alone between the pixel
+    # chunks, and their gradients join the total between theirs
+    ("boxes between pixel sets", [2, 1, 1, 2], [2, 1, 1, 2], 4),
+    # boxes, coarse, fine: the gate empties the voted boxes, which drop
+    # their caches; the pixel sets differ in size, so they do not share a chunk
+    ("two image sizes", [1, 1, 2, 2], [2, 2], 2)])
 def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts, kept, held):
     # TAP_STACK_BYTES = 0 makes every chunk one image: the losses and
     # weights must be the same byte for byte
     datasets, tax, batch, threshold, width = {
         "dense-joint": _dense_joint_plan,
-        "gate empties boxes beside unvoted ones": lambda: _mixed_plan([(4, 6), (5, 4), (5, 4)]),
-        "two image sizes": lambda: _mixed_plan([(4, 6), (5, 4), (4, 4)])}[plan]()
+        "boxes between pixel sets": lambda: _mixed_plan([(5, 4)] * 3, "dboxes", 0.0),
+        "two image sizes": lambda: _mixed_plan([(4, 6), (5, 4), (4, 4)], "boxes", 0.6)}[plan]()
     calls, caches, alive, backward_calls = [], [], [], []
     real_forward, real_loss, real_backward = model.forward, model.batch_loss, model.backward
 
