@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .errors import ConfigError, DataError, HTSSError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import MetricReport, json_number
 from .model import (BatchPlan, OptimizerState, evaluate, load_checkpoint,
                     save_checkpoint, train_loop)
@@ -148,8 +148,7 @@ def cmd_gen(cfg: dict) -> None:
         view_space(world, view)
     out = _out_dir(cfg)
     for view in views:
-        manifest = emit_dataset(world, view, out)
-        log.info("wrote %s", manifest.path)
+        log.info("wrote %s", emit_dataset(world, view, out))
     formats.write_relations(out / "relations.tsv", relation_triples(world))
     log.info("wrote %s", out / "relations.tsv")
 
@@ -163,19 +162,19 @@ def cmd_taxonomy(cfg: dict) -> None:
     spaces = [formats.read_label_space(p) for p in _require_paths(cfg, "label_spaces")]
     relations = _read_relations(cfg["relations"])
     tax = _build_taxonomy(spaces, relations)
-    report = validate_taxonomy(tax, spaces)
+    violations = validate_taxonomy(tax, spaces)
     part = partition_atoms(tax, spaces, relations) if cfg["partition"] else None
     out = _out_dir(cfg)
     formats.write_taxonomy(out / "taxonomy.json", tax, spaces)
-    formats.write_manifest(out / "validation.json", {
-        "valid": report.is_valid,
+    formats.write_json(out / "validation.json", {
+        "valid": not violations,
         "violations": [
             {"kind": v.kind, "dataset_id": v.dataset_id, "detail": v.detail}
-            for v in report.violations
+            for v in violations
         ],
     })
     if part is not None:
-        formats.write_manifest(out / "partition.json", {
+        formats.write_json(out / "partition.json", {
             "atoms": list(part.atoms),
             "a_set": [part.atom_name(i) for i in sorted(part.a_set)],
             "s_set": [part.atom_name(i) for i in sorted(part.s_set)],
@@ -184,7 +183,7 @@ def cmd_taxonomy(cfg: dict) -> None:
                           for s, p in sorted(part.parent_of.items())},
         })
     log.info("taxonomy written to %s (%d atoms, valid=%s)", out, tax.atom_count,
-             report.is_valid)
+             not violations)
 
 
 def cmd_pseudolabel(cfg: dict) -> None:
@@ -257,10 +256,10 @@ def cmd_eval(cfg: dict) -> None:
     # every manifest is evaluated first: a failed eval leaves no output tree
     out = _out_dir(cfg)
     for r in reports:
-        formats.write_manifest(out / f"report_{r.dataset_id}.json", r.to_dict())
+        formats.write_json(out / f"report_{r.dataset_id}.json", r.to_dict())
         (out / f"report_{r.dataset_id}.txt").write_text(r.to_text(), encoding="utf-8")
         log.info("%s mIoU %.4f", r.dataset_id, r.miou)
-    formats.write_manifest(out / "summary.json", {
+    formats.write_json(out / "summary.json", {
         "datasets": [r.dataset_id for r in reports],
         "mean_miou": json_number(float(np.mean([r.miou for r in reports]))),
     })
@@ -320,9 +319,6 @@ def main(argv=None) -> int:
         return 4
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except HTSSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
 

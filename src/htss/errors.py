@@ -45,12 +45,6 @@ class NoStrongParent(DataError):
         super().__init__(f"weak-only atom {atom_name!r} has no pixel-supervised ancestor class")
 
 
-class MissingChildren(DataError):
-    def __init__(self, atom_name):
-        self.atom_name = atom_name
-        super().__init__(f"parent atom {atom_name!r} has no subclass atoms to merge")
-
-
 class ShapeMismatch(DataError):
     def __init__(self, detail):
         super().__init__(f"shape mismatch: {detail}")

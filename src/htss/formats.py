@@ -7,14 +7,15 @@ uint16), u32 rank, rank x u32 dims, then the row-major payload.
 
 Array container (used for checkpoints): magic "HTSSCKPT", u32 version,
 u32 array count, then per array u32 rank, rank x u32 dims and a float64
-payload.
+payload. In both, ranks run from 1 to 4 and every dim is at least 1.
 
 Weak label file: text, one "class_index x_min y_min x_max y_max" line
 per box, then a single "tags:" line listing tag class indices.
 
-Label spaces, manifests, and taxonomy exports are JSON documents with
-sorted keys so that a rerun writes byte-identical files. checked_fields
-checks every JSON object htss reads against a table of its keys' types.
+Label spaces, manifests, taxonomy exports and reports are JSON documents,
+which write_json writes with sorted keys so that a rerun writes
+byte-identical files. checked_fields checks every JSON object htss reads
+against a table of its keys' types.
 """
 
 from __future__ import annotations
@@ -70,16 +71,23 @@ def _unpack(fh, path, fmt: str) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def _read_payload(fh, path, nbytes: int, what: str) -> bytes:
-    """Read a payload whose size a header claims, checking the claim
-    against the bytes left in the file before asking for that many."""
+def _read_array(fh, path, rank: int, dtype: np.dtype, what: str) -> np.ndarray:
+    """Read rank u32 dims, each at least 1, then the row-major payload they
+    size, checking that size against the bytes left in the file before
+    asking for that many."""
+    if not 1 <= rank <= 4:
+        raise FormatError(path, f"unsupported {what} rank {rank}")
+    dims = _unpack(fh, path, f"<{rank}I")
+    if 0 in dims:
+        raise FormatError(path, f"empty {what}: dims {dims}")
+    nbytes = math.prod(dims) * dtype.itemsize
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     payload = fh.read(nbytes) if nbytes <= left else b""
     if len(payload) != nbytes:
         raise FormatError(
             path, f"truncated {what} payload: header claims {nbytes} bytes, "
             f"{left} left")
-    return payload
+    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 
 def read_raster(path) -> np.ndarray:
@@ -90,14 +98,10 @@ def read_raster(path) -> np.ndarray:
         code, rank = _unpack(fh, path, "<II")
         if code not in _DTYPE_CODES:
             raise FormatError(path, f"unknown raster dtype code {code}")
-        if not 1 <= rank <= 4:
-            raise FormatError(path, f"unsupported raster rank {rank}")
-        dims = _unpack(fh, path, f"<{rank}I")
-        dtype = _DTYPE_CODES[code]
-        payload = _read_payload(fh, path, math.prod(dims) * dtype.itemsize, "raster")
+        array = _read_array(fh, path, rank, _DTYPE_CODES[code], "raster")
         if fh.read(1):
             raise FormatError(path, "trailing bytes after raster payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    return array
 
 
 def write_array_file(path, arrays: list[np.ndarray]) -> None:
@@ -122,11 +126,7 @@ def read_array_file(path) -> list[np.ndarray]:
         arrays = []
         for _ in range(count):
             (rank,) = _unpack(fh, path, "<I")
-            if not 1 <= rank <= 4:
-                raise FormatError(path, f"unsupported array rank {rank}")
-            dims = _unpack(fh, path, f"<{rank}I")
-            payload = _read_payload(fh, path, 8 * math.prod(dims), "checkpoint")
-            arrays.append(np.frombuffer(payload, dtype="<f8").reshape(dims).copy())
+            arrays.append(_read_array(fh, path, rank, np.dtype("<f8"), "checkpoint"))
         if fh.read(1):
             raise FormatError(path, "trailing bytes after checkpoint payload")
     return arrays
@@ -222,7 +222,7 @@ def checked_fields(doc, fields: dict, what: str, fail) -> dict:
     return {key: doc.get(key, default) for key, (_, default) in fields.items()}
 
 
-def _dump_json(path, doc) -> None:
+def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
                           + "\n", encoding="utf-8")
 
@@ -235,7 +235,7 @@ def _load_json(path):
 
 
 def write_label_space(path, space: LabelSpace) -> None:
-    _dump_json(path, {"dataset_id": space.dataset_id,
+    write_json(path, {"dataset_id": space.dataset_id,
                       "supervision": space.supervision,
                       "classes": list(space.classes)})
 
@@ -284,11 +284,7 @@ def write_taxonomy(path, t: Taxonomy, spaces) -> None:
             for sp in spaces
         },
     }
-    _dump_json(path, doc)
-
-
-def write_manifest(path, doc: dict) -> None:
-    _dump_json(path, doc)
+    write_json(path, doc)
 
 
 def _check_relative(path, rel: str) -> None:

@@ -74,7 +74,6 @@ import numpy as np
 from .annotations import PseudoCanvas, StrongLabel, reduce_last
 from .errors import (
     IndexOutOfRange,
-    MissingChildren,
     NonFiniteInput,
     NoSupervisedPixels,
     ShapeMismatch,
@@ -309,19 +308,13 @@ def merge_subclass_predictions(ap_probs: np.ndarray, s_probs: np.ndarray,
             f"a+p head has {ap_probs.shape} for {len(ap_order)} atoms")
     if part.p_set and (s_probs.ndim != 3 or s_probs.shape[2] != len(s_order)):
         raise ShapeMismatch(f"s head has {s_probs.shape} for {len(s_order)} atoms")
-    children = {}
-    for p in sorted(part.p_set):
-        kids = part.children_of(p)
-        if not kids:
-            raise MissingChildren(part.atom_name(p))
-        children[p] = kids
-
     s_pos = part.s_local()
     atom_ids = np.asarray(ap_order, dtype=np.int64)[ap_probs.argmax(axis=2)]
-    for p, kids in children.items():
+    for p in sorted(part.p_set):  # AtomPartition gives each parent a subclass
         where = atom_ids == p
         if not where.any():
             continue
+        kids = part.children_of(p)
         cols = [s_pos[k] for k in kids]
         sub = s_probs[where][:, cols]
         atom_ids[where] = np.asarray(kids, dtype=np.int64)[sub.argmax(axis=1)]

@@ -28,7 +28,6 @@ from .model import LoadedDataset
 from .taxonomy import (
     BBOX,
     HYPERNYM,
-    IMAGE_TAG,
     PIXEL_KINDS,
     SUPERVISION_KINDS,
     LabelSpace,
@@ -239,20 +238,10 @@ def relation_triples(world: WorldSpec) -> list[tuple[str, str, str]]:
     return [(HYPERNYM, p, f) for p, fs in world.hierarchy for f in fs]
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    dataset_id: str
-    supervision: str
-    granularity: str
-    space_path: str            # relative to root
-    records: tuple[tuple[str, str], ...]
-    root: str
-    path: str                  # the manifest file itself
-
-
-def emit_dataset(world: WorldSpec, view: View, out_dir) -> DatasetManifest:
+def emit_dataset(world: WorldSpec, view: View, out_dir) -> Path:
     """Write one view to disk: feature rasters, labels, the label space
-    file, and a manifest with paths relative to the output directory."""
+    file, and a manifest with paths relative to the output directory;
+    returns the manifest's path."""
     root = Path(out_dir)
     (root / view.dataset_id).mkdir(parents=True, exist_ok=True)
     space = view_space(world, view)
@@ -287,31 +276,26 @@ def emit_dataset(world: WorldSpec, view: View, out_dir) -> DatasetManifest:
                               min(world.height, obj.y1 + pad)))
             lab_rel = f"{view.dataset_id}/lab_{i:05d}.weak"
             formats.write_weak_label(root / lab_rel, WeakLabel(boxes=tuple(boxes)))
-        elif view.supervision == IMAGE_TAG:
+        else:  # image tags: View accepts no other supervision kind
             visible = {fine_names[v - 1] for v in np.unique(scene.fine_ids)}
             tag_ids = sorted({to_view[view_name(n)] for n in visible
                               if view_name(n) in to_view})
             lab_rel = f"{view.dataset_id}/lab_{i:05d}.weak"
             formats.write_weak_label(root / lab_rel,
                                      WeakLabel(tags=tuple(tag_ids)))
-        else:
-            raise ConfigError(f"cannot emit supervision kind {view.supervision!r}")
         records.append((img_rel, lab_rel))
 
     space_rel = f"{view.dataset_id}_space.json"
     formats.write_label_space(root / space_rel, space)
     manifest_path = root / f"{view.dataset_id}_manifest.json"
-    formats.write_manifest(manifest_path, {
+    formats.write_json(manifest_path, {
         "dataset_id": view.dataset_id,
         "supervision": view.supervision,
         "granularity": view.granularity,
         "label_space": space_rel,
         "records": [[img, lab] for img, lab in records],
     })
-    return DatasetManifest(dataset_id=view.dataset_id, supervision=view.supervision,
-                           granularity=view.granularity, space_path=space_rel,
-                           records=tuple(records), root=str(root),
-                           path=str(manifest_path))
+    return manifest_path
 
 
 def load_dataset(manifest_path) -> LoadedDataset:

@@ -266,17 +266,9 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class TaxonomyReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations
-
-
-def validate_taxonomy(t: Taxonomy, spaces: Sequence[LabelSpace]) -> TaxonomyReport:
-    """Check the structural invariants of a taxonomy.
+def validate_taxonomy(t: Taxonomy, spaces: Sequence[LabelSpace]) -> tuple[Violation, ...]:
+    """Check the structural invariants of a taxonomy; returns the
+    violations found, none for a valid taxonomy.
 
     Per dataset: non-void groups are pairwise disjoint (no atom serves
     two classes of one dataset), every non-void class has a non-empty
@@ -313,7 +305,7 @@ def validate_taxonomy(t: Taxonomy, spaces: Sequence[LabelSpace]) -> TaxonomyRepo
                         f"{seen[a]!r} and {sp.classes[m]!r}"))
                 else:
                     seen[a] = sp.classes[m]
-    return TaxonomyReport(tuple(found))
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -343,8 +335,8 @@ class AtomPartition:
             raise DataError("partition sets must be pairwise disjoint")
         if set(self.parent_of) != set(self.s_set):
             raise DataError("parent_of must cover exactly the s_set atoms")
-        if not set(self.parent_of.values()) <= set(self.p_set):
-            raise DataError("parent_of must map into p_set")
+        if set(self.parent_of.values()) != set(self.p_set):
+            raise DataError("parent_of must map onto p_set: every parent needs a subclass")
 
     @property
     def atom_count(self) -> int:

@@ -973,17 +973,34 @@ def test_pixel_label_class_out_of_range_names_the_raster(tmp_path, gen_tree, cap
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, dataset", [("train", "fine_px"), ("pseudolabel", "boxes")])
-def test_image_raster_must_have_three_axes(tmp_path, gen_tree, capsys, command, dataset):
+@pytest.mark.parametrize("command, dataset, shape", [
+    pytest.param("train", "fine_px", (64,), id="train-fine_px"),
+    pytest.param("pseudolabel", "boxes", (64,), id="pseudolabel-boxes"),
+    *(pytest.param(command, dataset, shape, id=f"{command}-{dataset}-{'x'.join(map(str, shape))}")
+      for shape in [(0, 8, 2), (8, 8, 0)]
+      for command, dataset in [("train", "fine_px"), ("eval", "fine_px"), ("pseudolabel", "boxes")]),
+])
+def test_image_raster_must_have_three_axes(tmp_path, gen_tree, capsys, command, dataset, shape):
+    # nor an empty axis; a pixel set also gets a label of the empty image's
+    # (H, W), so only the image is wrong
     from htss.formats import write_raster
-    write_raster(gen_tree / dataset / "img_00001.rast", np.zeros(64, dtype=np.float32))
+    from htss.model import init_micronet, save_checkpoint
+    write_raster(gen_tree / dataset / "img_00001.rast", np.zeros(shape, dtype=np.float32))
+    if dataset == "fine_px" and len(shape) == 3:
+        write_raster(gen_tree / dataset / "lab_00001.rast", np.zeros(shape[:2], dtype=np.uint16))
+    if command == "eval":
+        save_checkpoint(tmp_path / "c.ckpt", init_micronet(2, 2, 3, seed=0))
     cfg = write_json(tmp_path / "c.json", {
         "manifests": [str(gen_tree / f"{dataset}_manifest.json")],
         **({"quotas": {dataset: 2}, "feature_width": 2} if command == "train" else {}),
+        **({"checkpoint": str(tmp_path / "c.ckpt"),
+            "train_label_spaces": [str(gen_tree / "fine_px_space.json")]}
+           if command == "eval" else {}),
     })
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "img_00001.rast" in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -1027,4 +1044,22 @@ def test_non_finite_checkpoint_exits_3(tmp_path, gen_tree, capsys, value):
     err = capsys.readouterr().err
     assert "data error" in err and "final.ckpt" in err, err
     assert "Traceback" not in err and "Warning" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width, out", [(0, 3), (2, 0)])
+def test_zero_size_checkpoint_exits_3(tmp_path, gen_tree, capsys, width, out):
+    # a width-0 net passes the checkpoint's shape check, and would fail in a reshape
+    from htss.formats import write_array_file
+    ckpt = tmp_path / "final.ckpt"
+    write_array_file(ckpt, [np.zeros(s) for s in [(3, 3, 2, width), (width,),
+                                                  (3, 3, width, width), (width,),
+                                                  (width, out), (out,)]])
+    evaluate = write_json(tmp_path / "eval.json", {
+        "checkpoint": str(ckpt), "manifests": [str(gen_tree / "fine_px_manifest.json")],
+        "train_label_spaces": [str(gen_tree / "fine_px_space.json")]})
+    assert main(["eval", "--config", evaluate, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "final.ckpt" in err and "empty" in err, err
+    assert "Traceback" not in err, err
     assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from htss.formats import (
     read_relations,
     read_weak_label,
     write_array_file,
+    write_json,
     write_label_space,
-    write_manifest,
     write_raster,
     write_relations,
     write_weak_label,
@@ -105,6 +106,31 @@ def test_checkpoint_rejects_corrupt_header(tmp_path):
         read_array_file(p)
 
 
+def _raster_header(rank, dims):
+    return RASTER_MAGIC + struct.pack(f"<II{len(dims)}I", 1, rank, *dims)
+
+
+def _checkpoint_header(rank, dims):  # version 1, one array
+    return CKPT_MAGIC + struct.pack(f"<III{len(dims)}I", 1, 1, rank, *dims)
+
+
+@pytest.mark.parametrize("header, read", [(_raster_header, read_raster),
+                                          (_checkpoint_header, read_array_file)])
+@pytest.mark.parametrize("rank, dims, detail", [
+    (0, (), "rank 0"),
+    (5, (1,) * 5, "rank 5"),
+    (3, (4,), "truncated header"),        # the file ends inside the dims
+    (2, (64, 64), "truncated"),           # the payload the dims claim runs past the end
+    (3, (2, 0, 2), "empty"),
+])
+def test_array_headers_are_checked_in_both_formats(tmp_path, header, read, rank, dims, detail):
+    p = tmp_path / "a.bin"
+    p.write_bytes(header(rank, dims))
+    with pytest.raises(FormatError, match=detail) as got:
+        read(p)
+    assert got.value.path == str(p)
+
+
 def test_weak_label_roundtrip(tmp_path):
     p = tmp_path / "w.weak"
     lab = WeakLabel(boxes=((2, 0, 0, 4, 4), (1, 1, 2, 3, 5)), tags=(2, 1, 2))
@@ -176,7 +202,7 @@ def test_manifest_roundtrip(tmp_path):
         "label_space": "space.json",
         "records": [["img_00000.rast", "lab_00000.weak"]],
     }
-    write_manifest(p, doc)
+    write_json(p, doc)
     assert read_manifest(p) == doc
     # stable serialization: keys sorted, trailing newline
     text = p.read_text()

@@ -5,7 +5,6 @@ import pytest
 
 from htss.errors import (
     IndexOutOfRange,
-    MissingChildren,
     NonFiniteInput,
     NoSupervisedPixels,
     ShapeMismatch,
@@ -837,13 +836,6 @@ def test_merge_trivial_partition_is_argmax():
     ap = np.array([[[0.2, 0.5, 0.3], [0.7, 0.1, 0.2]]])
     got = merge_subclass_predictions(ap, np.zeros((1, 2, 0)), part)
     np.testing.assert_array_equal(got, [[2, 1]])
-
-
-def test_merge_missing_children():
-    part = AtomPartition(atoms=("a", "p"), a_set=frozenset({1}),
-                         s_set=frozenset(), p_set=frozenset({2}), parent_of={})
-    with pytest.raises(MissingChildren):
-        merge_subclass_predictions(np.zeros((1, 1, 2)), np.zeros((1, 1, 0)), part)
 
 
 @pytest.mark.parametrize("threshold, dropped", [(0.5, 2), (0.6, 4)])

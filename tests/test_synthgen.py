@@ -3,6 +3,7 @@ import pytest
 
 from htss.annotations import StrongLabel, WeakLabel
 from htss.errors import ConfigError
+from htss.formats import read_manifest
 from htss.synthgen import (
     Concept,
     View,
@@ -146,7 +147,7 @@ def test_emit_and_load_pixel_dataset(tmp_path):
     v = View(dataset_id="fine_px", supervision=PIXEL_DENSE, granularity="fine",
              count=3)
     man = emit_dataset(w, v, tmp_path)
-    ds = load_dataset(man.path)
+    ds = load_dataset(man)
     assert ds.dataset_id == "fine_px"
     assert len(ds.images) == 3
     scene = generate_scene(w, 0)
@@ -161,7 +162,7 @@ def test_emit_coarse_labels_follow_hierarchy(tmp_path):
     v = View(dataset_id="coarse_px", supervision=PIXEL_COARSE,
              granularity="coarse", count=2)
     man = emit_dataset(w, v, tmp_path)
-    ds = load_dataset(man.path)
+    ds = load_dataset(man)
     space = ds.space
     parent = w.parent_of
     for i in range(2):
@@ -176,7 +177,7 @@ def test_emit_subset_view_voids_dropped_classes(tmp_path):
     v = View(dataset_id="nocat", supervision=PIXEL_DENSE, granularity="fine",
              count=4, classes=("grass", "dog", "bus"))
     man = emit_dataset(w, v, tmp_path)
-    ds = load_dataset(man.path)
+    ds = load_dataset(man)
     for i in range(4):
         scene = generate_scene(w, i)
         cat_mask = scene.fine_ids == 2  # cat's world id
@@ -188,7 +189,7 @@ def test_emit_boxes_record_pre_occlusion_extent(tmp_path):
     w = tiny_world(objects_min=3, objects_max=5)
     v = View(dataset_id="boxes", supervision=BBOX, granularity="fine", count=5)
     man = emit_dataset(w, v, tmp_path)
-    ds = load_dataset(man.path)
+    ds = load_dataset(man)
     space = ds.space
     for i in range(5):
         scene = generate_scene(w, i)
@@ -202,7 +203,7 @@ def test_emit_box_pad_clamps_to_canvas(tmp_path):
     w = tiny_world(objects_min=2, objects_max=2, box_pad=2)
     v = View(dataset_id="pad", supervision=BBOX, granularity="fine", count=3)
     man = emit_dataset(w, v, tmp_path)
-    ds = load_dataset(man.path)
+    ds = load_dataset(man)
     for i in range(3):
         scene = generate_scene(w, i)
         for (cls, x0, y0, x1, y1), obj in zip(ds.labels[i].boxes, scene.objects):
@@ -215,7 +216,7 @@ def test_emit_tags_list_visible_classes(tmp_path):
     v = View(dataset_id="tags", supervision=IMAGE_TAG, granularity="coarse",
              count=4)
     man = emit_dataset(w, v, tmp_path)
-    ds = load_dataset(man.path)
+    ds = load_dataset(man)
     space = ds.space
     parent = w.parent_of
     for i in range(4):
@@ -228,13 +229,11 @@ def test_emit_tags_list_visible_classes(tmp_path):
 def test_emit_is_byte_deterministic(tmp_path):
     w = tiny_world()
     v = View(dataset_id="d", supervision=PIXEL_DENSE, granularity="fine", count=2)
-    m1 = emit_dataset(w, v, tmp_path / "a")
-    m2 = emit_dataset(w, v, tmp_path / "b")
-    for (img1, lab1), (img2, lab2) in zip(m1.records, m2.records):
-        assert (tmp_path / "a" / img1).read_bytes() == (tmp_path / "b" / img2).read_bytes()
-        assert (tmp_path / "a" / lab1).read_bytes() == (tmp_path / "b" / lab2).read_bytes()
-    assert ((tmp_path / "a" / m1.space_path).read_bytes()
-            == (tmp_path / "b" / m2.space_path).read_bytes())
+    m1 = read_manifest(emit_dataset(w, v, tmp_path / "a"))
+    m2 = read_manifest(emit_dataset(w, v, tmp_path / "b"))
+    assert m1 == m2 and len(m1["records"]) == 2
+    for rel in [m1["label_space"], *(p for record in m1["records"] for p in record)]:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
 def test_start_index_offsets_scene_stream(tmp_path):
@@ -245,7 +244,7 @@ def test_start_index_offsets_scene_stream(tmp_path):
              count=2, start_index=2)
     ma = emit_dataset(w, a, tmp_path)
     mb = emit_dataset(w, b, tmp_path)
-    da, db = load_dataset(ma.path), load_dataset(mb.path)
+    da, db = load_dataset(ma), load_dataset(mb)
     assert not np.array_equal(da.images[0], db.images[0])
     np.testing.assert_array_equal(db.images[0],
                                   generate_scene(w, 2).features.astype(np.float32))
@@ -262,7 +261,7 @@ def test_world_taxonomy_roundtrip(tmp_path):
     atoms = build_semantic_atoms(spaces, rel)
     assert atoms == sorted(w.fine_names)
     t = build_group_sets(atoms, spaces, rel)
-    assert validate_taxonomy(t, spaces).is_valid
+    assert validate_taxonomy(t, spaces) == ()
     csp = spaces[1]
     for coarse_name, fine_children in w.hierarchy:
         got = t.groups[("c", csp.class_index(coarse_name))]

@@ -285,8 +285,8 @@ def test_validate_accepts_built_taxonomy():
         spaces, triples = random_taxonomy_instance(rng)
         rel = RelationTable.from_triples(triples)
         t = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
-        report = validate_taxonomy(t, spaces)
-        assert report.is_valid, report.violations
+        violations = validate_taxonomy(t, spaces)
+        assert not violations, violations
 
 
 def test_validate_flags_overlap():
@@ -295,9 +295,7 @@ def test_validate_flags_overlap():
                  groups={("d0", 0): frozenset({0}),
                          ("d0", 1): frozenset({1, 2}),
                          ("d0", 2): frozenset({2})})
-    report = validate_taxonomy(t, [sp])
-    assert not report.is_valid
-    assert [v.kind for v in report.violations] == ["overlap"]
+    assert [v.kind for v in validate_taxonomy(t, [sp])] == ["overlap"]
 
 
 def test_validate_flags_bad_void_and_unknown_atom():
@@ -305,7 +303,7 @@ def test_validate_flags_bad_void_and_unknown_atom():
     t = Taxonomy(atoms=("a",),
                  groups={("d0", 0): frozenset({0, 1}),
                          ("d0", 1): frozenset({5})})
-    kinds = {v.kind for v in validate_taxonomy(t, [sp]).violations}
+    kinds = {v.kind for v in validate_taxonomy(t, [sp])}
     assert kinds == {"void-mapping", "unknown-atom"}
 
 
@@ -313,8 +311,7 @@ def test_validate_flags_missing_group():
     sp = space("d0", ["a", "b"])
     t = Taxonomy(atoms=("a", "b"),
                  groups={("d0", 0): frozenset({0}), ("d0", 1): frozenset({1})})
-    report = validate_taxonomy(t, [sp])
-    assert [v.kind for v in report.violations] == ["uncovered"]
+    assert [v.kind for v in validate_taxonomy(t, [sp])] == ["uncovered"]
 
 
 # --- partition ---
@@ -441,6 +438,18 @@ def test_partition_rejects_overlapping_sets():
     with pytest.raises(DataError):
         AtomPartition(atoms=("a", "b"), a_set=frozenset({1}),
                       s_set=frozenset({1}), p_set=frozenset(), parent_of={1: 2})
+
+
+@pytest.mark.parametrize("s_set, p_set, parent_of", [
+    (set(), {4}, {}),         # a parent and no subclass at all
+    ({1}, {3, 4}, {1: 3}),    # parent 3 has subclass 1, parent 4 has none
+], ids=["no-subclass-at-all", "one-parent-without"])
+def test_partition_rejects_a_parent_without_subclasses(s_set, p_set, parent_of):
+    # the merge of the two heads would have no s-head atom to put in place
+    # of parent 4, so the partition is refused when it is built
+    with pytest.raises(DataError, match="subclass"):
+        AtomPartition(atoms=("a", "b", "p", "q"), a_set=frozenset({1, 2} - s_set),
+                      s_set=frozenset(s_set), p_set=frozenset(p_set), parent_of=parent_of)
 
 
 # --- head routing ---
