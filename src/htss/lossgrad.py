@@ -34,7 +34,11 @@ of even size that is O(A + sum_m |G_m|), so a dataset costs
 O(HW * (A + sum_m |G_m|)) where the matrix products cost O(HW * A * L).
 batch_loss is the one entry point: each of its items takes a GroupIndex,
 which callers build once per group map with group_index (train_loop does
-so per dataset) and reuse.
+so per dataset) and reuse. A batch may go to batch_loss in parts, as
+train_loop feeds a step one run of chunks at a time: each call gets the
+whole batch's two supervised-pixel counts and the loss of the parts
+before it, and adds its items' terms to that float in item order, so the
+parts give the bits of one call over the batch.
 
 A target is either a PseudoCanvas (box and tag items: soft, gated and
 held as their labeled rows) or a StrongLabel (pixel labels: one class id
@@ -58,7 +62,9 @@ probs / n overwritten with +0.0 and (probs * (1 - 1/s*)) / n, a canvas's
 back / n in its rows of a zero raster. An item whose target supervises
 no pixel (a box or tag canvas the gate emptied) skips the loss math after
 the shape checks: its losses are +0.0, adding +0.0 to a batch total, and
-its gradient a read-only +0.0 view, the bits the row path gives it.
+its gradient a read-only +0.0 view, the bits the row path gives it. Its
+distribution may be such a view too (train_loop hands one): the checks
+read only its shape, and it is never copied into a raster.
 
 All math runs in float64; log arguments are clamped at 1e-12.
 """
@@ -115,9 +121,10 @@ def softmax_atoms(logits: np.ndarray) -> np.ndarray:
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise NonFiniteInput("logits")
-    shifted = logits - reduce_last(np.maximum, logits)[..., None]
-    e = np.exp(shifted)
-    return e / reduce_last(np.add, e)[..., None]
+    e = logits - reduce_last(np.maximum, logits)[..., None]
+    np.exp(e, out=e)  # in place: one raster beside the logits, same bits
+    e /= reduce_last(np.add, e)[..., None]
+    return e
 
 
 def group_matrix(groups: GroupMap, atom_count: int) -> np.ndarray:
@@ -204,7 +211,7 @@ def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
     pixel count and grad, where grad(denom) builds its gradient divided
     by denom."""
     num = target.num_classes
-    probs = np.ascontiguousarray(probs, dtype=np.float64)  # reshapes below are views
+    probs = np.asarray(probs)  # checked by shape: a +0.0 view is never copied
     if index.num_classes != num:
         raise ShapeMismatch(f"{index.num_classes} groups for {num} class slots")
     if probs.ndim != 3 or probs.shape[:2] != (target.height, target.width):
@@ -223,8 +230,10 @@ def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
         # read-only, with no raster behind it; built on request, since a view
         # held here would outlive the item's backward pass
         return losses, 0, lambda denom: np.broadcast_to(0.0, (h, w, atoms))
+    probs = np.ascontiguousarray(probs, dtype=np.float64)  # reshapes below are views
     if isinstance(target, StrongLabel):  # slot id - 1 after the row gather: never void
-        members = index.class_atoms[:, target.class_ids.reshape(-1)[rows] - 1]  # (g, n)
+        slots = target.class_ids.reshape(-1).take(rows) - 1
+        members = index.class_atoms.take(slots, axis=1)  # (g, n); take: half the time of []
         real = members < atoms
         at = np.where(real, members, 0)
         at += rows * atoms
@@ -249,15 +258,16 @@ def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
     return losses, rows.size, grad
 
 
-def _gradients(pieces: list, counts: list[int]) -> Iterator[np.ndarray]:
-    """Gradients in item order, built on request; pieces drop once yielded."""
-    pieces.reverse()  # popped in item order
-    while pieces:
-        _, strong, grad = pieces.pop()
-        yield grad(counts[strong])
+def _gradients(builds: list) -> Iterator[np.ndarray]:
+    """Gradients in item order, each built on request by a call that drops
+    its builder, so the suspended iterator holds neither."""
+    builds.reverse()  # popped in item order
+    while builds:
+        yield builds.pop()()
 
 
-def batch_loss(items: Sequence[tuple]) -> tuple[float, Iterator[np.ndarray]]:
+def batch_loss(items: Sequence[tuple], counts: Sequence[int] | None = None,
+               total: float = 0.0) -> tuple[float, Iterator[np.ndarray]]:
     """Mixed-batch loss with per-population normalizers.
 
     Each item is (target, atom distribution, GroupIndex, supervision
@@ -268,29 +278,35 @@ def batch_loss(items: Sequence[tuple]) -> tuple[float, Iterator[np.ndarray]]:
     normalized populations. A population that contributes no supervised
     pixels simply drops out; if both are empty the batch is rejected.
 
-    Returns the scalar loss and an iterator over the per-item logit
-    gradients of that scalar, in item order, each built on request as a
-    fresh array already divided (an item with no supervised pixel yields
-    a read-only +0.0 view). The iterator releases an item's distribution
-    once it has yielded its gradient; the items list is left as it was.
+    A batch may be fed in parts: counts gives the (box/tag, pixel)
+    supervised-pixel counts of the whole batch, and total the loss of the
+    parts before, to which each item's term is added in item order. So
+    a batch fed item list by item list gets the bits of one call over all
+    its items; without counts, the items are the whole batch.
+
+    Returns the loss and an iterator over the per-item logit gradients
+    of it, in item order, each built on request as a fresh array already
+    divided (an item with no supervised pixel yields a read-only +0.0
+    view). The iterator releases an item's distribution once it has
+    yielded its gradient; the items list is left as it was.
     """
     pieces = []
-    counts = [0, 0]  # supervised pixels of the box/tag and the pixel items
+    seen = [0, 0]  # supervised pixels of the box/tag and the pixel items
     for target, probs, index, kind in items:
         if kind not in SUPERVISION_KINDS:
             raise ShapeMismatch(f"unknown supervision kind {kind!r}")
         losses, n, grad = _item_terms(target, probs, index)
         strong = kind in PIXEL_KINDS
-        counts[strong] += n
+        seen[strong] += n
         pieces.append((losses.sum() if n else None, strong, grad))
+    counts = seen if counts is None else counts
     if not any(counts):
         raise NoSupervisedPixels()
 
-    total = 0.0
     for item_sum, strong, _ in pieces:
         if item_sum is not None:  # an item of all +0.0 would change no bit
             total += item_sum / counts[strong]
-    return float(total), _gradients(pieces, counts)
+    return float(total), _gradients([partial(grad, counts[strong]) for _, strong, grad in pieces])
 
 
 def merge_subclass_predictions(ap_probs: np.ndarray, s_probs: np.ndarray,

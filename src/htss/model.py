@@ -508,28 +508,38 @@ def _plan_chunks(shapes: Sequence[tuple[int, int] | None], width: int,
     return chunks
 
 
-def _summed_grads(params: MicroNetParams, routes: list, grads: Iterator[np.ndarray],
-                  n_ap: int, n_s: int) -> MicroNetGrads:
-    """Parameter gradients of a batch, per image in item order. A route is (cache
-    or None, image k of its chunk, head). A one-head, one-image chunk's gradient
-    is its upstream, else gradients fill a zero one; all is dropped once spent."""
-    total = MicroNetGrads.zeros_like(params)
-    routes.reverse()  # popped in item order
-    for g in grads:
-        cache, k, head = routes.pop()
-        if cache is not None:
-            if not (n_s or cache.count > 1):
-                upstream = g
-            else:
-                if not k:
-                    upstream = np.zeros((cache.count * len(g), g.shape[1], n_ap + n_s))
-                atoms = slice(None, n_ap) if head == "ap" else slice(n_ap, None)
-                upstream[k * len(g):(k + 1) * len(g), :, atoms] = g
-            if k == cache.count - 1:
-                total.iadd(backward(cache, upstream))
-                upstream = None
-        del g, cache
-    return total
+def _plan_runs(shapes: Sequence[tuple[int, int] | None], width: int,
+               atoms: int) -> list[list[list[int]]]:
+    """A step's chunks (_plan_chunks) in runs of consecutive chunks that share one
+    batch_loss call, their backward passes run after it. A run grows while its
+    pixel items' logit rasters, 8*H*W*atoms bytes an image, fit TAP_STACK_BYTES;
+    a box or tag item adds none, as it holds its raster from the first pass on."""
+    runs, used = [], 0
+    for chunk in _plan_chunks(shapes, width, atoms):
+        shape = shapes[chunk[0]]  # one size a chunk
+        size = 8 * len(chunk) * shape[0] * shape[1] * atoms if shape else 0
+        if runs and used + size <= TAP_STACK_BYTES:
+            runs[-1].append(chunk)
+            used += size
+        else:
+            runs.append([chunk])
+            used = size
+    return runs
+
+
+def _upstream(cache: ForwardCache, grads: Iterator[np.ndarray], head: str,
+              n_ap: int, n_s: int) -> np.ndarray:
+    """d(loss)/d(logits) of a chunk from its images' logit gradients, in
+    order: a one-head, one-image chunk's gradient itself, else each copied
+    into one zero (count*H, W, atoms) raster, dropped before the next is built."""
+    if not (n_s or cache.count > 1):
+        return next(grads)
+    h = cache.shape[0] // cache.count
+    atoms = slice(None, n_ap) if head == "ap" else slice(n_ap, None)
+    upstream = np.zeros((*cache.shape, n_ap + n_s))
+    for k in range(cache.count):
+        upstream[k * h:(k + 1) * h, :, atoms] = next(grads)
+    return upstream
 
 
 def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
@@ -548,15 +558,26 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     canvases are gated against the net's own predictions, which only pixel
     labels anchor.
 
-    Small pixel images train in chunks (_plan_chunks): consecutive pixel
-    items of one size share one forward, softmax_atoms and backward call.
-    Box and tag items run alone, so each image's gradients still join the
-    step total in item order.
+    A step runs in two passes. The first builds the box and tag items:
+    canvas, forward pass and gate; only an item the gate leaves rows keeps
+    its cache and head raster, and the rows kept give the box/tag
+    normalizer. The pixel normalizer sums per-image counts taken before
+    step 1. The second pass walks the chunks (_plan_chunks: consecutive
+    pixel items of one size share one forward, softmax_atoms and backward
+    call) in item order, in runs (_plan_runs): a run's forward passes, one
+    batch_loss call with the step's counts and the loss so far, then its
+    backward passes. Runs end before their pixel logit rasters would pass
+    TAP_STACK_BYTES: large rasters stream a chunk at a time (many-labels),
+    small ones make the step one run (dense-joint), as a loss call after a
+    backward pass runs slower on small items. Loss terms and parameter
+    gradients add up in item order, so a step keeps the bits of one batch
+    (tests/oracles.py: batched_train_oracle). NoSupervisedPixels comes
+    before any backward pass, NonFiniteLoss before sgd_step.
 
-    Nothing of a step outlives it: the batch items (targets and head
-    rasters) are dropped once batch_loss returns; each logit gradient,
-    built by batch_loss's iterator on request, feeds its chunk's upstream
-    and is dropped before the next is requested, and the chunk's cache and
+    Nothing of a step outlives it: a run's items (targets and head rasters)
+    are dropped once batch_loss returns; each logit gradient, built by
+    batch_loss's iterator on request, feeds its chunk's upstream and is
+    dropped before the next is requested, and the chunk's cache and
     upstream go once its backward ran: a step holds one upstream at a time.
     On glibc the loop first raises the mmap and trim thresholds (see
     M_MMAP_THRESHOLD), so the freed arrays stay on the heap for the next
@@ -566,7 +587,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     their arrays above the still-live ones of the step before.
 
     A box or tag item left with no row (a weak canvas the gate emptied)
-    keeps no forward cache and skips its backward pass; a pixel item with
+    keeps no forward cache and no head raster (batch_loss gets a read-only
+    +0.0 view) and skips its backward pass; a pixel item with
     no supervised pixel runs it on its +0.0 gradient. Both keep every
     bit: a zero upstream gives parameter gradients of +-0.0 only, the
     running total starts at +0.0 and so never holds -0.0 (IEEE addition
@@ -608,25 +630,29 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                                   n_ap if heads[ds_id].head == "ap" else n_s)
                for ds_id in sampler.ids}
 
-    def add_chunk(run: list, items: list, routes: list) -> None:
-        """Append the items and (cache, k, head) routes of a chunk of pixel items."""
-        images = [ds.images[idx] for ds, idx in run]
-        logits, cache = forward(params, np.concatenate(images) if run[1:] else images[0], len(run))
-        targets = [strong_to_canvas(ds.labels[idx], ds.space.num_classes) for ds, idx in run]
+    # supervised pixels of every pixel image, counted once: a step's pixel normalizer
+    pixel_counts = {ds_id: [int(np.count_nonzero(label.supervised_mask))
+                            for label in by_id[ds_id].labels]
+                    for ds_id in sampler.ids if by_id[ds_id].supervision in PIXEL_KINDS}
+
+    def pixel_chunk(drawn: list) -> tuple[list, ForwardCache]:
+        """The items and the forward cache of a chunk of pixel items."""
+        images = [ds.images[idx] for ds, idx in drawn]
+        stacked = np.concatenate(images) if drawn[1:] else images[0]
+        logits, cache = forward(params, stacked, len(drawn))
+        targets = [strong_to_canvas(ds.labels[idx], ds.space.num_classes) for ds, idx in drawn]
         probs = softmax_atoms(logits[:, :, :n_ap])  # one call: it treats each row alike
         h = len(images[0])
-        for k, ((ds, _), target) in enumerate(zip(run, targets)):
-            items.append((target, probs[k * h:(k + 1) * h], indexes[ds.dataset_id], ds.supervision))
-            routes.append((cache, k, heads[ds.dataset_id].head))
+        return [(target, probs[k * h:(k + 1) * h], indexes[ds.dataset_id], ds.supervision)
+                for k, ((ds, _), target) in enumerate(zip(drawn, targets))], cache
 
-    def add_weak_item(ds: LoadedDataset, idx: int, items: list, routes: list) -> None:
-        """Append a box or tag item and its (cache, 0, head) route."""
+    def weak_item(ds: LoadedDataset, idx: int) -> tuple[list, ForwardCache | None]:
+        """A box or tag item, and its forward cache if the gate leaves it rows."""
         dg = heads[ds.dataset_id]
         index = indexes[ds.dataset_id]
         h, w = ds.images[idx].shape[:2]
         target = weak_canvas(ds.labels[idx], ds.supervision, h, w, ds.space.num_classes)
         rows = target.rows
-        head_probs = np.zeros((h, w, n_ap if dg.head == "ap" else n_s))
         if rows.size:  # else the raw canvas is all unlabeled already
             logits, cache = forward(params, ds.images[idx])
             voted = logits.reshape(h * w, -1).take(rows, axis=0)
@@ -640,10 +666,12 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                 predicted = _dataset_predictions(ap_rows, index)
                 target = refine_canvas(target, predicted, refine_threshold)
                 head_rows = ap_rows
-            head_probs.reshape(h * w, -1)[rows] = head_rows
-        items.append((target, head_probs, index, ds.supervision))
-        # +0.0 gradient without rows: backward never runs
-        routes.append((cache if target.rows.size else None, 0, dg.head))
+        atoms = n_ap if dg.head == "ap" else n_s
+        if not target.rows.size:  # a +0.0 gradient: no raster, and backward never runs
+            return [(target, np.broadcast_to(0.0, (h, w, atoms)), index, ds.supervision)], None
+        head_probs = np.zeros((h, w, atoms))
+        head_probs.reshape(h * w, -1)[rows] = head_rows
+        return [(target, head_probs, index, ds.supervision)], cache
 
     _keep_freed_heap()
     losses: list[float] = []
@@ -653,17 +681,31 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         draws = [(by_id[ds_id], idx) for ds_id in sampler.ids for idx in picks[ds_id]]
         shapes = [ds.images[idx].shape[:2] if ds.supervision in PIXEL_KINDS else None
                   for ds, idx in draws]
-        items, routes = [], []
-        for chunk in _plan_chunks(shapes, feature_width, n_ap + n_s):
-            if shapes[chunk[0]] is None:
-                add_weak_item(*draws[chunk[0]], items, routes)
-            else:
-                add_chunk([draws[i] for i in chunk], items, routes)
-        loss, grads = batch_loss(items)
-        del items
+        weak = {i: weak_item(*draws[i]) for i, shape in enumerate(shapes) if shape is None}
+        counts = (sum([items[0][0].rows.size for items, _ in weak.values()]),
+                  sum([pixel_counts[ds.dataset_id][idx]
+                       for (ds, idx), shape in zip(draws, shapes) if shape]))
+        loss, grads = 0.0, MicroNetGrads.zeros_like(params)
+        for run in _plan_runs(shapes, feature_width, n_ap + n_s):
+            parts = [weak.pop(chunk[0]) if shapes[chunk[0]] is None
+                     else pixel_chunk([draws[i] for i in chunk]) for chunk in run]
+            loss, item_grads = batch_loss([item for items, _ in parts for item in items],
+                                          counts, loss)
+            routes = [(cache, heads[draws[chunk[0]][0].dataset_id].head)
+                      for chunk, (_, cache) in zip(run, parts)]
+            del parts
+            routes.reverse()  # popped in item order
+            while routes:
+                cache, head = routes.pop()
+                if cache is None:  # a box or tag item without rows: its +0.0 view
+                    next(item_grads)
+                else:
+                    grads.iadd(backward(cache, _upstream(cache, item_grads, head, n_ap, n_s)))
+                del cache  # before the next run's forward passes
+            del item_grads
         if not np.isfinite(loss):
             raise NonFiniteLoss(step)
-        sgd_step(params, _summed_grads(params, routes, grads, n_ap, n_s), optimizer)
+        sgd_step(params, grads, optimizer)
         losses.append(loss)
 
     return TrainResult(params=params, losses=losses,

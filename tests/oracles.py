@@ -7,8 +7,10 @@ softmax cross-entropy for the singleton-group degeneracy, the
 slice-by-slice patch layout the conv kernels must reproduce bit for bit,
 conv 2 as nine per-tap products, the whole network's forward and
 backward pass written out of place on either, the box/tag canvas, the confidence gate and the weak loss
-over the full raster, and the one-hot canvas of a pixel label, whose
-loss the label itself, taken as the target, must reproduce bit for bit.
+over the full raster, the one-hot canvas of a pixel label, whose
+loss the label itself, taken as the target, must reproduce bit for bit,
+and a training step run as one batch: every forward pass, one loss over
+all items, then every backward pass.
 A full (H, W, L+1) canvas raster is a test-only input: canvas_of_raster
 checks one and turns it into the library's row form.
 """
@@ -284,6 +286,79 @@ def one_hot_canvas(label, num_classes):
     ids = label.class_ids
     slots = np.where(ids > 0, ids - 1, num_classes)
     return canvas_of_raster(np.eye(num_classes + 1, dtype=np.float64)[slots])
+
+
+def batched_train_oracle(datasets, taxonomy, partition, plan, optimizer, epochs,
+                         refine_threshold, feature_width):
+    """train_loop written as one batch a step: a forward pass per drawn image
+    (a box or tag image with a box or tag), the softmax over its whole
+    raster, one batch_loss over all the step's items, then a backward pass
+    per forwarded image in item order, on a zero upstream of the logits'
+    width holding its head's gradient, summed into one total. Returns the
+    losses and the trained parameters."""
+    from htss.annotations import (gate_canvas, reduce_last, refine_canvas, strong_to_canvas,
+                                  weak_canvas)
+    from htss.errors import NonFiniteLoss
+    from htss.lossgrad import accumulate_groups, batch_loss, group_index, softmax_atoms
+    from htss.model import (BatchSampler, MicroNetGrads, backward, derive_train_seeds,
+                            forward, init_micronet, sgd_step)
+    from htss.taxonomy import PIXEL_KINDS, AtomPartition, dataset_heads
+
+    part = partition if partition is not None else AtomPartition.trivial(taxonomy)
+    n_ap, n_s = len(part.ap_atoms), len(part.s_atoms)
+    by_id = {ds.dataset_id: ds for ds in datasets}
+    heads = {d: dataset_heads(taxonomy, part, by_id[d].space) for d in by_id}
+    init_seed, sample_seed = derive_train_seeds(plan.seed)
+    params = init_micronet(datasets[0].images[0].shape[2], feature_width, n_ap + n_s, init_seed)
+    sampler = BatchSampler(plan.quotas, {d: len(by_id[d].images) for d in by_id}, sample_seed)
+    indexes = {d: group_index(heads[d].loss_groups, n_ap if heads[d].head == "ap" else n_s)
+               for d in sampler.ids}
+    losses = []
+    for step in range(epochs * sampler.steps_per_epoch):
+        picks = sampler.next_batch()
+        items, passes = [], []
+        for d in sampler.ids:
+            ds, dg = by_id[d], heads[d]
+            atoms = slice(None, n_ap) if dg.head == "ap" else slice(n_ap, None)
+            for idx in picks[d]:
+                image = ds.images[idx]
+                h, w = image.shape[:2]
+                if ds.supervision in PIXEL_KINDS:
+                    logits, cache = forward(params, image)
+                    target = strong_to_canvas(ds.labels[idx], ds.space.num_classes)
+                    probs = softmax_atoms(logits[:, :, :n_ap])
+                else:
+                    target = weak_canvas(ds.labels[idx], ds.supervision, h, w,
+                                         ds.space.num_classes)
+                    probs, cache = np.zeros((h, w, n_ap + n_s))[:, :, atoms], None
+                    if target.rows.size:
+                        logits, cache = forward(params, image)
+                        ap = softmax_atoms(logits[:, :, :n_ap]).reshape(h * w, -1)[target.rows]
+                        if dg.head == "s":
+                            expected = np.asarray(dg.parent_slots)[target.voted_argmax]
+                            target = gate_canvas(target, ap, expected, refine_threshold)
+                            probs = softmax_atoms(logits[:, :, n_ap:])
+                        else:
+                            s = accumulate_groups(ap, indexes[d])
+                            total = reduce_last(np.add, s)[:, None]
+                            predicted = np.divide(s, total, out=np.zeros_like(s),
+                                                  where=total > 1e-12)
+                            target = refine_canvas(target, predicted, refine_threshold)
+                            probs = softmax_atoms(logits[:, :, :n_ap])
+                items.append((target, probs, indexes[d], ds.supervision))
+                passes.append((cache, atoms))
+        loss, grads = batch_loss(items)
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(step)
+        total = MicroNetGrads.zeros_like(params)
+        for (cache, atoms), g in zip(passes, list(grads)):
+            if cache is not None:
+                upstream = np.zeros(cache.shape + (n_ap + n_s,))
+                upstream[:, :, atoms] = g
+                total.iadd(backward(cache, upstream))
+        sgd_step(params, total, optimizer)
+        losses.append(loss)
+    return losses, params
 
 
 def fd_grad(fn, x, eps=1e-4):

@@ -42,6 +42,7 @@ from htss.taxonomy import (
 
 from oracles import (
     TRAILING_LENGTHS,
+    batched_train_oracle,
     boxes_full_raster_oracle,
     canvas_of_raster,
     fd_grad,
@@ -256,9 +257,9 @@ def test_train_loop_pixel_items_take_their_loaded_label(monkeypatch):
     targets = []
     real_loss = model.batch_loss
 
-    def recording_loss(items):
+    def recording_loss(items, *args):
         targets.extend(t for t, _, _, kind in items if kind != BBOX)
-        return real_loss(items)
+        return real_loss(items, *args)
 
     monkeypatch.setattr(model, "batch_loss", recording_loss)
     plan = BatchPlan(quotas={"fine": 2, "coarse": 1, "boxes": 2}, seed=9)
@@ -271,16 +272,17 @@ def test_train_loop_pixel_items_take_their_loaded_label(monkeypatch):
 def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
     # at threshold 1.0 the gate keeps no box pixel, so every box item has
     # an all-zero gradient and its image must not reach backward; every
-    # image that does has a nonzero upstream
+    # image that does has a nonzero upstream. Each step's rasters are a few
+    # KB, so its items share one batch_loss call
     per_step = []  # [items drawn, nonzero gradients, images in backward, pixel items]
     real_loss, real_backward = model.batch_loss, model.backward
 
-    def counting_loss(items):
-        loss, grads = real_loss(items)
+    def counting_loss(items, *args):
+        loss, grads = real_loss(items, *args)
         grads = list(grads)
         pixel = sum(kind != BBOX for *_, kind in items)
         per_step.append([len(items), sum(bool(g.any()) for g in grads), 0, pixel])
-        return loss, grads
+        return loss, iter(grads)
 
     def counting_backward(cache, upstream):
         per_step[-1][2] += cache.count
@@ -303,7 +305,8 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
     # the all-unlabeled raw canvas; a voted one softmaxes exactly its
     # labeled rows, all of them for a full-frame box; pixel items softmax
     # all H*W rows, in one call per chunk: the three 5x4 pixel items come
-    # after the boxes and share one
+    # after the boxes and share one. The step's items share one batch_loss
+    # call, after the box items' softmax calls (the first pass) and the chunk's
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
@@ -318,10 +321,10 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
         calls.append(logits.size // logits.shape[-1])
         return real_softmax(logits)
 
-    def recording_loss(items):
+    def recording_loss(items, *args):
         steps.append((calls[:], items))
         calls.clear()
-        return real_loss(items)
+        return real_loss(items, *args)
 
     monkeypatch.setattr(model, "softmax_atoms", counting_softmax)
     monkeypatch.setattr(model, "batch_loss", recording_loss)
@@ -842,55 +845,43 @@ def test_merge_trivial_partition_is_argmax():
 def test_train_loop_drops_the_cache_of_an_item_without_rows(monkeypatch, threshold, dropped):
     # per step two box items have no votes; at threshold 0.6 the gate also
     # empties the two voted ones. Such an item keeps no forward cache and
-    # runs no backward, and one without votes runs no forward either; with
-    # every cache kept and backward run on every item that ran forward (the
-    # three 5x4 pixel items as their one chunk) the losses and weights are
-    # the same, byte for byte
+    # runs no backward, and one without votes runs no forward either; the
+    # batched step oracle, which keeps every cache and runs backward on
+    # every item that ran forward (the emptied ones on +0.0 upstreams),
+    # gives the same losses and weights, byte for byte
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
     datasets[2] = LoadedDataset(space=boxes.space, images=boxes.images, labels=labels)
     plan = BatchPlan(quotas={"fine": 1, "coarse": 2, "boxes": 4}, seed=3)
 
-    def train():
-        return train_loop(datasets, tax, None, plan,
-                          OptimizerState(learning_rate=0.1, momentum=0.5), epochs=3,
-                          refine_threshold=threshold, feature_width=3)
+    def optimizer():
+        return OptimizerState(learning_rate=0.1, momentum=0.5)
 
-    want = train()
-    caches, without = [], []
-    real_forward = model.forward
+    forwarded, backwarded = [], []
+    real_forward, real_backward = model.forward, model.backward
 
-    def keeping_forward(params, image, count=1):
-        logits, cache = real_forward(params, image, count)
-        caches.append(cache)
-        return logits, cache
+    def counting_forward(params, image, count=1):
+        forwarded.append(count)
+        return real_forward(params, image, count)
 
-    real_weak_canvas = model.weak_canvas
+    def counting_backward(cache, upstream):
+        backwarded.append(cache.count)
+        return real_backward(cache, upstream)
 
-    def marking_weak_canvas(*args):
-        canvas = real_weak_canvas(*args)
-        if not canvas.rows.size:
-            caches.append(None)  # in item order: forward is called after this
-        return canvas
-
-    def backward_on_every_item(params, routes, grads, n_ap, n_s):
-        without.append(sum(cache is None for cache, _, _ in routes))
-        *box_caches, pixel = caches  # items: the 4 boxes, then 2 coarse and 1 fine
-        assert box_caches.count(None) == 2 and pixel.count == 3
-        total = model.MicroNetGrads.zeros_like(params)
-        for cache, g in zip(box_caches, grads):  # one head: g is the whole upstream
-            if cache is not None:
-                total.iadd(model.backward(cache, g))
-        total.iadd(model.backward(pixel, np.concatenate(list(grads))))
-        caches.clear()
-        return total
-
-    monkeypatch.setattr(model, "forward", keeping_forward)
-    monkeypatch.setattr(model, "weak_canvas", marking_weak_canvas)
-    monkeypatch.setattr(model, "_summed_grads", backward_on_every_item)
-    got = train()
-    assert without == [dropped] * 12
-    assert got.losses == want.losses
+    monkeypatch.setattr(model, "forward", counting_forward)
+    monkeypatch.setattr(model, "backward", counting_backward)
+    got = train_loop(datasets, tax, None, plan, optimizer(), epochs=3,
+                     refine_threshold=threshold, feature_width=3)
+    steps = len(got.losses)
+    assert steps == 12
+    # items: the 4 boxes, then 2 coarse and 1 fine, the three 5x4 pixel items one chunk
+    assert forwarded == [1, 1, 3] * steps  # the two voted boxes, then the chunk
+    assert sum(backwarded) == (7 - dropped) * steps  # every image but the dropped ones
+    monkeypatch.setattr(model, "forward", real_forward)
+    monkeypatch.setattr(model, "backward", real_backward)
+    want_losses, want_params = batched_train_oracle(datasets, tax, None, plan, optimizer(),
+                                                    3, threshold, 3)
+    assert got.losses == want_losses
     assert ([a.tobytes() for a in got.params.arrays()]
-            == [a.tobytes() for a in want.params.arrays()])
+            == [a.tobytes() for a in want_params.arrays()])

@@ -7,12 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
-from htss import model
+from htss import lossgrad, model
 from htss.annotations import StrongLabel, WeakLabel
 from htss.errors import (
     ConfigError,
     DataError,
     FormatError,
+    NonFiniteLoss,
+    NoSupervisedPixels,
     ShapeMismatch,
     StaleCache,
     UncoveredClass,
@@ -46,9 +48,17 @@ from htss.taxonomy import (
     RelationTable,
     build_group_sets,
     build_semantic_atoms,
+    partition_atoms,
 )
 
-from oracles import backward_oracle, col2im_oracle, fd_grad, forward_oracle, im2col_oracle
+from oracles import (
+    backward_oracle,
+    batched_train_oracle,
+    col2im_oracle,
+    fd_grad,
+    forward_oracle,
+    im2col_oracle,
+)
 
 # (H, W): single pixel, single row, single column, non-square both ways,
 # and the two workload image sizes
@@ -631,6 +641,18 @@ def test_plan_chunks_at_the_workload_shapes():
             == [[0], [1, 2], [3], [4], [5], [6]])
 
 
+def test_plan_runs_at_the_workload_shapes():
+    # a run takes chunks while its pixel logit rasters, 8*H*W*atoms bytes an
+    # image, fit TAP_STACK_BYTES. dense-joint (19,200 bytes an image) and
+    # weak-twohead (92,160) make one run a step; a many-labels raster
+    # (16x16x300: 614,400) runs alone, box items joining the run before
+    assert model._plan_runs([(20, 20)] * 8, 8, 6) == [[[0, 1, 2], [3, 4, 5], [6, 7]]]
+    assert (model._plan_runs([(48, 48)] * 4 + [None] * 8, 16, 5)
+            == [[[0], [1], [2], [3], [4], [5], [6], [7], [8], [9], [10], [11]]])
+    assert (model._plan_runs([None, None, (16, 16), (16, 16), None, (16, 16)], 8, 300)
+            == [[[0], [1], [2]], [[3], [4]], [[5]]])
+
+
 def test_plan_chunks_keeps_sizes_apart_and_each_chunk_within_budget():
     rng = np.random.default_rng(23)
     sizes = [(20, 20), (16, 16), (48, 48), (5, 4), (4, 5), (1, 1), None]
@@ -689,13 +711,14 @@ def _mixed_plan(sizes, box_id, threshold):
 
 
 # per plan: the image count of each forward and each backward call of a
-# step, and the chunks whose cache is still held when batch_loss is called.
-# Items come in dataset-id order
+# step, and the chunks whose cache is still held when batch_loss is called:
+# the rasters of a step are a few KB, so its chunks share one batch_loss call
+# (one run, see _plan_runs). Items come in dataset-id order
 @pytest.mark.parametrize("plan, counts, kept, held", [
     ("dense-joint", [3, 3, 2], [3, 3, 2], 3),
-    # coarse, boxes, fine: the two voted boxes run alone between the pixel
-    # chunks, and their gradients join the total between theirs
-    ("boxes between pixel sets", [2, 1, 1, 2], [2, 1, 1, 2], 4),
+    # coarse, boxes, fine: the two voted boxes run forward alone in the first
+    # pass, and their backward passes run between the pixel chunks', in item order
+    ("boxes between pixel sets", [1, 1, 2, 2], [2, 1, 1, 2], 4),
     # boxes, coarse, fine: the gate empties the voted boxes, which drop
     # their caches; the pixel sets differ in size, so they do not share a chunk
     ("two image sizes", [1, 1, 2, 2], [2, 2], 2)])
@@ -715,10 +738,10 @@ def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts
         caches.append(weakref.ref(cache))
         return logits, cache
 
-    def counting_loss(items):
+    def counting_loss(items, *args):
         alive.append(sum(ref() is not None for ref in caches))
         caches.clear()
-        return real_loss(items)
+        return real_loss(items, *args)
 
     def counting_backward(cache, upstream):
         backward_calls.append(cache.count)
@@ -744,6 +767,92 @@ def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts
     assert got.losses == want.losses
     assert ([a.tobytes() for a in got.params.arrays()]
             == [a.tobytes() for a in want.params.arrays()])
+
+
+def _two_head_world():
+    """Pixel sets of two image sizes (coarse 5x4 at quota 2, so a chunk of
+    two, a 5x4 set of 90 more classes, and scene 4x6), a box set and a tag
+    set of the subclasses cat and dog (the s head), and the partition that
+    splits them off the parent."""
+    rng = np.random.default_rng(41)
+    spaces = [LabelSpace("coarse", ("void", "animal", "grass"), "pixel_dense"),
+              LabelSpace("many", ("void",) + tuple(f"c{k}" for k in range(90)), "pixel_dense"),
+              LabelSpace("scene", ("void", "grass", "sky"), "pixel_coarse"),
+              LabelSpace("boxes", ("void", "cat", "dog"), "bbox"),
+              LabelSpace("tags", ("void", "cat", "dog"), "image_tag")]
+    rel = RelationTable.from_triples([("hypernym", "animal", "cat"),
+                                      ("hypernym", "animal", "dog")])
+    tax = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    part = partition_atoms(tax, spaces, rel)
+    sizes = {"coarse": (5, 4), "many": (5, 4), "scene": (4, 6), "boxes": (5, 4), "tags": (4, 6)}
+    weak = {"boxes": [WeakLabel(boxes=((1, 0, 0, 3, 3), (2, 1, 1, 4, 5))), WeakLabel(),
+                      WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel(boxes=((1, 2, 1, 4, 4),))],
+            "tags": [WeakLabel(tags=(1,)), WeakLabel(tags=(2,)), WeakLabel(tags=(1, 2)),
+                     WeakLabel()]}
+    datasets = []
+    for space in spaces:
+        h, w = sizes[space.dataset_id]
+        images = [rng.random((h, w, 2)) for _ in range(4)]
+        labels = weak.get(space.dataset_id) or [
+            StrongLabel(rng.integers(0, space.num_classes + 1, (h, w)), space.num_classes)
+            for _ in images]
+        datasets.append(LoadedDataset(space, images, labels))
+    return datasets, tax, part, BatchPlan({"coarse": 2, "many": 1, "scene": 1, "boxes": 2,
+                                                  "tags": 2}, 17)
+
+
+@pytest.mark.parametrize("budget, largest_chunk, runs_per_step", [
+    ("default", 3, "one"),  # rasters of a few KB: the whole step is one run
+    ("two images", 2, "several"),  # each pixel chunk's loss and backward before the next
+    ("zero", 1, "several")])  # one image a chunk
+def test_train_loop_equals_the_batched_step_oracle(monkeypatch, budget, largest_chunk,
+                                                   runs_per_step):
+    # streaming a step in runs of chunks (box and tag items first, then each
+    # run's forward passes, loss and backward passes) gives the losses and
+    # weights of one batch a step, byte for byte: with pixel, box and tag
+    # items, both heads, chunks of two images and more, two image sizes, and
+    # the gate emptying voted items while it keeps the rows of others
+    datasets, tax, part, plan = _two_head_world()
+    atoms = len(part.ap_atoms) + len(part.s_atoms)
+    assert part.s_atoms and atoms > 90
+    if budget != "default":
+        monkeypatch.setattr(model, "TAP_STACK_BYTES",
+                            2 * _chunk_cost((5, 4), 3, atoms) if budget == "two images" else 0)
+    gated, counts, runs = [], [], []
+    real_gate, real_forward, real_loss = model.gate_canvas, model.forward, model.batch_loss
+
+    def recording_gate(canvas, probs, expected, threshold):
+        out = real_gate(canvas, probs, expected, threshold)
+        gated.append((canvas.rows.size, out.rows.size))
+        return out
+
+    def counting_forward(params, image, count=1):
+        counts.append(count)
+        return real_forward(params, image, count)
+
+    def counting_loss(items, *args):
+        runs.append(len(items))
+        return real_loss(items, *args)
+
+    def optimizer():
+        return OptimizerState(learning_rate=0.3, momentum=0.9)
+
+    monkeypatch.setattr(model, "gate_canvas", recording_gate)
+    monkeypatch.setattr(model, "forward", counting_forward)
+    monkeypatch.setattr(model, "batch_loss", counting_loss)
+    got = train_loop(datasets, tax, part, plan, optimizer(), epochs=2,
+                     refine_threshold=0.0, feature_width=3)
+    steps = len(got.losses)
+    assert steps == 8 and sum(runs) == 8 * steps  # every item of a step once
+    assert max(counts) == largest_chunk
+    assert (len(runs) == steps) == (runs_per_step == "one")
+    assert any(voted and not kept for voted, kept in gated)
+    assert any(kept for _, kept in gated)
+    want_losses, want_params = batched_train_oracle(datasets, tax, part, plan, optimizer(),
+                                                    2, 0.0, 3)
+    assert got.losses == want_losses
+    assert ([a.tobytes() for a in got.params.arrays()]
+            == [a.tobytes() for a in want_params.arrays()])
 
 
 def many_atom_training(steps, atoms=150, size=16):
@@ -774,10 +883,10 @@ def test_train_loop_frees_each_step_before_the_next(monkeypatch):
     # be dead by the time batch_loss is entered for the next step
     alive, entered = [], []
 
-    def tracked(items):
+    def tracked(items, *args):
         entered.append(sum(ref() is not None for ref in alive))
         alive.clear()
-        loss, grads = batch_loss(items)
+        loss, grads = batch_loss(items, *args)
         grads = list(grads)
         alive.extend(weakref.ref(a) for a in [*grads, *(item[1] for item in items)])
         return loss, iter(grads)  # a fresh iterable: train_loop still trains
@@ -820,9 +929,9 @@ def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
     watched, upstreams, counts = [], [], []
     real_backward = model.backward
 
-    def watching(items):
+    def watching(items, *args):
         dists = [weakref.ref(item[1]) for item in items]
-        loss, grads = batch_loss(items)
+        loss, grads = batch_loss(items, *args)
         watched.append(_Watched(grads, dists))
         return loss, watched[-1]
 
@@ -840,8 +949,105 @@ def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
     assert len(watched) == 4
     for step in watched:
         assert len(step.handed) == 4  # two pixel and two box items
-        assert step.log == [(True, True)] * 5  # the fifth request ends it
+        assert step.log == [(True, True)] * 4  # one request per item
     assert counts.count(2) >= 4  # each step's two pixel images share one chunk
+
+
+def test_train_loop_step_peak_holds_one_chunk(monkeypatch):
+    # 8 pixel items of 16x16 over 300 atoms a step, each a chunk and a run
+    # of its own (a 614,400-byte logit raster): the tracemalloc peak of a
+    # step, above what the step starts with, stays under one chunk's
+    # rasters (logits, probabilities, gradient) plus its forward cache.
+    # Holding every item's probabilities until one batch_loss call over the
+    # step takes eight rasters
+    atoms, size = 300, 16
+    names = ("void",) + tuple(f"c{k}" for k in range(atoms))
+    space = LabelSpace("px", names, "pixel_dense")
+    tax = build_group_sets(build_semantic_atoms([space], RelationTable.empty()), [space],
+                           RelationTable.empty())
+    rng = np.random.default_rng(83)
+    images = [rng.standard_normal((size, size, 3)) for _ in range(16)]
+    px = LoadedDataset(space, images, [StrongLabel(rng.integers(0, atoms + 1, (size, size)),
+                                                   atoms) for _ in images])
+    raster = 8 * size * size * atoms
+    _, cache = forward(init_micronet(3, 8, atoms, 0), images[0])
+    bound = 3 * raster + cache.cols1.nbytes + cache.a1.nbytes + cache.a2.nbytes
+    peaks, start = [], []
+    real_sgd = model.sgd_step
+
+    def measuring_sgd(params, grads, state):
+        real_sgd(params, grads, state)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(model, "sgd_step", measuring_sgd)
+    tracemalloc.start()
+    try:
+        start.append(tracemalloc.get_traced_memory()[0])
+        res = train_loop([px], tax, None, BatchPlan({"px": 8}, seed=2),
+                         OptimizerState(learning_rate=0.1, momentum=0.5), epochs=2,
+                         refine_threshold=0.5)
+    finally:
+        tracemalloc.stop()
+    assert len(res.losses) == len(peaks) == 4
+    assert max(peaks) < bound, (peaks, bound)
+
+
+def test_train_loop_raises_on_a_non_finite_loss_before_the_update(monkeypatch):
+    # a non-finite item loss at step 2 raises NonFiniteLoss(2) after every
+    # chunk's backward pass ran, but before sgd_step: the weights keep the
+    # bytes and the version step 1 left them with
+    datasets, tax, plan, threshold, width = _mixed_plan([(5, 4)] * 3, "boxes", 0.0)
+    made, after, steps = [], [], []
+    real_init, real_sgd, real_terms = model.init_micronet, model.sgd_step, lossgrad._item_terms
+
+    def capturing_init(*args):
+        made.append(real_init(*args))
+        return made[-1]
+
+    def recording_sgd(params, grads, state):
+        real_sgd(params, grads, state)
+        steps.append(params.version)
+        after[:] = [a.tobytes() for a in params.arrays()]
+
+    def poisoned_terms(target, probs, index):
+        losses, n, grad = real_terms(target, probs, index)
+        if len(steps) == 2 and n:
+            losses = np.full_like(losses, np.nan)
+        return losses, n, grad
+
+    monkeypatch.setattr(model, "init_micronet", capturing_init)
+    monkeypatch.setattr(model, "sgd_step", recording_sgd)
+    monkeypatch.setattr(lossgrad, "_item_terms", poisoned_terms)
+    with pytest.raises(NonFiniteLoss) as err:
+        train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.3, momentum=0.9),
+                   epochs=2, refine_threshold=threshold, feature_width=width)
+    assert err.value.step == 2 and steps == [1, 2]
+    (params,) = made
+    assert params.version == 2
+    assert [a.tobytes() for a in params.arrays()] == after
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+def test_train_loop_raises_no_supervised_pixels_before_any_backward(monkeypatch, budget):
+    # all-void pixel labels and a gate at 1.0 that empties every voted box:
+    # the step's normalizers are both 0, known after the box items' pass, so
+    # the first batch_loss call raises before any backward pass, also when
+    # the step runs in several batch_loss calls (TAP_STACK_BYTES = 0)
+    datasets, tax, plan, _, width = _mixed_plan([(5, 4)] * 3, "boxes", 1.0)
+    for k, ds in enumerate(datasets[:2]):
+        datasets[k] = LoadedDataset(ds.space, ds.images, [
+            StrongLabel(np.zeros((5, 4), dtype=np.int64), ds.space.num_classes)
+            for _ in ds.images])
+    if budget is not None:
+        monkeypatch.setattr(model, "TAP_STACK_BYTES", budget)
+    backwards = []
+    monkeypatch.setattr(model, "backward", lambda *args: backwards.append(args))
+    with pytest.raises(NoSupervisedPixels):
+        train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1), epochs=1,
+                   refine_threshold=1.0, feature_width=width)
+    assert backwards == []
 
 
 def test_train_loop_trains_without_mallopt(monkeypatch):
