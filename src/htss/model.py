@@ -490,15 +490,19 @@ def _keep_freed_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
+def _image_bytes(shape: tuple[int, int], width: int, atoms: int) -> int:
+    """An image's conv-2 tap stack plus its logit raster, 8*H*(9*(W+2)*width + W*atoms) bytes."""
+    return 8 * shape[0] * (9 * (shape[1] + 2) * width + shape[1] * atoms)
+
+
 def _plan_chunks(shapes: Sequence[tuple[int, int] | None], width: int,
                  atoms: int) -> list[list[int]]:
     """Item positions of a step's chunks. shapes[i] is pixel item i's (H, W),
     None for a box or tag item, a chunk alone. Consecutive pixel items of one
-    size join a chunk while their conv-2 tap stacks and logit rasters,
-    8*H*(9*(W+2)*width + W*atoms) bytes an image, fit TAP_STACK_BYTES."""
+    size join a chunk while their _image_bytes fit TAP_STACK_BYTES."""
     chunks, used = [], 0
     for i, shape in enumerate(shapes):
-        cost = shape and 8 * shape[0] * (9 * (shape[1] + 2) * width + shape[1] * atoms)
+        cost = shape and _image_bytes(shape, width, atoms)
         if cost and chunks and shapes[chunks[-1][0]] == shape and used + cost <= TAP_STACK_BYTES:
             chunks[-1].append(i)
             used += cost
@@ -513,11 +517,17 @@ def _plan_runs(shapes: Sequence[tuple[int, int] | None], width: int,
     """A step's chunks (_plan_chunks) in runs of consecutive chunks that share one
     batch_loss call, their backward passes run after it. A run grows while its
     pixel items' logit rasters, 8*H*W*atoms bytes an image, fit TAP_STACK_BYTES;
-    a box or tag item adds none, as it holds its raster from the first pass on."""
+    an image whose _image_bytes alone outgrow it runs alone (conv 2 goes tap by
+    tap, and its forward cache is as large: 1.1 MB at 48x48, width 16); a box
+    or tag item adds nothing, as it holds its raster from the first pass on."""
     runs, used = [], 0
     for chunk in _plan_chunks(shapes, width, atoms):
         shape = shapes[chunk[0]]  # one size a chunk
-        size = 8 * len(chunk) * shape[0] * shape[1] * atoms if shape else 0
+        size = 0
+        if shape:
+            size = _image_bytes(shape, width, atoms)
+            if size <= TAP_STACK_BYTES:
+                size = 8 * len(chunk) * shape[0] * shape[1] * atoms
         if runs and used + size <= TAP_STACK_BYTES:
             runs[-1].append(chunk)
             used += size
@@ -567,7 +577,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     call) in item order, in runs (_plan_runs): a run's forward passes, one
     batch_loss call with the step's counts and the loss so far, then its
     backward passes. Runs end before their pixel logit rasters would pass
-    TAP_STACK_BYTES: large rasters stream a chunk at a time (many-labels),
+    TAP_STACK_BYTES, and an image too large to chunk runs alone: large
+    rasters or images stream a chunk at a time (many-labels, weak-twohead),
     small ones make the step one run (dense-joint), as a loss call after a
     backward pass runs slower on small items. Loss terms and parameter
     gradients add up in item order, so a step keeps the bits of one batch

@@ -643,12 +643,15 @@ def test_plan_chunks_at_the_workload_shapes():
 
 def test_plan_runs_at_the_workload_shapes():
     # a run takes chunks while its pixel logit rasters, 8*H*W*atoms bytes an
-    # image, fit TAP_STACK_BYTES. dense-joint (19,200 bytes an image) and
-    # weak-twohead (92,160) make one run a step; a many-labels raster
-    # (16x16x300: 614,400) runs alone, box items joining the run before
+    # image, fit TAP_STACK_BYTES: dense-joint (19,200 bytes an image) makes
+    # one run a step, a many-labels raster (16x16x300: 614,400) runs alone,
+    # box items joining the run before. A weak-twohead image (48x48, width
+    # 16: 2,856,960 _image_bytes) outgrows the limit alone and runs alone;
+    # the box and tag items around it form runs of their own
     assert model._plan_runs([(20, 20)] * 8, 8, 6) == [[[0, 1, 2], [3, 4, 5], [6, 7]]]
-    assert (model._plan_runs([(48, 48)] * 4 + [None] * 8, 16, 5)
-            == [[[0], [1], [2], [3], [4], [5], [6], [7], [8], [9], [10], [11]]])
+    assert model._image_bytes((48, 48), 16, 5) > model.TAP_STACK_BYTES
+    assert (model._plan_runs([None] * 4 + [(48, 48)] * 4 + [None] * 4, 16, 5)
+            == [[[0], [1], [2], [3]], [[4]], [[5]], [[6]], [[7]], [[8], [9], [10], [11]]])
     assert (model._plan_runs([None, None, (16, 16), (16, 16), None, (16, 16)], 8, 300)
             == [[[0], [1], [2]], [[3], [4]], [[5]]])
 
