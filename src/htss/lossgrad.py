@@ -103,12 +103,14 @@ class GroupIndex:
     ascending order, column j of atom_classes (c, A) the classes covering
     atom j in ascending order; slots past the end of a list hold the
     table's column count (atom_count, resp. L), where the gather appends
-    a zero column.
+    a zero column. padded tells whether class_atoms holds such a slot:
+    where every group has g atoms, a pixel item's gather needs no redirect.
     """
 
     atom_count: int
     class_atoms: np.ndarray
     atom_classes: np.ndarray
+    padded: bool
 
     @property
     def num_classes(self) -> int:
@@ -154,8 +156,10 @@ def group_index(groups: GroupMap, atom_count: int) -> GroupIndex:
     """Membership tables of a group map; atom indices are checked by
     group_matrix."""
     member = group_matrix(groups, atom_count) > 0.0
-    return GroupIndex(atom_count=atom_count, class_atoms=_member_table(member),
-                      atom_classes=_member_table(member.T))
+    class_atoms = _member_table(member)
+    return GroupIndex(atom_count=atom_count, class_atoms=class_atoms,
+                      atom_classes=_member_table(member.T),
+                      padded=bool((class_atoms == atom_count).any()))
 
 
 def _gather_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -192,7 +196,8 @@ def _dense_grad(probs, mask, at, real, parts, s, denom) -> np.ndarray:
         out[~mask] = 0.0
     scale = np.divide(1.0, s)
     np.subtract(1.0, scale, out=scale)  # 1 - 1/s*, per supervised pixel
-    at[~real] = probs.size
+    if real is not None:
+        at[~real] = probs.size
     grads[at] = scale * parts / denom
     return out
 
@@ -233,12 +238,15 @@ def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
     probs = np.ascontiguousarray(probs, dtype=np.float64)  # reshapes below are views
     if isinstance(target, StrongLabel):  # slot id - 1 after the row gather: never void
         slots = target.class_ids.reshape(-1).take(rows) - 1
-        members = index.class_atoms.take(slots, axis=1)  # (g, n); take: half the time of []
-        real = members < atoms
-        at = np.where(real, members, 0)
+        at = index.class_atoms.take(slots, axis=1)  # (g, n); take: half the time of []
+        real = None  # no padding slot to redirect: every entry names an atom
+        if index.padded:
+            real = at < atoms
+            at = np.where(real, at, 0)
         at += rows * atoms
         parts = np.take(probs, at)
-        parts[~real] = 0.0
+        if real is not None:
+            parts[~real] = 0.0
         s = parts[0].copy()  # parts stays the gathered atoms, for the gradient
         for row in parts[1:]:
             s += row

@@ -15,6 +15,9 @@ forward and backward take a chunk of n same-size images stacked row-wise
 into one (n*H, W, C) image. For n > 1 the arrays below lead with an image
 axis; a stacked np.matmul calls BLAS once per image and tap, so a chunk
 saves numpy calls only and each image gets the bits it gets alone.
+Training sizes a chunk by what it holds from forward to backward (the
+conv-1 patches, both ReLU outputs, the logit and probability rasters),
+which must fit L2_BYTES, a core's L2 cache.
 
 Conv 1 runs on a patch matrix: _im2col copies the 3x3 windows of the
 zero-bordered (H+2, W+2, C) input into an (H*W, 9*C) array, in runs of
@@ -36,17 +39,17 @@ product of that dz by a transposed tap kernel into a flat bordered
 buffer at pixel offset dy*(W+2) + dx, in (dy, dx) order: plane pixel
 (y, x) lands on buffer pixel (y+dy, x+dx), and a real pixel (x < W)
 never wraps past its row. _tap_products makes the nine in one batched
-matmul while their (9, [n,] H*(W+2), width) stack fits TAP_STACK_BYTES, else
-tap by tap into one buffer: the same BLAS call per tap, so the same
-bits. A larger stack outgrows a core's 2 MiB L2, and the adds read it
-back from memory (see README for timings). Pad pixels add only +-0.0
-terms, which change no bit: x + (+-0.0) is x unless x is -0.0, and a
-sum started at +0.0 never is -0.0 (IEEE addition gives -0.0 only for
--0.0 + -0.0). BLAS sums each element in an order that can depend on the
-GEMM's shape; tests/test_model.py pins forward and backward to the
-per-tap oracles of tests/oracles.py byte for byte at the workload shapes
-and, with OpenBLAS 0.3.31, in the (width, image size) cells its tables
-list, and bounds every other cell to a few ulp.
+matmul while their (9, [n,] H*(W+2), width) stack fits TAP_STACK_BYTES,
+half of L2_BYTES, else tap by tap into one buffer: the same BLAS call per
+image and tap, so the same bits. A larger stack outgrows the L2 cache, and
+the adds read it back from memory (see README for timings). Pad pixels add
+only +-0.0 terms, which change no bit: x + (+-0.0) is x unless x is
+-0.0, and a sum started at +0.0 never is -0.0 (IEEE addition gives -0.0
+only for -0.0 + -0.0). BLAS sums each element in an order that can
+depend on the GEMM's shape; tests/test_model.py pins forward and
+backward to the per-tap oracles of tests/oracles.py byte for byte at the
+workload shapes and, with OpenBLAS 0.3.31, in the (width, image size)
+cells its tables list, and bounds every other cell to a few ulp.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ from .taxonomy import (
 )
 
 INIT_SCALE = 0.05
-TAP_STACK_BYTES = 1 << 20  # largest batched conv-2 tap stack (see the module docstring)
+L2_BYTES = 2 << 20  # a core's L2 cache (see README): a pixel chunk's arrays fit it
+TAP_STACK_BYTES = L2_BYTES // 2  # largest batched conv-2 tap stack (see the module docstring)
 
 # glibc mallopt parameters and the values train_loop and evaluate set. A
 # step's (H, W, atoms) rasters and conv-2 tap arrays lie above glibc's default
@@ -495,15 +499,27 @@ def _image_bytes(shape: tuple[int, int], width: int, atoms: int) -> int:
     return 8 * shape[0] * (9 * (shape[1] + 2) * width + shape[1] * atoms)
 
 
-def _plan_chunks(shapes: Sequence[tuple[int, int] | None], width: int,
+def _chunk_bytes(shape: tuple[int, int], in_ch: int, width: int, atoms: int) -> int:
+    """The bytes a pixel image holds in its chunk from forward to backward: the
+    conv-1 patches, the two ReLU outputs as the cache keeps them, the logit and
+    the probability raster, 8*(H*W*(9*in_ch + width + 2*atoms) + (H+3)*(W+2)*width)."""
+    h, w = shape
+    return 8 * (h * w * (9 * in_ch + width + 2 * atoms) + (h + 3) * (w + 2) * width)
+
+
+def _plan_chunks(shapes: Sequence[tuple[int, int] | None], in_ch: int, width: int,
                  atoms: int) -> list[list[int]]:
     """Item positions of a step's chunks. shapes[i] is pixel item i's (H, W),
     None for a box or tag item, a chunk alone. Consecutive pixel items of one
-    size join a chunk while their _image_bytes fit TAP_STACK_BYTES."""
+    size join a chunk while their _chunk_bytes fit L2_BYTES, so what a chunk
+    computes on stays in cache from its forward pass to its backward pass.
+    Its conv-2 tap stack may outgrow TAP_STACK_BYTES and then goes tap by
+    tap, each tap the same BLAS call per image (dense-joint: 8 images of
+    182,784 bytes, one chunk with a 2.03 MB stack)."""
     chunks, used = [], 0
     for i, shape in enumerate(shapes):
-        cost = shape and _image_bytes(shape, width, atoms)
-        if cost and chunks and shapes[chunks[-1][0]] == shape and used + cost <= TAP_STACK_BYTES:
+        cost = shape and _chunk_bytes(shape, in_ch, width, atoms)
+        if cost and chunks and shapes[chunks[-1][0]] == shape and used + cost <= L2_BYTES:
             chunks[-1].append(i)
             used += cost
         else:
@@ -512,7 +528,7 @@ def _plan_chunks(shapes: Sequence[tuple[int, int] | None], width: int,
     return chunks
 
 
-def _plan_runs(shapes: Sequence[tuple[int, int] | None], width: int,
+def _plan_runs(shapes: Sequence[tuple[int, int] | None], in_ch: int, width: int,
                atoms: int) -> list[list[list[int]]]:
     """A step's chunks (_plan_chunks) in runs of consecutive chunks that share one
     batch_loss call, their backward passes run after it. A run grows while its
@@ -521,7 +537,7 @@ def _plan_runs(shapes: Sequence[tuple[int, int] | None], width: int,
     tap, and its forward cache is as large: 1.1 MB at 48x48, width 16); a box
     or tag item adds nothing, as it holds its raster from the first pass on."""
     runs, used = [], 0
-    for chunk in _plan_chunks(shapes, width, atoms):
+    for chunk in _plan_chunks(shapes, in_ch, width, atoms):
         shape = shapes[chunk[0]]  # one size a chunk
         size = 0
         if shape:
@@ -574,13 +590,16 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     normalizer. The pixel normalizer sums per-image counts taken before
     step 1. The second pass walks the chunks (_plan_chunks: consecutive
     pixel items of one size share one forward, softmax_atoms and backward
-    call) in item order, in runs (_plan_runs): a run's forward passes, one
-    batch_loss call with the step's counts and the loss so far, then its
-    backward passes. Runs end before their pixel logit rasters would pass
+    call while the patches, ReLU outputs and rasters they hold from forward
+    to backward, _chunk_bytes of in_ch channels, fit L2_BYTES) in item
+    order, in runs (_plan_runs): a run's forward passes, one batch_loss
+    call with the step's counts and the loss so far, then its backward
+    passes. Runs end before their pixel logit rasters would pass
     TAP_STACK_BYTES, and an image too large to chunk runs alone: large
-    rasters or images stream a chunk at a time (many-labels, weak-twohead),
-    small ones make the step one run (dense-joint), as a loss call after a
-    backward pass runs slower on small items. Loss terms and parameter
+    rasters or images stream a chunk at a time (many-labels, weak-twohead,
+    each image a chunk), small ones make the step one run (dense-joint, its
+    eight images one chunk), as a loss call after a backward pass runs
+    slower on small items. Loss terms and parameter
     gradients add up in item order, so a step keeps the bits of one batch
     (tests/oracles.py: batched_train_oracle). NoSupervisedPixels comes
     before any backward pass, NonFiniteLoss before sgd_step.
@@ -697,7 +716,7 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                   sum([pixel_counts[ds.dataset_id][idx]
                        for (ds, idx), shape in zip(draws, shapes) if shape]))
         loss, grads = 0.0, MicroNetGrads.zeros_like(params)
-        for run in _plan_runs(shapes, feature_width, n_ap + n_s):
+        for run in _plan_runs(shapes, in_ch, feature_width, n_ap + n_s):
             parts = [weak.pop(chunk[0]) if shapes[chunk[0]] is None
                      else pixel_chunk([draws[i] for i in chunk]) for chunk in run]
             loss, item_grads = batch_loss([item for items, _ in parts for item in items],

@@ -197,6 +197,10 @@ def test_gathers_add_in_ascending_index_order():
             want[:, :, a] += ratio[:, :, m]
     back = _gather_sum(ratio, index.atom_classes)
     np.testing.assert_array_equal(back, want)
+    # padding marks the groups shorter than the longest, and an empty one
+    assert index.padded
+    assert not group_index((frozenset({0, 3}), frozenset({1, 2})), atoms).padded
+    assert group_index((frozenset({0, 3}), frozenset({1})), atoms).padded
 
 
 def test_group_index_rejects_mismatched_atom_count():
@@ -679,6 +683,8 @@ def test_dense_target_matches_one_hot_canvas_bits(h, w, atoms, classes, overlapp
     items = {"dense": [], "canvas": []}
     for _ in range(3):
         label, probs, index = _dense_case(rng, h, w, atoms, classes, overlapping)
+        if atoms == classes and not overlapping:  # one atom a group: no padding redirect
+            assert not index.padded
         dense, hot = strong_to_canvas(label, classes), one_hot_canvas(label, classes)
         got, want = _item_terms(dense, probs, index), _item_terms(hot, probs, index)
         assert got[1] == want[1] == int((label.class_ids > 0).sum())

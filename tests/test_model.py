@@ -311,20 +311,25 @@ def test_zero_upstream_backward_adds_nothing(h, w, width, out):
         assert [a.tobytes() for a in total.arrays()] == before
 
 
-@pytest.mark.parametrize("h, w", PATCH_SHAPES)
+@pytest.mark.parametrize("h, w, count", [(h, w, 3) for h, w in PATCH_SHAPES] + [(20, 20, 8)],
+                         ids=[f"{h}-{w}" for h, w in PATCH_SHAPES] + ["20-20-8images"])
 @pytest.mark.parametrize("width", [1, 3, 8, 16, 17])
-def test_chunk_forward_and_backward_equal_per_image_bit_for_bit(h, w, width):
-    # three images stacked row-wise, the middle one with a zero upstream:
+def test_chunk_forward_and_backward_equal_per_image_bit_for_bit(h, w, count, width):
+    # count images stacked row-wise, the second one with a zero upstream:
     # each image's logits and parameter gradients are its own one-image
     # results byte for byte, and the chunk's gradients add into a total in
-    # image order as three single backward passes do
+    # image order as single backward passes do
     rng = np.random.default_rng([h, w, width])
     p = init_micronet(3, width, 5, seed=width)
-    images = [_signed_zeros(rng, rng.standard_normal((h, w, 3))) for _ in range(3)]
-    upstreams = [_signed_zeros(rng, rng.standard_normal((h, w, 5))) for _ in range(3)]
+    images = [_signed_zeros(rng, rng.standard_normal((h, w, 3))) for _ in range(count)]
+    upstreams = [_signed_zeros(rng, rng.standard_normal((h, w, 5))) for _ in range(count)]
     upstreams[1][:] = 0.0
-    logits, cache = forward(p, np.concatenate(images), 3)
-    assert logits.shape == (3 * h, w, 5) and cache.shape == (3 * h, w) and cache.count == 3
+    if count == 8:  # a dense-joint step's chunk: conv 2 tap by tap, with an image axis,
+        # from width 8 on (a 2.03 MB stack there)
+        assert (9 * count * h * (w + 2) * width * 8 > model.TAP_STACK_BYTES) == (width >= 8)
+    logits, cache = forward(p, np.concatenate(images), count)
+    assert (logits.shape == (count * h, w, 5) and cache.shape == (count * h, w)
+            and cache.count == count)
     grads = backward(cache, np.concatenate(upstreams))
     chunk_total, single_total = MicroNetGrads.zeros_like(p), MicroNetGrads.zeros_like(p)
     chunk_total.iadd(grads)
@@ -338,7 +343,7 @@ def test_chunk_forward_and_backward_equal_per_image_bit_for_bit(h, w, width):
             assert got[k].tobytes() == expected.tobytes()
     assert ([a.tobytes() for a in chunk_total.arrays()]
             == [a.tobytes() for a in single_total.arrays()])
-    with pytest.raises(ShapeMismatch):  # 3*h rows are not 7 images of one height
+    with pytest.raises(ShapeMismatch):  # count*h rows are not 7 images of one height
         forward(p, np.concatenate(images), 7)
 
 
@@ -624,35 +629,91 @@ def test_train_loop_checks_the_channels_of_every_drawn_image():
                        OptimizerState(learning_rate=0.1), epochs=1, refine_threshold=0.5)
 
 
-def _chunk_cost(shape, width, atoms):
+def _chunk_cost(shape, in_ch, width, atoms):
     h, w = shape
-    return 8 * (9 * h * (w + 2) * width + h * w * atoms)
+    return 8 * (h * w * (9 * in_ch + width + 2 * atoms) + (h + 3) * (w + 2) * width)
+
+
+@pytest.mark.parametrize("h, w", PATCH_SHAPES)
+@pytest.mark.parametrize("in_ch, width, atoms", [(3, 8, 6), (3, 16, 5), (3, 8, 300), (2, 1, 1),
+                                                 (5, 17, 40)])
+def test_chunk_bytes_equal_what_a_forward_pass_holds(h, w, in_ch, width, atoms):
+    # the planner's per-image bytes are the arrays a pixel chunk keeps from
+    # its forward pass to its backward pass: the cache's patches and ReLU
+    # outputs, the logit raster and the probability raster
+    p = init_micronet(in_ch, width, atoms, seed=width)
+    for count in (1, 3):
+        image = np.random.default_rng([h, w, count]).standard_normal((count * h, w, in_ch))
+        logits, cache = forward(p, image, count)
+        probs = lossgrad.softmax_atoms(logits)
+        held = sum(a.nbytes for a in (cache.cols1, cache.a1, cache.a2, logits, probs))
+        cost = model._chunk_bytes((h, w), in_ch, width, atoms)
+        assert held == count * cost == count * _chunk_cost((h, w), in_ch, width, atoms)
+
+
+def _workload_step(name):
+    """A training step of a perfbench workload at seed 11: its items' shapes
+    (None for box and tag items) in draw order, channels, width and atoms."""
+    from htss.synthgen import View, WorldSpec, relation_triples, view_space
+    from htss.taxonomy import PIXEL_KINDS
+    from test_bench_contract import _load
+    wl = _load("workloads").build(name, 11)
+    world = WorldSpec.from_dict(wl.world)
+    cfg = dict(wl.commands)["train"]
+    views = {v["dataset_id"]: View.from_dict(v) for v in wl.world["views"]}
+    spaces = [view_space(world, views[ds]) for ds in sorted(cfg["quotas"])]
+    rel = RelationTable.from_triples(relation_triples(world))
+    tax = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    atoms = len(tax.atoms)
+    if cfg.get("partition"):
+        part = partition_atoms(tax, spaces, rel)
+        atoms = len(part.ap_atoms) + len(part.s_atoms)
+    shapes = [(world.height, world.width) if space.supervision in PIXEL_KINDS else None
+              for space in spaces for _ in range(cfg["quotas"][space.dataset_id])]
+    return shapes, world.channels, cfg["feature_width"], atoms
 
 
 def test_plan_chunks_at_the_workload_shapes():
-    # dense-joint: 8 images of 20x20, width 8, 6 atoms, 272,640 bytes each
-    assert model._plan_chunks([(20, 20)] * 8, 8, 6) == [[0, 1, 2], [3, 4, 5], [6, 7]]
-    # weak-twohead (48x48, width 16) and many-labels (16x16, width 8, ~300
-    # atoms) take more than half of TAP_STACK_BYTES an image
-    assert model._plan_chunks([(48, 48)] * 4, 16, 5) == [[0], [1], [2], [3]]
-    assert model._plan_chunks([(16, 16)] * 3, 8, 300) == [[0], [1], [2]]
+    # dense-joint: 8 images of 20x20x3, width 8, 6 atoms, 182,784 bytes
+    # each, so the step is one chunk of 8 (1.46 MB); 11 would fit L2_BYTES
+    shapes, in_ch, width, atoms = _workload_step("dense-joint")
+    assert shapes == [(20, 20)] * 8 and (in_ch, width, atoms) == (3, 8, 6)
+    assert model._chunk_bytes((20, 20), in_ch, width, atoms) == 182_784
+    assert model._plan_chunks(shapes, in_ch, width, atoms) == [list(range(8))]
+    assert model._plan_chunks([(20, 20)] * 12, in_ch, width, atoms) == [
+        list(range(11)), [11]]
+    # weak-twohead (48x48, width 16) and many-labels (16x16, ~300 atoms) take
+    # more than half of L2_BYTES an image: every item is a chunk alone
+    for name in ("weak-twohead", "many-labels"):
+        shapes, in_ch, width, atoms = _workload_step(name)
+        assert 2 * model._chunk_bytes(next(filter(None, shapes)), in_ch, width,
+                                      atoms) > model.L2_BYTES
+        assert model._plan_chunks(shapes, in_ch, width, atoms) == [[i] for i in
+                                                                   range(len(shapes))]
     # a box or tag item is a chunk alone and splits pixel items around it
-    assert (model._plan_chunks([None, (5, 4), (5, 4), None, (5, 4), (6, 4), None], 3, 4)
+    assert (model._plan_chunks([None, (5, 4), (5, 4), None, (5, 4), (6, 4), None], 2, 3, 4)
             == [[0], [1, 2], [3], [4], [5], [6]])
 
 
 def test_plan_runs_at_the_workload_shapes():
     # a run takes chunks while its pixel logit rasters, 8*H*W*atoms bytes an
     # image, fit TAP_STACK_BYTES: dense-joint (19,200 bytes an image) makes
-    # one run a step, a many-labels raster (16x16x300: 614,400) runs alone,
-    # box items joining the run before. A weak-twohead image (48x48, width
-    # 16: 2,856,960 _image_bytes) outgrows the limit alone and runs alone;
-    # the box and tag items around it form runs of their own
-    assert model._plan_runs([(20, 20)] * 8, 8, 6) == [[[0, 1, 2], [3, 4, 5], [6, 7]]]
-    assert model._image_bytes((48, 48), 16, 5) > model.TAP_STACK_BYTES
-    assert (model._plan_runs([None] * 4 + [(48, 48)] * 4 + [None] * 4, 16, 5)
+    # one run a step, a many-labels raster (16x16x~300: about 614 KB) runs
+    # alone, box items joining the run before. A weak-twohead image (48x48,
+    # width 16: 2,856,960 _image_bytes) outgrows the limit alone and runs
+    # alone; the box and tag items around it form runs of their own
+    shapes, in_ch, width, atoms = _workload_step("dense-joint")
+    assert model._plan_runs(shapes, in_ch, width, atoms) == [[list(range(8))]]
+    shapes, in_ch, width, atoms = _workload_step("weak-twohead")
+    assert shapes == [None] * 4 + [(48, 48)] * 4 + [None] * 4 and width == 16
+    assert model._image_bytes((48, 48), width, atoms) > model.TAP_STACK_BYTES
+    assert (model._plan_runs(shapes, in_ch, width, atoms)
             == [[[0], [1], [2], [3]], [[4]], [[5]], [[6]], [[7]], [[8], [9], [10], [11]]])
-    assert (model._plan_runs([None, None, (16, 16), (16, 16), None, (16, 16)], 8, 300)
+    shapes, in_ch, width, atoms = _workload_step("many-labels")
+    assert shapes == [None] * 4 + [(16, 16)] * 8 and atoms >= 300
+    assert (model._plan_runs(shapes, in_ch, width, atoms)
+            == [[[0], [1], [2], [3], [4]]] + [[[i]] for i in range(5, 12)])
+    assert (model._plan_runs([None, None, (16, 16), (16, 16), None, (16, 16)], 3, 8, 300)
             == [[[0], [1], [2]], [[3], [4]], [[5]]])
 
 
@@ -660,22 +721,23 @@ def test_plan_chunks_keeps_sizes_apart_and_each_chunk_within_budget():
     rng = np.random.default_rng(23)
     sizes = [(20, 20), (16, 16), (48, 48), (5, 4), (4, 5), (1, 1), None]
     for _ in range(300):
-        width, atoms = int(rng.integers(1, 20)), int(rng.integers(1, 400))
+        in_ch, width, atoms = int(rng.integers(1, 6)), int(rng.integers(1, 20)), int(
+            rng.integers(1, 400))
         shapes = [sizes[k] for k in rng.integers(0, len(sizes), int(rng.integers(0, 14)))]
-        chunks = model._plan_chunks(shapes, width, atoms)
+        chunks = model._plan_chunks(shapes, in_ch, width, atoms)
         assert [i for c in chunks for i in c] == list(range(len(shapes)))
         for chunk in chunks:
             assert len({shapes[i] for i in chunk}) == 1
             assert chunk == list(range(chunk[0], chunk[-1] + 1))
             if len(chunk) > 1:  # of pixel items, within budget
                 assert shapes[chunk[0]] is not None
-                costs = [_chunk_cost(shapes[i], width, atoms) for i in chunk]
-                assert sum(costs) <= model.TAP_STACK_BYTES
-                assert max(costs) <= model.TAP_STACK_BYTES
+                costs = [_chunk_cost(shapes[i], in_ch, width, atoms) for i in chunk]
+                assert sum(costs) <= model.L2_BYTES
+                assert max(costs) <= model.L2_BYTES
         for a, b in zip(chunks, chunks[1:]):  # a chunk ends only where it must
             if shapes[a[0]] == shapes[b[0]] is not None:
-                used = sum(_chunk_cost(shapes[i], width, atoms) for i in a)
-                assert used + _chunk_cost(shapes[b[0]], width, atoms) > model.TAP_STACK_BYTES
+                used = sum(_chunk_cost(shapes[i], in_ch, width, atoms) for i in a)
+                assert used + _chunk_cost(shapes[b[0]], in_ch, width, atoms) > model.L2_BYTES
 
 
 def _dense_joint_plan():
@@ -713,12 +775,18 @@ def _mixed_plan(sizes, box_id, threshold):
     return datasets, tax, BatchPlan({"fine": 2, "coarse": 2, box_id: 4}, seed=3), threshold, 3
 
 
+def _set_cache_bytes(monkeypatch, n):
+    """Plan chunks against an n-byte L2 cache, with TAP_STACK_BYTES half of it."""
+    monkeypatch.setattr(model, "L2_BYTES", n)
+    monkeypatch.setattr(model, "TAP_STACK_BYTES", n // 2)
+
+
 # per plan: the image count of each forward and each backward call of a
 # step, and the chunks whose cache is still held when batch_loss is called:
 # the rasters of a step are a few KB, so its chunks share one batch_loss call
 # (one run, see _plan_runs). Items come in dataset-id order
 @pytest.mark.parametrize("plan, counts, kept, held", [
-    ("dense-joint", [3, 3, 2], [3, 3, 2], 3),
+    ("dense-joint", [8], [8], 1),
     # coarse, boxes, fine: the two voted boxes run forward alone in the first
     # pass, and their backward passes run between the pixel chunks', in item order
     ("boxes between pixel sets", [1, 1, 2, 2], [2, 1, 1, 2], 4),
@@ -726,8 +794,8 @@ def _mixed_plan(sizes, box_id, threshold):
     # their caches; the pixel sets differ in size, so they do not share a chunk
     ("two image sizes", [1, 1, 2, 2], [2, 2], 2)])
 def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts, kept, held):
-    # TAP_STACK_BYTES = 0 makes every chunk one image: the losses and
-    # weights must be the same byte for byte
+    # a zero cache size makes every chunk one image and a run of its own:
+    # the losses and weights must be the same byte for byte
     datasets, tax, batch, threshold, width = {
         "dense-joint": _dense_joint_plan,
         "boxes between pixel sets": lambda: _mixed_plan([(5, 4)] * 3, "dboxes", 0.0),
@@ -764,7 +832,7 @@ def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts
     steps = len(want.losses)
     assert calls == counts * steps and backward_calls == kept * steps
     assert alive == [held] * steps
-    monkeypatch.setattr(model, "TAP_STACK_BYTES", 0)
+    _set_cache_bytes(monkeypatch, 0)
     got = train()
     assert calls == [1] * sum(counts) * steps and backward_calls == [1] * sum(kept) * steps
     assert got.losses == want.losses
@@ -819,8 +887,8 @@ def test_train_loop_equals_the_batched_step_oracle(monkeypatch, budget, largest_
     atoms = len(part.ap_atoms) + len(part.s_atoms)
     assert part.s_atoms and atoms > 90
     if budget != "default":
-        monkeypatch.setattr(model, "TAP_STACK_BYTES",
-                            2 * _chunk_cost((5, 4), 3, atoms) if budget == "two images" else 0)
+        _set_cache_bytes(monkeypatch,
+                         2 * _chunk_cost((5, 4), 2, 3, atoms) if budget == "two images" else 0)
     gated, counts, runs = [], [], []
     real_gate, real_forward, real_loss = model.gate_canvas, model.forward, model.batch_loss
 
