@@ -35,10 +35,10 @@ O(HW * (A + sum_m |G_m|)) where the matrix products cost O(HW * A * L).
 batch_loss is the one entry point: each of its items takes a GroupIndex,
 which callers build once per group map with group_index (train_loop does
 so per dataset) and reuse. A batch may go to batch_loss in parts, as
-train_loop feeds a step one run of chunks at a time: each call gets the
-whole batch's two supervised-pixel counts and the loss of the parts
-before it, and adds its items' terms to that float in item order, so the
-parts give the bits of one call over the batch.
+train_loop feeds a step one chunk at a time: each call gets the whole
+batch's two supervised-pixel counts and the loss of the parts before it,
+and adds its items' terms to that float in item order, so the parts give
+the bits of one call over the batch.
 
 A target is either a PseudoCanvas (box and tag items: soft, gated and
 held as their labeled rows) or a StrongLabel (pixel labels: one class id

@@ -494,11 +494,6 @@ def _keep_freed_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
-def _image_bytes(shape: tuple[int, int], width: int, atoms: int) -> int:
-    """An image's conv-2 tap stack plus its logit raster, 8*H*(9*(W+2)*width + W*atoms) bytes."""
-    return 8 * shape[0] * (9 * (shape[1] + 2) * width + shape[1] * atoms)
-
-
 def _chunk_bytes(shape: tuple[int, int], in_ch: int, width: int, atoms: int) -> int:
     """The bytes a pixel image holds in its chunk from forward to backward: the
     conv-1 patches, the two ReLU outputs as the cache keeps them, the logit and
@@ -509,8 +504,10 @@ def _chunk_bytes(shape: tuple[int, int], in_ch: int, width: int, atoms: int) -> 
 
 def _plan_chunks(shapes: Sequence[tuple[int, int] | None], in_ch: int, width: int,
                  atoms: int) -> list[list[int]]:
-    """Item positions of a step's chunks. shapes[i] is pixel item i's (H, W),
-    None for a box or tag item, a chunk alone. Consecutive pixel items of one
+    """Item positions of a step's chunks, each one batch_loss call followed by
+    its backward passes. shapes[i] is pixel item i's (H, W), None for a box or
+    tag item. Consecutive box and tag items join a chunk at no cost, as they
+    hold their arrays from the first pass on. Consecutive pixel items of one
     size join a chunk while their _chunk_bytes fit L2_BYTES, so what a chunk
     computes on stays in cache from its forward pass to its backward pass.
     Its conv-2 tap stack may outgrow TAP_STACK_BYTES and then goes tap by
@@ -518,8 +515,8 @@ def _plan_chunks(shapes: Sequence[tuple[int, int] | None], in_ch: int, width: in
     182,784 bytes, one chunk with a 2.03 MB stack)."""
     chunks, used = [], 0
     for i, shape in enumerate(shapes):
-        cost = shape and _chunk_bytes(shape, in_ch, width, atoms)
-        if cost and chunks and shapes[chunks[-1][0]] == shape and used + cost <= L2_BYTES:
+        cost = _chunk_bytes(shape, in_ch, width, atoms) if shape else 0
+        if chunks and shapes[chunks[-1][0]] == shape and used + cost <= L2_BYTES:
             chunks[-1].append(i)
             used += cost
         else:
@@ -528,36 +525,11 @@ def _plan_chunks(shapes: Sequence[tuple[int, int] | None], in_ch: int, width: in
     return chunks
 
 
-def _plan_runs(shapes: Sequence[tuple[int, int] | None], in_ch: int, width: int,
-               atoms: int) -> list[list[list[int]]]:
-    """A step's chunks (_plan_chunks) in runs of consecutive chunks that share one
-    batch_loss call, their backward passes run after it. A run grows while its
-    pixel items' logit rasters, 8*H*W*atoms bytes an image, fit TAP_STACK_BYTES;
-    an image whose _image_bytes alone outgrow it runs alone (conv 2 goes tap by
-    tap, and its forward cache is as large: 1.1 MB at 48x48, width 16); a box
-    or tag item adds nothing, as it holds its raster from the first pass on."""
-    runs, used = [], 0
-    for chunk in _plan_chunks(shapes, in_ch, width, atoms):
-        shape = shapes[chunk[0]]  # one size a chunk
-        size = 0
-        if shape:
-            size = _image_bytes(shape, width, atoms)
-            if size <= TAP_STACK_BYTES:
-                size = 8 * len(chunk) * shape[0] * shape[1] * atoms
-        if runs and used + size <= TAP_STACK_BYTES:
-            runs[-1].append(chunk)
-            used += size
-        else:
-            runs.append([chunk])
-            used = size
-    return runs
-
-
 def _upstream(cache: ForwardCache, grads: Iterator[np.ndarray], head: str,
               n_ap: int, n_s: int) -> np.ndarray:
-    """d(loss)/d(logits) of a chunk from its images' logit gradients, in
-    order: a one-head, one-image chunk's gradient itself, else each copied
-    into one zero (count*H, W, atoms) raster, dropped before the next is built."""
+    """d(loss)/d(logits) of a forward pass (a pixel chunk's or a box or tag item's) from its
+    images' logit gradients, in order: a one-head, one-image pass's gradient itself, else
+    each copied into one zero (count*H, W, atoms) raster, dropped before the next is built."""
     if not (n_s or cache.count > 1):
         return next(grads)
     h = cache.shape[0] // cache.count
@@ -588,23 +560,21 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     canvas, forward pass and gate; only an item the gate leaves rows keeps
     its cache and head raster, and the rows kept give the box/tag
     normalizer. The pixel normalizer sums per-image counts taken before
-    step 1. The second pass walks the chunks (_plan_chunks: consecutive
-    pixel items of one size share one forward, softmax_atoms and backward
-    call while the patches, ReLU outputs and rasters they hold from forward
-    to backward, _chunk_bytes of in_ch channels, fit L2_BYTES) in item
-    order, in runs (_plan_runs): a run's forward passes, one batch_loss
-    call with the step's counts and the loss so far, then its backward
-    passes. Runs end before their pixel logit rasters would pass
-    TAP_STACK_BYTES, and an image too large to chunk runs alone: large
-    rasters or images stream a chunk at a time (many-labels, weak-twohead,
-    each image a chunk), small ones make the step one run (dense-joint, its
-    eight images one chunk), as a loss call after a backward pass runs
-    slower on small items. Loss terms and parameter
-    gradients add up in item order, so a step keeps the bits of one batch
-    (tests/oracles.py: batched_train_oracle). NoSupervisedPixels comes
-    before any backward pass, NonFiniteLoss before sgd_step.
+    step 1. The second pass walks the step's chunks (_plan_chunks) in item
+    order: consecutive box and tag items make one chunk, and consecutive
+    pixel items of one size share one while the patches, ReLU outputs and
+    rasters they hold from forward to backward, _chunk_bytes of in_ch
+    channels, fit L2_BYTES. A pixel chunk makes one forward and one
+    softmax_atoms call; every chunk then makes one batch_loss call, with the
+    step's counts and the loss so far, and its backward passes (dense-joint:
+    the step's eight images one chunk; many-labels: its four box items one
+    chunk, then each image alone; weak-twohead: the same, then its four tag
+    items one chunk). Loss terms and parameter gradients add up in item
+    order, so a step keeps the bits of one batch (tests/oracles.py:
+    batched_train_oracle). NoSupervisedPixels comes before any backward
+    pass, NonFiniteLoss before sgd_step.
 
-    Nothing of a step outlives it: a run's items (targets and head rasters)
+    Nothing of a step outlives it: a chunk's items (targets and head rasters)
     are dropped once batch_loss returns; each logit gradient, built by
     batch_loss's iterator on request, feeds its chunk's upstream and is
     dropped before the next is requested, and the chunk's cache and
@@ -645,17 +615,17 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
 
     n_ap = len(part.ap_atoms)
     n_s = len(part.s_atoms)
-    in_ch = datasets[0].images[0].shape[2]
     init_seed, sample_seed = derive_train_seeds(plan.seed)
-    params = init_micronet(in_ch, feature_width, n_ap + n_s, init_seed)
     sampler = BatchSampler(plan.quotas, {d: len(by_id[d].images) for d in by_id},
                            sample_seed)
     if not any(by_id[ds_id].supervision in PIXEL_KINDS for ds_id in sampler.ids):
         raise ConfigError("batch plan draws only box/tag datasets; "
                           "give a pixel-supervised dataset a quota")
+    in_ch = by_id[sampler.ids[0]].images[0].shape[-1]  # of a dataset the plan draws
     for ds_id in sampler.ids:  # an unvoted item skips forward and its check
         if any(im.ndim != 3 or im.shape[2] != in_ch for im in by_id[ds_id].images):
             raise ShapeMismatch(f"dataset {ds_id!r} holds an image not (H, W, {in_ch})")
+    params = init_micronet(in_ch, feature_width, n_ap + n_s, init_seed)
     indexes = {ds_id: group_index(heads[ds_id].loss_groups,
                                   n_ap if heads[ds_id].head == "ap" else n_s)
                for ds_id in sampler.ids}
@@ -665,8 +635,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                             for label in by_id[ds_id].labels]
                     for ds_id in sampler.ids if by_id[ds_id].supervision in PIXEL_KINDS}
 
-    def pixel_chunk(drawn: list) -> tuple[list, ForwardCache]:
-        """The items and the forward cache of a chunk of pixel items."""
+    def pixel_chunk(drawn: list) -> tuple[list, list]:
+        """The items of a chunk of pixel items, and its forward cache with its head."""
         images = [ds.images[idx] for ds, idx in drawn]
         stacked = np.concatenate(images) if drawn[1:] else images[0]
         logits, cache = forward(params, stacked, len(drawn))
@@ -674,10 +644,10 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         probs = softmax_atoms(logits[:, :, :n_ap])  # one call: it treats each row alike
         h = len(images[0])
         return [(target, probs[k * h:(k + 1) * h], indexes[ds.dataset_id], ds.supervision)
-                for k, ((ds, _), target) in enumerate(zip(drawn, targets))], cache
+                for k, ((ds, _), target) in enumerate(zip(drawn, targets))], [(cache, "ap")]
 
-    def weak_item(ds: LoadedDataset, idx: int) -> tuple[list, ForwardCache | None]:
-        """A box or tag item, and its forward cache if the gate leaves it rows."""
+    def weak_item(ds: LoadedDataset, idx: int) -> tuple[tuple, tuple]:
+        """A box or tag item, and its forward cache (None if the gate leaves no rows) and head."""
         dg = heads[ds.dataset_id]
         index = indexes[ds.dataset_id]
         h, w = ds.images[idx].shape[:2]
@@ -698,10 +668,11 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                 head_rows = ap_rows
         atoms = n_ap if dg.head == "ap" else n_s
         if not target.rows.size:  # a +0.0 gradient: no raster, and backward never runs
-            return [(target, np.broadcast_to(0.0, (h, w, atoms)), index, ds.supervision)], None
-        head_probs = np.zeros((h, w, atoms))
-        head_probs.reshape(h * w, -1)[rows] = head_rows
-        return [(target, head_probs, index, ds.supervision)], cache
+            head_probs, cache = np.broadcast_to(0.0, (h, w, atoms)), None
+        else:
+            head_probs = np.zeros((h, w, atoms))
+            head_probs.reshape(h * w, -1)[rows] = head_rows
+        return (target, head_probs, index, ds.supervision), (cache, dg.head)
 
     _keep_freed_heap()
     losses: list[float] = []
@@ -712,18 +683,15 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
         shapes = [ds.images[idx].shape[:2] if ds.supervision in PIXEL_KINDS else None
                   for ds, idx in draws]
         weak = {i: weak_item(*draws[i]) for i, shape in enumerate(shapes) if shape is None}
-        counts = (sum([items[0][0].rows.size for items, _ in weak.values()]),
+        counts = (sum([item[0].rows.size for item, _ in weak.values()]),
                   sum([pixel_counts[ds.dataset_id][idx]
                        for (ds, idx), shape in zip(draws, shapes) if shape]))
         loss, grads = 0.0, MicroNetGrads.zeros_like(params)
-        for run in _plan_runs(shapes, in_ch, feature_width, n_ap + n_s):
-            parts = [weak.pop(chunk[0]) if shapes[chunk[0]] is None
-                     else pixel_chunk([draws[i] for i in chunk]) for chunk in run]
-            loss, item_grads = batch_loss([item for items, _ in parts for item in items],
-                                          counts, loss)
-            routes = [(cache, heads[draws[chunk[0]][0].dataset_id].head)
-                      for chunk, (_, cache) in zip(run, parts)]
-            del parts
+        for chunk in _plan_chunks(shapes, in_ch, feature_width, n_ap + n_s):
+            items, routes = (pixel_chunk([draws[i] for i in chunk]) if shapes[chunk[0]]
+                             else map(list, zip(*[weak.pop(i) for i in chunk])))
+            loss, item_grads = batch_loss(items, counts, loss)
+            del items
             routes.reverse()  # popped in item order
             while routes:
                 cache, head = routes.pop()
@@ -731,7 +699,7 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                     next(item_grads)
                 else:
                     grads.iadd(backward(cache, _upstream(cache, item_grads, head, n_ap, n_s)))
-                del cache  # before the next run's forward passes
+                del cache  # before the next chunk's forward pass
             del item_grads
         if not np.isfinite(loss):
             raise NonFiniteLoss(step)

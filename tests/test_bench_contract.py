@@ -114,12 +114,11 @@ def test_train_loop_builds_one_target_per_pixel_item(monkeypatch):
     assert sorted(set(calls)) == [1, 2]
 
 
-def _check_traced_training(runs):
-    """Train a pixel set and a box set under the tracer and check its counts;
-    batch_loss must be called runs times a step. The tracer reads
-    batch_loss's items after the call returns, so the gradient iterator
-    must leave them as they were. One box class: every voted row predicts
-    it with probability 1, so the gate keeps them all."""
+def test_traced_train_loop_counts_steps_backward_passes_and_gated_rows():
+    # Train a pixel set and a box set under the tracer and check its counts.
+    # The tracer reads batch_loss's items after the call returns, so the
+    # gradient iterator must leave them as they were. One box class: every
+    # voted row predicts it with probability 1, so the gate keeps them all
     spaces = [LabelSpace("px", ("void", "cat", "dog"), PIXEL_DENSE),
               LabelSpace("boxes", ("void", "cat"), BBOX)]
     relations = RelationTable.empty()
@@ -143,8 +142,9 @@ def _check_traced_training(runs):
     steps = len(res.losses)
     assert steps == 8  # 4 pixel images at quota 1, two epochs
     calls = {name: n for name, (n, _) in tracer.self_times().items()}
-    assert calls["lossgrad.batch_loss"] == steps * runs
-    # the pixel item and the two voted boxes, each a chunk of one image;
+    # batch_loss is called once a chunk: the four box items, then the pixel item
+    assert calls["lossgrad.batch_loss"] == steps * 2
+    # the pixel item and the two voted boxes, each a pass over one image;
     # the FLOP counter, which reads the stacked shapes, counts three images
     # each way
     assert calls["model.forward"] == calls["model.backward"] == steps * (1 + 2)
@@ -156,16 +156,3 @@ def _check_traced_training(runs):
     assert tracer.counters["model.flops"] == steps * (1 + 2) * per_image
     assert tracer.counters["gate.kept_px"] == steps * (2 * 3 + 3 * 3)
     assert tracer.counters["gate.raw_px"] == steps * (2 * 3 + 3 * 3)
-
-
-def test_traced_train_loop_counts_steps_backward_passes_and_gated_rows():
-    # batch_loss is called once per run of chunks (_plan_runs); the
-    # step's rasters take a few hundred bytes, so its items make one run
-    _check_traced_training(runs=1)
-
-
-def test_traced_train_loop_counts_one_loss_call_per_run(monkeypatch):
-    # with TAP_STACK_BYTES = 0 every pixel chunk starts a run: the four box
-    # items, then the pixel item; every other count stays as it was
-    monkeypatch.setattr(model, "TAP_STACK_BYTES", 0)
-    _check_traced_training(runs=2)

@@ -276,31 +276,40 @@ def test_train_loop_pixel_items_take_their_loaded_label(monkeypatch):
 def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
     # at threshold 1.0 the gate keeps no box pixel, so every box item has
     # an all-zero gradient and its image must not reach backward; every
-    # image that does has a nonzero upstream. Each step's rasters are a few
-    # KB, so its items share one batch_loss call
-    per_step = []  # [items drawn, nonzero gradients, images in backward, pixel items]
-    real_loss, real_backward = model.batch_loss, model.backward
+    # image that does has a nonzero upstream. A step makes two batch_loss
+    # calls: the box items' chunk, then the pixel items' (all 5x4)
+    # per step, per chunk: [items drawn, nonzero gradients, images in backward, pixel items]
+    per_step = [[]]
+    real_loss, real_backward, real_sgd = model.batch_loss, model.backward, model.sgd_step
 
     def counting_loss(items, *args):
         loss, grads = real_loss(items, *args)
         grads = list(grads)
         pixel = sum(kind != BBOX for *_, kind in items)
-        per_step.append([len(items), sum(bool(g.any()) for g in grads), 0, pixel])
+        per_step[-1].append([len(items), sum(bool(g.any()) for g in grads), 0, pixel])
         return loss, iter(grads)
 
     def counting_backward(cache, upstream):
-        per_step[-1][2] += cache.count
+        per_step[-1][-1][2] += cache.count
         assert all(image.any() for image in upstream.reshape(cache.count, -1))
         return real_backward(cache, upstream)
 
+    def next_step(*args):
+        real_sgd(*args)
+        per_step.append([])
+
     monkeypatch.setattr(model, "batch_loss", counting_loss)
     monkeypatch.setattr(model, "backward", counting_backward)
+    monkeypatch.setattr(model, "sgd_step", next_step)
     datasets, tax = _box_world(71)
     plan = BatchPlan(quotas={"fine": 2, "coarse": 1, "boxes": 3}, seed=7)
     train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
                epochs=2, refine_threshold=1.0, feature_width=3)
+    assert per_step.pop() == []
     assert len(per_step) == 8  # 4 coarse images at quota 1, two epochs
-    for drawn, nonzero, images, pixel in per_step:
+    for chunks in per_step:
+        assert [pixel for *_, pixel in chunks] == [0, 3]
+        drawn, nonzero, images, pixel = map(sum, zip(*chunks))
         assert images == nonzero == pixel < drawn
 
 
@@ -309,8 +318,9 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
     # the all-unlabeled raw canvas; a voted one softmaxes exactly its
     # labeled rows, all of them for a full-frame box; pixel items softmax
     # all H*W rows, in one call per chunk: the three 5x4 pixel items come
-    # after the boxes and share one. The step's items share one batch_loss
-    # call, after the box items' softmax calls (the first pass) and the chunk's
+    # after the boxes and share one. A step makes two batch_loss calls: the
+    # box items' chunk after their softmax calls (the first pass), then the
+    # pixel chunk after its own
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
@@ -335,12 +345,11 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
     plan = BatchPlan(quotas={"fine": 1, "coarse": 2, "boxes": 4}, seed=3)
     train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
                epochs=2, refine_threshold=0.0, feature_width=3)
-    assert len(steps) == 8 and [v.size for v in voted.values()] == [17, 20]
-    for seen, items in steps:
+    assert len(steps) == 2 * 8 and [v.size for v in voted.values()] == [17, 20]
+    for (seen, items), (pixel_seen, pixel_items) in zip(steps[::2], steps[1::2]):
         want, unvoted = [], 0
         for target, probs, _, kind in items:
-            if kind != BBOX:
-                continue
+            assert kind == BBOX
             nonzero = np.flatnonzero(probs.reshape(20, -1).any(axis=1))
             if nonzero.size:
                 want.append(nonzero.size)
@@ -348,8 +357,9 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
             else:
                 unvoted += 1
                 assert target.probs.tobytes() == unlabeled.tobytes()
-        assert seen == want + [20 * 3]
-        assert len(items) == 7 and want in ([17, 20], [20, 17]) and unvoted == 2
+        assert seen == want and pixel_seen == [20 * 3]
+        assert len(items) == 4 and want in ([17, 20], [20, 17]) and unvoted == 2
+        assert [kind != BBOX for *_, kind in pixel_items] == [True] * 3
 
 
 # --- loss closed forms ---

@@ -613,6 +613,33 @@ def test_train_loop_rejects_plan_without_pixel_dataset():
                        refine_threshold=threshold)
 
 
+def test_train_loop_takes_the_channels_of_a_planned_dataset():
+    # the net's input channels come from a dataset the plan draws, so an
+    # unplanned dataset of other channels, listed first or last, changes no
+    # weight bit; with no dataset loaded the plan names a missing one
+    spaces = [LabelSpace("a", ("void", "cat"), "pixel_dense"),
+              LabelSpace("b", ("void", "cat"), "pixel_dense")]
+    rel = RelationTable.empty()
+    tax = build_group_sets(build_semantic_atoms(spaces, rel), spaces, rel)
+    rng = np.random.default_rng(31)
+    a, b = (LoadedDataset(space, [rng.random((4, 4, c)) for _ in range(2)],
+                          [StrongLabel(rng.integers(0, 2, (4, 4)), 1) for _ in range(2)])
+            for space, c in zip(spaces, (3, 2)))
+    plan = BatchPlan({"b": 1}, seed=0)
+
+    def train(datasets):
+        return train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1),
+                          epochs=1, refine_threshold=0.5)
+
+    got, want = train([a, b]), train([b, a])
+    assert got.params.in_channels == 2
+    assert got.losses == want.losses
+    assert ([x.tobytes() for x in got.params.arrays()]
+            == [x.tobytes() for x in want.params.arrays()])
+    with pytest.raises(UnsatisfiableQuota):
+        train([])
+
+
 def test_train_loop_checks_the_channels_of_every_drawn_image():
     # a box item without a box skips forward and its channel check, so
     # train_loop checks every image of the planned datasets before step 1
@@ -627,6 +654,11 @@ def test_train_loop_checks_the_channels_of_every_drawn_image():
         with pytest.raises(ShapeMismatch, match="'boxes'"):
             train_loop([px, boxes], tax, None, BatchPlan({"px": 1, "boxes": 1}, seed=0),
                        OptimizerState(learning_rate=0.1), epochs=1, refine_threshold=0.5)
+    # the first planned image gives the channel count, and is checked too
+    flat = LoadedDataset(spaces[0], [np.zeros((4, 4))] * 2, px.labels)
+    with pytest.raises(ShapeMismatch, match="'px'"):
+        train_loop([flat], tax, None, BatchPlan({"px": 1}, seed=0),
+                   OptimizerState(learning_rate=0.1), epochs=1, refine_threshold=0.5)
 
 
 def _chunk_cost(shape, in_ch, width, atoms):
@@ -673,7 +705,7 @@ def _workload_step(name):
     return shapes, world.channels, cfg["feature_width"], atoms
 
 
-def test_plan_chunks_at_the_workload_shapes():
+def test_plan_chunks_at_the_workload_shapes(monkeypatch):
     # dense-joint: 8 images of 20x20x3, width 8, 6 atoms, 182,784 bytes
     # each, so the step is one chunk of 8 (1.46 MB); 11 would fit L2_BYTES
     shapes, in_ch, width, atoms = _workload_step("dense-joint")
@@ -683,38 +715,24 @@ def test_plan_chunks_at_the_workload_shapes():
     assert model._plan_chunks([(20, 20)] * 12, in_ch, width, atoms) == [
         list(range(11)), [11]]
     # weak-twohead (48x48, width 16) and many-labels (16x16, ~300 atoms) take
-    # more than half of L2_BYTES an image: every item is a chunk alone
-    for name in ("weak-twohead", "many-labels"):
-        shapes, in_ch, width, atoms = _workload_step(name)
-        assert 2 * model._chunk_bytes(next(filter(None, shapes)), in_ch, width,
-                                      atoms) > model.L2_BYTES
-        assert model._plan_chunks(shapes, in_ch, width, atoms) == [[i] for i in
-                                                                   range(len(shapes))]
-    # a box or tag item is a chunk alone and splits pixel items around it
-    assert (model._plan_chunks([None, (5, 4), (5, 4), None, (5, 4), (6, 4), None], 2, 3, 4)
-            == [[0], [1, 2], [3], [4], [5], [6]])
-
-
-def test_plan_runs_at_the_workload_shapes():
-    # a run takes chunks while its pixel logit rasters, 8*H*W*atoms bytes an
-    # image, fit TAP_STACK_BYTES: dense-joint (19,200 bytes an image) makes
-    # one run a step, a many-labels raster (16x16x~300: about 614 KB) runs
-    # alone, box items joining the run before. A weak-twohead image (48x48,
-    # width 16: 2,856,960 _image_bytes) outgrows the limit alone and runs
-    # alone; the box and tag items around it form runs of their own
-    shapes, in_ch, width, atoms = _workload_step("dense-joint")
-    assert model._plan_runs(shapes, in_ch, width, atoms) == [[list(range(8))]]
+    # more than half of L2_BYTES an image, so each pixel item is a chunk
+    # alone; the box and tag items before and after them make one chunk each
     shapes, in_ch, width, atoms = _workload_step("weak-twohead")
     assert shapes == [None] * 4 + [(48, 48)] * 4 + [None] * 4 and width == 16
-    assert model._image_bytes((48, 48), width, atoms) > model.TAP_STACK_BYTES
-    assert (model._plan_runs(shapes, in_ch, width, atoms)
-            == [[[0], [1], [2], [3]], [[4]], [[5]], [[6]], [[7]], [[8], [9], [10], [11]]])
+    assert 2 * model._chunk_bytes((48, 48), in_ch, width, atoms) > model.L2_BYTES
+    assert (model._plan_chunks(shapes, in_ch, width, atoms)
+            == [[0, 1, 2, 3], [4], [5], [6], [7], [8, 9, 10, 11]])
     shapes, in_ch, width, atoms = _workload_step("many-labels")
     assert shapes == [None] * 4 + [(16, 16)] * 8 and atoms >= 300
-    assert (model._plan_runs(shapes, in_ch, width, atoms)
-            == [[[0], [1], [2], [3], [4]]] + [[[i]] for i in range(5, 12)])
-    assert (model._plan_runs([None, None, (16, 16), (16, 16), None, (16, 16)], 3, 8, 300)
-            == [[[0], [1], [2]], [[3], [4]], [[5]]])
+    assert 2 * model._chunk_bytes((16, 16), in_ch, width, atoms) > model.L2_BYTES
+    assert (model._plan_chunks(shapes, in_ch, width, atoms)
+            == [[0, 1, 2, 3]] + [[i] for i in range(4, 12)])
+    # box and tag items join at no cost, even at a zero budget, and split
+    # pixel items around them
+    shapes = [None, (5, 4), (5, 4), None, None, (5, 4), (6, 4), None]
+    assert model._plan_chunks(shapes, 2, 3, 4) == [[0], [1, 2], [3, 4], [5], [6], [7]]
+    monkeypatch.setattr(model, "L2_BYTES", 0)
+    assert model._plan_chunks(shapes, 2, 3, 4) == [[0], [1], [2], [3, 4], [5], [6], [7]]
 
 
 def test_plan_chunks_keeps_sizes_apart_and_each_chunk_within_budget():
@@ -729,13 +747,13 @@ def test_plan_chunks_keeps_sizes_apart_and_each_chunk_within_budget():
         for chunk in chunks:
             assert len({shapes[i] for i in chunk}) == 1
             assert chunk == list(range(chunk[0], chunk[-1] + 1))
-            if len(chunk) > 1:  # of pixel items, within budget
-                assert shapes[chunk[0]] is not None
+            if len(chunk) > 1 and shapes[chunk[0]]:  # of pixel items, within budget
                 costs = [_chunk_cost(shapes[i], in_ch, width, atoms) for i in chunk]
                 assert sum(costs) <= model.L2_BYTES
                 assert max(costs) <= model.L2_BYTES
         for a, b in zip(chunks, chunks[1:]):  # a chunk ends only where it must
-            if shapes[a[0]] == shapes[b[0]] is not None:
+            if shapes[a[0]] == shapes[b[0]]:  # so never between box or tag items
+                assert shapes[a[0]] is not None
                 used = sum(_chunk_cost(shapes[i], in_ch, width, atoms) for i in a)
                 assert used + _chunk_cost(shapes[b[0]], in_ch, width, atoms) > model.L2_BYTES
 
@@ -781,21 +799,21 @@ def _set_cache_bytes(monkeypatch, n):
     monkeypatch.setattr(model, "TAP_STACK_BYTES", n // 2)
 
 
-# per plan: the image count of each forward and each backward call of a
-# step, and the chunks whose cache is still held when batch_loss is called:
-# the rasters of a step are a few KB, so its chunks share one batch_loss call
-# (one run, see _plan_runs). Items come in dataset-id order
+# per plan: the image count of each forward call of a step, of each backward
+# call after each batch_loss call (one a chunk), and the forward caches of a
+# step still held when the batch_loss call after them comes. Items come in
+# dataset-id order
 @pytest.mark.parametrize("plan, counts, kept, held", [
-    ("dense-joint", [8], [8], 1),
+    ("dense-joint", [8], [[8]], 1),
     # coarse, boxes, fine: the two voted boxes run forward alone in the first
     # pass, and their backward passes run between the pixel chunks', in item order
-    ("boxes between pixel sets", [1, 1, 2, 2], [2, 1, 1, 2], 4),
+    ("boxes between pixel sets", [1, 1, 2, 2], [[2], [1, 1], [2]], 4),
     # boxes, coarse, fine: the gate empties the voted boxes, which drop
     # their caches; the pixel sets differ in size, so they do not share a chunk
-    ("two image sizes", [1, 1, 2, 2], [2, 2], 2)])
+    ("two image sizes", [1, 1, 2, 2], [[], [2], [2]], 2)])
 def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts, kept, held):
-    # a zero cache size makes every chunk one image and a run of its own:
-    # the losses and weights must be the same byte for byte
+    # a zero cache size makes every pixel chunk one image: the losses and
+    # weights must be the same byte for byte
     datasets, tax, batch, threshold, width = {
         "dense-joint": _dense_joint_plan,
         "boxes between pixel sets": lambda: _mixed_plan([(5, 4)] * 3, "dboxes", 0.0),
@@ -812,10 +830,11 @@ def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts
     def counting_loss(items, *args):
         alive.append(sum(ref() is not None for ref in caches))
         caches.clear()
+        backward_calls.append([])
         return real_loss(items, *args)
 
     def counting_backward(cache, upstream):
-        backward_calls.append(cache.count)
+        backward_calls[-1].append(cache.count)
         return real_backward(cache, upstream)
 
     def train():
@@ -831,10 +850,11 @@ def test_train_loop_in_chunks_equals_one_image_a_chunk(monkeypatch, plan, counts
     want = train()
     steps = len(want.losses)
     assert calls == counts * steps and backward_calls == kept * steps
-    assert alive == [held] * steps
+    assert len(alive) == len(kept) * steps and sum(alive) == held * steps
     _set_cache_bytes(monkeypatch, 0)
     got = train()
-    assert calls == [1] * sum(counts) * steps and backward_calls == [1] * sum(kept) * steps
+    assert calls == [1] * sum(counts) * steps
+    assert sum(backward_calls, []) == [1] * sum(map(sum, kept)) * steps
     assert got.losses == want.losses
     assert ([a.tobytes() for a in got.params.arrays()]
             == [a.tobytes() for a in want.params.arrays()])
@@ -872,14 +892,17 @@ def _two_head_world():
                                                   "tags": 2}, 17)
 
 
-@pytest.mark.parametrize("budget, largest_chunk, runs_per_step", [
-    ("default", 3, "one"),  # rasters of a few KB: the whole step is one run
-    ("two images", 2, "several"),  # each pixel chunk's loss and backward before the next
+# the items of a step: two boxes, the three 5x4 pixel images (coarse and
+# many), one 4x6 scene image and two tags; per budget, the item count of
+# each chunk, one batch_loss call each
+@pytest.mark.parametrize("budget, largest_chunk, pixel_5x4_calls", [
+    ("default", 3, "one"),  # rasters of a few KB: the 5x4 images share a chunk
+    ("two images", 2, "several"),  # a chunk of two, then one alone
     ("zero", 1, "several")])  # one image a chunk
 def test_train_loop_equals_the_batched_step_oracle(monkeypatch, budget, largest_chunk,
-                                                   runs_per_step):
-    # streaming a step in runs of chunks (box and tag items first, then each
-    # run's forward passes, loss and backward passes) gives the losses and
+                                                   pixel_5x4_calls):
+    # streaming a step chunk by chunk (box and tag items first, then each
+    # chunk's forward pass, loss and backward passes) gives the losses and
     # weights of one batch a step, byte for byte: with pixel, box and tag
     # items, both heads, chunks of two images and more, two image sizes, and
     # the gate emptying voted items while it keeps the rows of others
@@ -889,7 +912,7 @@ def test_train_loop_equals_the_batched_step_oracle(monkeypatch, budget, largest_
     if budget != "default":
         _set_cache_bytes(monkeypatch,
                          2 * _chunk_cost((5, 4), 2, 3, atoms) if budget == "two images" else 0)
-    gated, counts, runs = [], [], []
+    gated, counts, chunks = [], [], []
     real_gate, real_forward, real_loss = model.gate_canvas, model.forward, model.batch_loss
 
     def recording_gate(canvas, probs, expected, threshold):
@@ -902,7 +925,7 @@ def test_train_loop_equals_the_batched_step_oracle(monkeypatch, budget, largest_
         return real_forward(params, image, count)
 
     def counting_loss(items, *args):
-        runs.append(len(items))
+        chunks.append(len(items))
         return real_loss(items, *args)
 
     def optimizer():
@@ -914,9 +937,9 @@ def test_train_loop_equals_the_batched_step_oracle(monkeypatch, budget, largest_
     got = train_loop(datasets, tax, part, plan, optimizer(), epochs=2,
                      refine_threshold=0.0, feature_width=3)
     steps = len(got.losses)
-    assert steps == 8 and sum(runs) == 8 * steps  # every item of a step once
+    pixel_5x4 = {"one": [3], "several": [2, 1] if largest_chunk == 2 else [1, 1, 1]}
+    assert steps == 8 and chunks == ([2] + pixel_5x4[pixel_5x4_calls] + [1, 2]) * steps
     assert max(counts) == largest_chunk
-    assert (len(runs) == steps) == (runs_per_step == "one")
     assert any(voted and not kept for voted, kept in gated)
     assert any(kept for _, kept in gated)
     want_losses, want_params = batched_train_oracle(datasets, tax, part, plan, optimizer(),
@@ -950,8 +973,9 @@ def _has_mallopt() -> bool:
 
 
 def test_train_loop_frees_each_step_before_the_next(monkeypatch):
-    # weak references to a step's logit gradients and head rasters must all
-    # be dead by the time batch_loss is entered for the next step
+    # weak references to a chunk's logit gradients and head rasters must all
+    # be dead by the time batch_loss is entered for the next chunk: the two
+    # box items, then the two pixel items, of each of the four steps
     alive, entered = [], []
 
     def tracked(items, *args):
@@ -964,7 +988,7 @@ def test_train_loop_frees_each_step_before_the_next(monkeypatch):
 
     monkeypatch.setattr(model, "batch_loss", tracked)
     many_atom_training(steps=4)
-    assert entered == [0, 0, 0, 0]
+    assert entered == [0] * 8
 
 
 class _Watched:
@@ -995,8 +1019,9 @@ def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
     # item k's logit gradient is dead when item k+1's is requested, and its
     # head raster once the gradient iterator has moved past it. The upstream
     # a backward pass gets (a chunk's, or one item's gradient) is dead when
-    # the next pass starts and takes at most TAP_STACK_BYTES, so a step
-    # holds one chunk's upstream at a time
+    # the next pass starts and, as one of the rasters a chunk's arrays hold
+    # within L2_BYTES, takes at most half of it: a step holds one chunk's
+    # upstream at a time
     watched, upstreams, counts = [], [], []
     real_backward = model.backward
 
@@ -1009,7 +1034,7 @@ def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
     def checking_backward(cache, upstream):
         assert all(ref() is None for ref in upstreams)
         owner = upstream if upstream.base is None else upstream.base
-        assert owner.nbytes <= model.TAP_STACK_BYTES
+        assert owner.nbytes <= model.L2_BYTES // 2
         upstreams.append(weakref.ref(owner))
         counts.append(cache.count)
         return real_backward(cache, upstream)
@@ -1017,10 +1042,10 @@ def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
     monkeypatch.setattr(model, "batch_loss", watching)
     monkeypatch.setattr(model, "backward", checking_backward)
     many_atom_training(steps=4)
-    assert len(watched) == 4
-    for step in watched:
-        assert len(step.handed) == 4  # two pixel and two box items
-        assert step.log == [(True, True)] * 4  # one request per item
+    assert len(watched) == 8  # a chunk of two box items, then one of two pixel items
+    for chunk in watched:
+        assert len(chunk.handed) == 2
+        assert chunk.log == [(True, True)] * 2  # one request per item
     assert counts.count(2) >= 4  # each step's two pixel images share one chunk
 
 
@@ -1104,21 +1129,35 @@ def test_train_loop_raises_on_a_non_finite_loss_before_the_update(monkeypatch):
 def test_train_loop_raises_no_supervised_pixels_before_any_backward(monkeypatch, budget):
     # all-void pixel labels and a gate at 1.0 that empties every voted box:
     # the step's normalizers are both 0, known after the box items' pass, so
-    # the first batch_loss call raises before any backward pass, also when
-    # the step runs in several batch_loss calls (TAP_STACK_BYTES = 0)
+    # the first of the step's batch_loss calls, one a chunk, raises before
+    # any backward pass: the four boxes, then the four 5x4 pixel images in
+    # one chunk, or each alone at a zero budget
     datasets, tax, plan, _, width = _mixed_plan([(5, 4)] * 3, "boxes", 1.0)
     for k, ds in enumerate(datasets[:2]):
         datasets[k] = LoadedDataset(ds.space, ds.images, [
             StrongLabel(np.zeros((5, 4), dtype=np.int64), ds.space.num_classes)
             for _ in ds.images])
     if budget is not None:
-        monkeypatch.setattr(model, "TAP_STACK_BYTES", budget)
-    backwards = []
+        _set_cache_bytes(monkeypatch, budget)
+    backwards, plans, losses = [], [], []
+    real_plan, real_loss = model._plan_chunks, model.batch_loss
+
+    def recording_plan(*args):
+        plans.append(real_plan(*args))
+        return plans[-1]
+
+    def counting_loss(*args):
+        losses.append(args)
+        return real_loss(*args)
+
     monkeypatch.setattr(model, "backward", lambda *args: backwards.append(args))
+    monkeypatch.setattr(model, "_plan_chunks", recording_plan)
+    monkeypatch.setattr(model, "batch_loss", counting_loss)
     with pytest.raises(NoSupervisedPixels):
         train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.1), epochs=1,
                    refine_threshold=1.0, feature_width=width)
-    assert backwards == []
+    assert [len(chunks) for chunks in plans] == [2 if budget is None else 5]
+    assert len(losses) == 1 and backwards == []
 
 
 def test_train_loop_trains_without_mallopt(monkeypatch):
