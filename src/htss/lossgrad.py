@@ -37,16 +37,19 @@ which callers build once per group map with group_index (train_loop does
 so per dataset) and reuse. A batch may go to batch_loss in parts, as
 train_loop feeds a step one chunk at a time: each call gets the whole
 batch's two supervised-pixel counts and the loss of the parts before it,
-and adds its items' terms to that float in item order, so the parts give
+and adds its images' terms to that float in item order, so the parts give
 the bits of one call over the batch.
 
-A target is either a PseudoCanvas (box and tag items: soft, gated and
-held as their labeled rows) or a StrongLabel (pixel labels: one class id
-per pixel, 0 = void). Both compute on supervised rows only. Row losses
-go into an (H, W) +0.0 raster before any sum, so batch_loss's pairwise
-sum sees a full-raster pass's array; the gathers, log and reduce_last act
-per row, so their bits do not depend on the outer shape. A StrongLabel
-gathers only the target class's atoms: with slot = id - 1, s* = sum_k
+A box or tag item's target is a PseudoCanvas (soft, gated, held as its
+labeled rows). A pixel item is a chunk of k same-size StrongLabels (class
+ids, 0 = void) with one (k*H, W, A) distribution raster and a GroupIndex
+each. Both compute on supervised rows, the gathers, log and reduce_last per
+row, so bits do not depend on the outer shape. Row losses go into a +0.0
+raster, summed per image along (k, H*W) rows: each sum is numpy's pairwise
+sum of that image's own raster, added in image order, the bits of k
+one-image items (one sum over the chunk would pair other terms). A chunk gathers from
+its raster in place, one pass per run of images of one GroupIndex, and only
+the target class's atoms: with slot = id - 1, s* = sum_k
 probs[class_atoms[k, slot]] in k order with padding read as +0.0, the
 loss -log max(s*, 1e-12), the gradient probs * (1 - 1/s*) at the atoms
 of G_slot and probs elsewhere, and +0.0 written at unsupervised pixels.
@@ -56,15 +59,14 @@ class's term there is an exact +-0.0 (log(s_m) * 0 in the loss, 0 / s_m
 in the back-projection), the class sum of y is exactly 1, and adding a
 signed zero to a nonzero sum, or multiplying by 1, changes no bit. At s* == 1 both give the loss -0.0.
 
-A gradient is built already divided by its normalizer n, with the
-operations per element of dividing the built raster: a StrongLabel's is
+An item has one gradient, built already divided by its normalizer n,
+with the operations per element of dividing the built raster: a chunk's
 probs / n overwritten with +0.0 and (probs * (1 - 1/s*)) / n, a canvas's
-back / n in its rows of a zero raster. An item whose target supervises
-no pixel (a box or tag canvas the gate emptied) skips the loss math after
-the shape checks: its losses are +0.0, adding +0.0 to a batch total, and
-its gradient a read-only +0.0 view, the bits the row path gives it. Its
-distribution may be such a view too (train_loop hands one): the checks
-read only its shape, and it is never copied into a raster.
+back / n in its rows of a zero raster. An item or image supervising no
+pixel skips the loss math after the shape checks and adds nothing to the
+total (its +0.0 sum would change no bit); such an item's gradient is a read-only
++0.0 view, the bits the row path gives it. Its distribution may be such
+a view too (train_loop hands one): the checks read only its shape.
 
 All math runs in float64; log arguments are clamped at 1e-12.
 """
@@ -92,7 +94,6 @@ LOG_EPS = 1e-12
 # (H, W, A) float arrays; a group map is a sequence of frozensets of
 # zero-based atom indices, one entry per non-void class slot.
 GroupMap = Sequence[frozenset]
-Target = PseudoCanvas | StrongLabel
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def accumulate_groups(probs: np.ndarray, index: GroupIndex) -> np.ndarray:
     return _gather_sum(probs, index.class_atoms)
 
 
-def _dense_grad(probs, mask, at, real, parts, s, denom) -> np.ndarray:
+def _chunk_grad(probs, mask, runs, s, denom) -> np.ndarray:
     grads = np.empty(probs.size + 1)  # the last slot takes the padding entries' writes
     out = grads[:-1].reshape(probs.shape)
     np.divide(probs, denom, out=out)  # a row gather into zeros costs far more
@@ -196,10 +197,68 @@ def _dense_grad(probs, mask, at, real, parts, s, denom) -> np.ndarray:
         out[~mask] = 0.0
     scale = np.divide(1.0, s)
     np.subtract(1.0, scale, out=scale)  # 1 - 1/s*, per supervised pixel
-    if real is not None:
-        at[~real] = probs.size
-    grads[at] = scale * parts / denom
+    for run, at, parts in runs:
+        grads[at] = scale[run] * parts / denom
     return out
+
+
+def _chunk_terms(labels: Sequence[StrongLabel], probs: np.ndarray,
+                 indexes: Sequence[GroupIndex]):
+    """Checks a chunk of k same-size pixel labels, each with its GroupIndex,
+    against their distributions stacked row-wise in probs (k*H, W, A); returns
+    the loss sums of its images with a supervised pixel, in image order, its
+    supervised pixel count and grad, where grad(denom) builds its gradient
+    divided by denom."""
+    if not labels or not all(isinstance(label, StrongLabel) for label in labels):
+        raise ShapeMismatch(f"a pixel item's targets are StrongLabels, got {labels!r}")
+    k, (h, w) = len(labels), labels[0].class_ids.shape
+    probs = np.asarray(probs)  # checked by shape: a +0.0 view is never copied
+    if len(indexes) != k or probs.ndim != 3 or probs.shape[:2] != (k * h, w):
+        raise ShapeMismatch(f"distribution {probs.shape} vs {k} target grids ({h}, {w})")
+    for label, index in zip(labels, indexes):
+        if label.class_ids.shape != (h, w) or index.num_classes != label.num_classes:
+            raise ShapeMismatch(f"target {label.class_ids.shape} of {label.num_classes} class "
+                                f"slots, {index.num_classes} groups, in a ({h}, {w}) chunk")
+        _check_atom_axis(probs, index)
+    ids = np.concatenate([label.class_ids for label in labels]) if k > 1 else labels[0].class_ids
+    mask = ids > 0
+    rows = np.flatnonzero(mask)
+    if not rows.size:
+        # read-only, with no raster behind it; built on request, since a view
+        # held here would outlive the chunk's backward pass
+        return [], 0, lambda denom: np.broadcast_to(0.0, probs.shape)
+    probs = np.ascontiguousarray(probs, dtype=np.float64)  # take reads it flat
+    atoms = probs.shape[-1]
+    # ends[i]: the supervised pixels of images 0..i; image i's rows are ends[i-1]:ends[i]
+    ends = np.searchsorted(rows, np.arange(1, k + 1) * (h * w)).tolist() if k > 1 else [rows.size]
+    slots = ids.reshape(-1).take(rows) - 1  # after the row gather: never void
+    s, runs, lo = np.empty(rows.size), [], 0
+    for i in range(k):  # a run: consecutive images of one GroupIndex, ending at image i
+        if i + 1 < k and indexes[i + 1] is indexes[i]:
+            continue
+        run, index, lo = slice(lo, ends[i]), indexes[i], ends[i]
+        at = index.class_atoms.take(slots[run], axis=1)  # (g, n); take: half the time of []
+        real = None  # no padding slot to redirect: every entry names an atom
+        if index.padded:
+            real = at < atoms
+            at = np.where(real, at, 0)
+        at += rows[run] * atoms
+        parts = np.take(probs, at)  # from the chunk's raster, flat: no copy of it
+        if real is not None:
+            parts[~real] = 0.0
+            at[~real] = probs.size  # the gradient's sink slot
+        run_s = s[run]  # parts stays the gathered atoms, for the gradient
+        run_s[:] = parts[0]
+        for row in parts[1:]:  # in k order (np.add.reduce sums one pixel pairwise)
+            run_s += row
+        runs.append((run, at, parts))
+    np.maximum(s, LOG_EPS, out=s)
+    losses = np.zeros(k * h * w)
+    losses[rows] = -np.log(s)
+    # each image's losses summed alone, the pairwise sum of its own (H, W) raster
+    sums = [losses.sum()] if k == 1 else [x for x, start, end in zip(
+        losses.reshape(k, -1).sum(axis=1).tolist(), [0] + ends, ends) if end > start]
+    return sums, rows.size, partial(_chunk_grad, probs, mask, runs, s)
 
 
 def _canvas_grad(p_rows, rows, y, s, atom_classes, shape, denom) -> np.ndarray:
@@ -211,10 +270,10 @@ def _canvas_grad(p_rows, rows, y, s, atom_classes, shape, denom) -> np.ndarray:
     return grads
 
 
-def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
-    """Checks one item; returns its (H, W) unscaled losses, its supervised
-    pixel count and grad, where grad(denom) builds its gradient divided
-    by denom."""
+def _canvas_terms(target: PseudoCanvas, probs: np.ndarray, index: GroupIndex):
+    """Checks one box or tag item; returns its (H, W) unscaled losses, its
+    supervised pixel count and grad, where grad(denom) builds its gradient
+    divided by denom."""
     num = target.num_classes
     probs = np.asarray(probs)  # checked by shape: a +0.0 view is never copied
     if index.num_classes != num:
@@ -225,45 +284,20 @@ def _item_terms(target: Target, probs: np.ndarray, index: GroupIndex):
             f"({target.height}, {target.width})")
     _check_atom_axis(probs, index)
     h, w, atoms = probs.shape
-    if isinstance(target, StrongLabel):
-        mask = target.supervised_mask  # a fresh comparison: taken once
-        rows = np.flatnonzero(mask)
-    else:  # a canvas: its rows, in row-major order
-        rows = target.rows
+    rows = target.rows  # in row-major order
     losses = np.zeros((h, w))
     if not rows.size:
-        # read-only, with no raster behind it; built on request, since a view
-        # held here would outlive the item's backward pass
         return losses, 0, lambda denom: np.broadcast_to(0.0, (h, w, atoms))
     probs = np.ascontiguousarray(probs, dtype=np.float64)  # reshapes below are views
-    if isinstance(target, StrongLabel):  # slot id - 1 after the row gather: never void
-        slots = target.class_ids.reshape(-1).take(rows) - 1
-        at = index.class_atoms.take(slots, axis=1)  # (g, n); take: half the time of []
-        real = None  # no padding slot to redirect: every entry names an atom
-        if index.padded:
-            real = at < atoms
-            at = np.where(real, at, 0)
-        at += rows * atoms
-        parts = np.take(probs, at)
-        if real is not None:
-            parts[~real] = 0.0
-        s = parts[0].copy()  # parts stays the gathered atoms, for the gradient
-        for row in parts[1:]:
-            s += row
-        np.maximum(s, LOG_EPS, out=s)
-        row_losses = -np.log(s)
-        grad = partial(_dense_grad, probs, mask, at, real, parts, s)
-    else:
-        p_rows = probs.reshape(-1, atoms).take(rows, axis=0)
-        y = target.vectors[:, :num]
-        s = _gather_sum(p_rows, index.class_atoms)
-        np.maximum(s, LOG_EPS, out=s)
-        terms = np.log(s)
-        terms *= y
-        row_losses = -reduce_last(np.add, terms)
-        grad = partial(_canvas_grad, p_rows, rows, y, s, index.atom_classes, probs.shape)
-    losses.reshape(-1)[rows] = row_losses
-    return losses, rows.size, grad
+    p_rows = probs.reshape(-1, atoms).take(rows, axis=0)
+    y = target.vectors[:, :num]
+    s = _gather_sum(p_rows, index.class_atoms)
+    np.maximum(s, LOG_EPS, out=s)
+    terms = np.log(s)
+    terms *= y
+    losses.reshape(-1)[rows] = -reduce_last(np.add, terms)
+    return losses, rows.size, partial(_canvas_grad, p_rows, rows, y, s, index.atom_classes,
+                                      probs.shape)
 
 
 def _gradients(builds: list) -> Iterator[np.ndarray]:
@@ -279,8 +313,10 @@ def batch_loss(items: Sequence[tuple], counts: Sequence[int] | None = None,
     """Mixed-batch loss with per-population normalizers.
 
     Each item is (target, atom distribution, GroupIndex, supervision
-    kind), the target the StrongLabel itself for pixel labels and a
-    PseudoCanvas for box and tag canvases. Pixel-supervised items share
+    kind), the target a PseudoCanvas for a box or tag canvas; a chunk of
+    pixel images is (their StrongLabels, their distributions stacked
+    row-wise, their GroupIndexes, a pixel kind), one image also bare. A
+    target of the other population raises ShapeMismatch. Pixel items share
     one normalizer (the total count of their supervised pixels across the
     batch), box/tag items share the other; the loss is the sum of both
     normalized populations. A population that contributes no supervised
@@ -288,32 +324,40 @@ def batch_loss(items: Sequence[tuple], counts: Sequence[int] | None = None,
 
     A batch may be fed in parts: counts gives the (box/tag, pixel)
     supervised-pixel counts of the whole batch, and total the loss of the
-    parts before, to which each item's term is added in item order. So
+    parts before, to which each image's term is added in item order. So
     a batch fed item list by item list gets the bits of one call over all
-    its items; without counts, the items are the whole batch.
+    its items, and a chunk the bits of its images as one-image items;
+    without counts, the items are the whole batch.
 
     Returns the loss and an iterator over the per-item logit gradients
-    of it, in item order, each built on request as a fresh array already
-    divided (an item with no supervised pixel yields a read-only +0.0
-    view). The iterator releases an item's distribution once it has
-    yielded its gradient; the items list is left as it was.
+    of it, in item order (a chunk's is one raster, stacked as its
+    distribution), each built on request as a fresh array already divided
+    (an item with no supervised pixel yields a read-only +0.0 view). The
+    iterator releases an item's distribution once it has yielded its
+    gradient; the items list is left as it was.
     """
     pieces = []
     seen = [0, 0]  # supervised pixels of the box/tag and the pixel items
     for target, probs, index, kind in items:
-        if kind not in SUPERVISION_KINDS:
-            raise ShapeMismatch(f"unknown supervision kind {kind!r}")
-        losses, n, grad = _item_terms(target, probs, index)
         strong = kind in PIXEL_KINDS
+        if kind not in SUPERVISION_KINDS or isinstance(target, PseudoCanvas) == strong:
+            raise ShapeMismatch(f"supervision kind {kind!r} for a {type(target).__name__}")
+        if not strong:
+            losses, n, grad = _canvas_terms(target, probs, index)
+            sums = [losses.sum()] if n else []
+        elif isinstance(target, StrongLabel):  # a chunk of one
+            sums, n, grad = _chunk_terms((target,), probs, (index,))
+        else:
+            sums, n, grad = _chunk_terms(target, probs, index)
         seen[strong] += n
-        pieces.append((losses.sum() if n else None, strong, grad))
+        pieces.append((sums, strong, grad))
     counts = seen if counts is None else counts
     if not any(counts):
         raise NoSupervisedPixels()
 
-    for item_sum, strong, _ in pieces:
-        if item_sum is not None:  # an item of all +0.0 would change no bit
-            total += item_sum / counts[strong]
+    for sums, strong, _ in pieces:  # an image of all +0.0 would change no bit: none here
+        for image_sum in sums:
+            total += image_sum / counts[strong]
     return float(total), _gradients([partial(grad, counts[strong]) for _, strong, grad in pieces])
 
 

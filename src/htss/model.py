@@ -527,16 +527,13 @@ def _plan_chunks(shapes: Sequence[tuple[int, int] | None], in_ch: int, width: in
 
 def _upstream(cache: ForwardCache, grads: Iterator[np.ndarray], head: str,
               n_ap: int, n_s: int) -> np.ndarray:
-    """d(loss)/d(logits) of a forward pass (a pixel chunk's or a box or tag item's) from its
-    images' logit gradients, in order: a one-head, one-image pass's gradient itself, else
-    each copied into one zero (count*H, W, atoms) raster, dropped before the next is built."""
-    if not (n_s or cache.count > 1):
+    """d(loss)/d(logits) of a forward pass (a pixel chunk's or a box or tag item's) from
+    its item's logit gradient: with one head the gradient itself, else copied into its
+    head's atoms of a zero (count*H, W, atoms) raster."""
+    if not n_s:
         return next(grads)
-    h = cache.shape[0] // cache.count
-    atoms = slice(None, n_ap) if head == "ap" else slice(n_ap, None)
     upstream = np.zeros((*cache.shape, n_ap + n_s))
-    for k in range(cache.count):
-        upstream[k * h:(k + 1) * h, :, atoms] = next(grads)
+    upstream[:, :, slice(None, n_ap) if head == "ap" else slice(n_ap, None)] = next(grads)
     return upstream
 
 
@@ -565,8 +562,9 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
     pixel items of one size share one while the patches, ReLU outputs and
     rasters they hold from forward to backward, _chunk_bytes of in_ch
     channels, fit L2_BYTES. A pixel chunk makes one forward and one
-    softmax_atoms call; every chunk then makes one batch_loss call, with the
-    step's counts and the loss so far, and its backward passes (dense-joint:
+    softmax_atoms call and is one batch_loss item (its labels, probability
+    raster and GroupIndexes); every chunk then makes one batch_loss call, with
+    the step's counts and the loss so far, and its backward passes (dense-joint:
     the step's eight images one chunk; many-labels: its four box items one
     chunk, then each image alone; weak-twohead: the same, then its four tag
     items one chunk). Loss terms and parameter gradients add up in item
@@ -576,8 +574,9 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
 
     Nothing of a step outlives it: a chunk's items (targets and head rasters)
     are dropped once batch_loss returns; each logit gradient, built by
-    batch_loss's iterator on request, feeds its chunk's upstream and is
-    dropped before the next is requested, and the chunk's cache and
+    batch_loss's iterator on request, feeds its forward pass's upstream (with
+    one head it is that upstream) and is dropped before the next is
+    requested, and the chunk's cache and
     upstream go once its backward ran: a step holds one upstream at a time.
     On glibc the loop first raises the mmap and trim thresholds (see
     M_MMAP_THRESHOLD), so the freed arrays stay on the heap for the next
@@ -588,8 +587,8 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
 
     A box or tag item left with no row (a weak canvas the gate emptied)
     keeps no forward cache and no head raster (batch_loss gets a read-only
-    +0.0 view) and skips its backward pass; a pixel item with
-    no supervised pixel runs it on its +0.0 gradient. Both keep every
+    +0.0 view) and skips its backward pass; a pixel chunk with no
+    supervised pixel runs it on its +0.0 gradient. Both keep every
     bit: a zero upstream gives parameter gradients of +-0.0 only, the
     running total starts at +0.0 and so never holds -0.0 (IEEE addition
     gives -0.0 only for -0.0 + -0.0), and x + (+-0.0) is x.
@@ -636,15 +635,14 @@ def train_loop(datasets: Sequence[LoadedDataset], taxonomy: Taxonomy,
                     for ds_id in sampler.ids if by_id[ds_id].supervision in PIXEL_KINDS}
 
     def pixel_chunk(drawn: list) -> tuple[list, list]:
-        """The items of a chunk of pixel items, and its forward cache with its head."""
+        """The one item of a chunk of pixel images, and its forward cache with its head."""
         images = [ds.images[idx] for ds, idx in drawn]
         stacked = np.concatenate(images) if drawn[1:] else images[0]
         logits, cache = forward(params, stacked, len(drawn))
         targets = [strong_to_canvas(ds.labels[idx], ds.space.num_classes) for ds, idx in drawn]
         probs = softmax_atoms(logits[:, :, :n_ap])  # one call: it treats each row alike
-        h = len(images[0])
-        return [(target, probs[k * h:(k + 1) * h], indexes[ds.dataset_id], ds.supervision)
-                for k, ((ds, _), target) in enumerate(zip(drawn, targets))], [(cache, "ap")]
+        chunk_indexes = [indexes[ds.dataset_id] for ds, _ in drawn]
+        return [(targets, probs, chunk_indexes, drawn[0][0].supervision)], [(cache, "ap")]
 
     def weak_item(ds: LoadedDataset, idx: int) -> tuple[tuple, tuple]:
         """A box or tag item, and its forward cache (None if the gate leaves no rows) and head."""

@@ -16,6 +16,7 @@ views drawn from the same indices describe the same scenes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,17 @@ class WorldSpec:
     def parent_of(self) -> dict[str, str]:
         return {f: p for p, fs in self.hierarchy for f in fs}
 
+    @cached_property
+    def scene_tables(self) -> tuple:
+        """What every scene reads of the world, built once: the fine names, the
+        background id, the placeable ids, and the signature and noise arrays."""
+        names = self.fine_names
+        signatures = np.array([c.signature for c in self.concepts], dtype=np.float64)
+        noise = np.array([c.noise for c in self.concepts], dtype=np.float64)
+        signatures.flags.writeable = noise.flags.writeable = False  # shared by every scene
+        placeable = tuple(i + 1 for i, n in enumerate(names) if n != self.background)
+        return names, names.index(self.background) + 1, placeable, signatures, noise
+
     @classmethod
     def from_dict(cls, doc) -> "WorldSpec":
         f = checked_fields(doc, _WORLD_FIELDS, "world spec", ConfigError)
@@ -166,9 +178,7 @@ def generate_scene(world: WorldSpec, index: int) -> Scene:
     if index < 0:
         raise DataError(f"scene index must be >= 0, got {index}")
     rng = np.random.Generator(np.random.PCG64(world.seed ^ index))
-    names = world.fine_names
-    bg_id = names.index(world.background) + 1
-    placeable = [i + 1 for i, n in enumerate(names) if n != world.background]
+    names, bg_id, placeable, signatures, noise_scale = world.scene_tables
     if not placeable and world.objects_max > 0:
         raise DataError("world has no placeable concept besides the background")
 
@@ -184,8 +194,6 @@ def generate_scene(world: WorldSpec, index: int) -> Scene:
         ids[y0:y0 + bh, x0:x0 + bw] = cid
         objects.append(SceneObject(names[cid - 1], x0, y0, x0 + bw, y0 + bh))
 
-    signatures = np.array([c.signature for c in world.concepts], dtype=np.float64)
-    noise_scale = np.array([c.noise for c in world.concepts], dtype=np.float64)
     base = signatures[ids - 1]
     noise = rng.standard_normal((world.height, world.width, world.channels))
     features = base + noise * noise_scale[ids - 1][:, :, None]
@@ -253,6 +261,7 @@ def emit_dataset(world: WorldSpec, view: View, out_dir) -> Path:
     def view_name(fine: str) -> str:
         return fine if view.granularity == FINE else parent[fine]
 
+    lut = np.array([0] + [to_view.get(view_name(n), 0) for n in fine_names], dtype=np.uint16)
     records = []
     for i in range(view.count):
         scene = generate_scene(world, view.start_index + i)
@@ -260,8 +269,6 @@ def emit_dataset(world: WorldSpec, view: View, out_dir) -> Path:
         formats.write_raster(root / img_rel, scene.features.astype(np.float32))
 
         if view.supervision in PIXEL_KINDS:
-            lut = np.array([0] + [to_view.get(view_name(n), 0) for n in fine_names],
-                           dtype=np.uint16)
             lab_rel = f"{view.dataset_id}/lab_{i:05d}.rast"
             formats.write_raster(root / lab_rel, lut[scene.fine_ids])
         elif view.supervision == BBOX:

@@ -9,7 +9,8 @@ conv 2 as nine per-tap products, the whole network's forward and
 backward pass written out of place on either, the box/tag canvas, the confidence gate and the weak loss
 over the full raster, the one-hot canvas of a pixel label, whose
 loss the label itself, taken as the target, must reproduce bit for bit,
-and a training step run as one batch: every forward pass, one loss over
+the loss terms of one pixel label alone, which a chunk of pixel labels
+must reproduce image by image, and a training step run as one batch: every forward pass, one loss over
 all items, then every backward pass.
 A full (H, W, L+1) canvas raster is a test-only input: canvas_of_raster
 checks one and turns it into the library's row form.
@@ -273,6 +274,44 @@ def weak_terms_full_raster_oracle(canvas_probs, probs, index):
     grads = (reduce_last(np.add, y)[:, :, None] - back) * probs
     grads[~mask] = 0.0
     return losses, grads, int(mask.sum())
+
+
+def pixel_terms_oracle(label, probs, index):
+    """The loss terms of one pixel label alone, the authority for lossgrad's
+    chunk path: per supervised pixel (slot = id - 1) s* is the target group's
+    atoms gathered and added in ascending order, padding read as +0.0, the
+    loss -log max(s*, 1e-12) in an (H, W) +0.0 raster; the gradient is
+    probs / n with +0.0 at unsupervised pixels, overwritten at the atoms of
+    G_slot with (probs * (1 - 1/s*)) / n. Returns (losses, supervised count,
+    grad), grad(n) building the gradient; a label with no supervised pixel
+    has a read-only +0.0 gradient."""
+    from htss.lossgrad import LOG_EPS
+
+    h, w, atoms = probs.shape
+    mask = label.class_ids > 0
+    rows = np.flatnonzero(mask)
+    losses = np.zeros((h, w))
+    if not rows.size:
+        return losses, 0, lambda n: np.broadcast_to(0.0, probs.shape)
+    slots = label.class_ids.reshape(-1)[rows] - 1
+    at = index.class_atoms[:, slots]
+    real = at < atoms
+    at = np.where(real, at, 0) + rows * atoms
+    parts = np.where(real, probs.reshape(-1)[at], 0.0)
+    s = parts[0].copy()
+    for row in parts[1:]:
+        s += row
+    s = np.maximum(s, LOG_EPS)
+    losses.reshape(-1)[rows] = -np.log(s)
+
+    def grad(n):
+        out = probs / n
+        out[~mask] = 0.0
+        flat = out.reshape(-1)
+        flat[at[real]] = ((1.0 - 1.0 / s) * parts / n)[real]
+        return out
+
+    return losses, rows.size, grad
 
 
 def one_hot_canvas(label, num_classes):

@@ -44,6 +44,7 @@ from htss.synthgen import (
     view_space,
 )
 from htss.taxonomy import (
+    BBOX,
     PIXEL_DENSE,
     AtomPartition,
     RelationTable,
@@ -70,8 +71,10 @@ def one_pixel(vec):
 
 
 def one_item_loss(target, probs, index):
-    """Loss and logit gradient of a one-item batch: what training computes."""
-    loss, grads = batch_loss([(target, probs, index, PIXEL_DENSE)])
+    """Loss and logit gradient of a one-item batch: what training computes.
+    A pixel label goes in as a pixel item, a canvas as a box item."""
+    kind = PIXEL_DENSE if isinstance(target, StrongLabel) else BBOX
+    loss, grads = batch_loss([(target, probs, index, kind)])
     return loss, next(grads)
 
 

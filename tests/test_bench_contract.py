@@ -7,8 +7,11 @@ the benchmark's traced run. Both files are read as text and executed
 into throwaway modules, so nothing is written under perfbench/.
 """
 
+import hashlib
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -31,6 +34,26 @@ from htss.taxonomy import (
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# SHA-256 of losses.csv and final.ckpt after gen and train of each workload
+# at seed 11, with one BLAS thread on scipy-openblas 0.3.31
+SEED_11_BITS = {
+    "dense-joint": ("ed449e6b8cf24b5b3b1d197cf1eefe02e02f4ea78f8b33dc31a15d0bb46b1cfb",
+                    "6a22055e268689578e0a707d894004ba226f5d2f3124268e9483bdf10f4f35bc"),
+    "weak-twohead": ("6d43a6a6df8e0735f64a91f6ee3ffae19a9f1a6bb29c61c45617490410cfe3a7",
+                     "6e969d2a8528239f767b93d0fef4e58b2addeb9e9f28f153018c46919dde0fef"),
+    "many-labels": ("c2cb77a065f19e50db503ab483fa8edabff395f9859a81e23fedbbb09f6e31ab",
+                    "b19c6fbb82d158c1099edb13ec1849c16ddb0e7f546a23271edfae86c5b84353"),
+}
+
+
+def _blas() -> tuple:
+    """(name, version) of the BLAS numpy was built with, () if it does not say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return ()
+    return blas.get("name"), str(blas.get("version"))
 
 
 def _load(name):
@@ -156,3 +179,30 @@ def test_traced_train_loop_counts_steps_backward_passes_and_gated_rows():
     assert tracer.counters["model.flops"] == steps * (1 + 2) * per_image
     assert tracer.counters["gate.kept_px"] == steps * (2 * 3 + 3 * 3)
     assert tracer.counters["gate.raw_px"] == steps * (2 * 3 + 3 * 3)
+
+
+@pytest.mark.skipif(_blas()[:1] != ("scipy-openblas",) or not _blas()[1].startswith("0.3.31"),
+                    reason=f"seed-11 bits recorded with scipy-openblas 0.3.31, not {_blas()}")
+def test_workloads_train_to_their_recorded_bits(workloads, tmp_path):
+    # gen then train of each workload at seed 11, through the CLI in a fresh
+    # interpreter with one BLAS thread as perfbench runs them, must write the
+    # recorded losses.csv and final.ckpt byte for byte
+    argv = []
+    for name in SEED_11_BITS:
+        configs = dict(workloads.write_documents(workloads.build(name, 11), tmp_path / name))
+        argv += ["gen", str(configs["gen"]), "train", str(configs["train"])]
+    script = ("import sys\nfrom htss.cli import main\n"
+              "for cmd, config in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    if main([cmd, '--config', config]):\n"
+              "        sys.exit(f'{cmd} {config} failed')\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name, want in SEED_11_BITS.items():
+        run = tmp_path / name / "run"
+        got = tuple(hashlib.sha256((run / f).read_bytes()).hexdigest()
+                    for f in ("losses.csv", "final.ckpt"))
+        assert got == want, name

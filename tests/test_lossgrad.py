@@ -19,7 +19,7 @@ from htss.annotations import (
 )
 from htss.lossgrad import (
     _gather_sum,
-    _item_terms,
+    _canvas_terms,
     accumulate_groups,
     batch_loss,
     group_index,
@@ -31,6 +31,7 @@ from htss.model import BatchPlan, LoadedDataset, OptimizerState, train_loop
 from htss.taxonomy import (
     BBOX,
     HYPERNYM,
+    IMAGE_TAG,
     PIXEL_COARSE,
     PIXEL_DENSE,
     AtomPartition,
@@ -47,6 +48,7 @@ from oracles import (
     canvas_of_raster,
     fd_grad,
     one_hot_canvas,
+    pixel_terms_oracle,
     ref_ce_loss_grad,
     ref_softmax,
     trailing_axis_arrays,
@@ -64,8 +66,10 @@ def one_pixel(vec):
 
 
 def one_item_loss(target, probs, index):
-    """Loss and logit gradient of a one-item batch: what training computes."""
-    loss, grads = batch_loss([(target, probs, index, PIXEL_DENSE)])
+    """Loss and logit gradient of a one-item batch: what training computes.
+    A pixel label goes in as a pixel item, a canvas as a box item."""
+    kind = PIXEL_DENSE if isinstance(target, StrongLabel) else BBOX
+    loss, grads = batch_loss([(target, probs, index, kind)])
     return loss, next(grads)
 
 
@@ -261,8 +265,8 @@ def test_train_loop_pixel_items_take_their_loaded_label(monkeypatch):
     targets = []
     real_loss = model.batch_loss
 
-    def recording_loss(items, *args):
-        targets.extend(t for t, _, _, kind in items if kind != BBOX)
+    def recording_loss(items, *args):  # a chunk of pixel images is one item
+        targets.extend(label for t, _, _, kind in items if kind != BBOX for label in t)
         return real_loss(items, *args)
 
     monkeypatch.setattr(model, "batch_loss", recording_loss)
@@ -277,16 +281,20 @@ def test_train_loop_runs_backward_only_for_nonzero_gradients(monkeypatch):
     # at threshold 1.0 the gate keeps no box pixel, so every box item has
     # an all-zero gradient and its image must not reach backward; every
     # image that does has a nonzero upstream. A step makes two batch_loss
-    # calls: the box items' chunk, then the pixel items' (all 5x4)
-    # per step, per chunk: [items drawn, nonzero gradients, images in backward, pixel items]
+    # calls: the box items' chunk, then the pixel images' (all 5x4), one
+    # item whose gradient stacks theirs
+    # per step, per chunk: [images drawn, images with a nonzero gradient,
+    # images in backward, pixel images]
     per_step = [[]]
     real_loss, real_backward, real_sgd = model.batch_loss, model.backward, model.sgd_step
 
     def counting_loss(items, *args):
         loss, grads = real_loss(items, *args)
         grads = list(grads)
-        pixel = sum(kind != BBOX for *_, kind in items)
-        per_step[-1].append([len(items), sum(bool(g.any()) for g in grads), 0, pixel])
+        images = [1 if kind == BBOX else len(target) for target, *_, kind in items]
+        nonzero = sum(int(g.reshape(n, -1).any(axis=1).sum()) for g, n in zip(grads, images))
+        pixel = sum(n for n, (*_, kind) in zip(images, items) if kind != BBOX)
+        per_step[-1].append([sum(images), nonzero, 0, pixel])
         return loss, iter(grads)
 
     def counting_backward(cache, upstream):
@@ -320,7 +328,7 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
     # all H*W rows, in one call per chunk: the three 5x4 pixel items come
     # after the boxes and share one. A step makes two batch_loss calls: the
     # box items' chunk after their softmax calls (the first pass), then the
-    # pixel chunk after its own
+    # pixel chunk's one item after its own
     datasets, tax = _box_world(73)
     boxes = datasets[2]
     labels = [boxes.labels[0], WeakLabel(), WeakLabel(boxes=((2, 0, 0, 4, 5),)), WeakLabel()]
@@ -359,7 +367,9 @@ def test_train_loop_weak_items_compute_only_on_voted_rows(monkeypatch):
                 assert target.probs.tobytes() == unlabeled.tobytes()
         assert seen == want and pixel_seen == [20 * 3]
         assert len(items) == 4 and want in ([17, 20], [20, 17]) and unvoted == 2
-        assert [kind != BBOX for *_, kind in pixel_items] == [True] * 3
+        # the three pixel images: one chunk item, its labels in image order
+        (labels, probs, _, kind), = pixel_items
+        assert kind != BBOX and len(labels) == 3 and probs.shape[0] == 3 * 5
 
 
 # --- loss closed forms ---
@@ -518,9 +528,19 @@ def test_singleton_groups_equal_plain_ce():
 PAIR = group_index((frozenset({0}), frozenset({1})), 2)
 
 
+def one_hot_label(rows):
+    """The StrongLabel of one-hot (H, W, L+1) rows, the last column void."""
+    rows = np.asarray(rows, dtype=np.float64)
+    num = rows.shape[2] - 1
+    slots = rows.argmax(axis=2)
+    assert np.array_equal(rows, np.eye(num + 1)[slots])
+    return StrongLabel(np.where(slots == num, 0, slots + 1), num)
+
+
 def _item(vecs, logits, index=PAIR, kind=PIXEL_DENSE):
-    return (canvas(vecs), softmax_atoms(np.asarray(logits, dtype=np.float64)),
-            index, kind)
+    """A pixel item of one-hot rows as a StrongLabel, or a box item of their canvas."""
+    target = one_hot_label(vecs) if kind == PIXEL_DENSE else canvas(vecs)
+    return target, softmax_atoms(np.asarray(logits, dtype=np.float64)), index, kind
 
 
 def test_batch_pools_pixel_counts_within_population():
@@ -543,7 +563,7 @@ def test_batch_mean_property_for_equal_counts():
     for _ in range(4):
         z = rng.standard_normal((2, 2, 3))
         ids = rng.integers(0, 2, size=(2, 2))
-        target = canvas_of_raster(np.eye(3)[ids])  # fully supervised: equal counts
+        target = StrongLabel(ids + 1, 2)  # fully supervised: equal counts
         items.append((target, softmax_atoms(z), index, PIXEL_DENSE))
         per_image.append(one_item_loss(target, softmax_atoms(z), index)[0])
     loss, _ = batch_loss(items)
@@ -578,8 +598,9 @@ def test_batch_empty_item_gets_positive_zeros_and_changes_no_bit():
     index = group_index((frozenset({0, 1}), frozenset({2})), 3)
 
     def item(ids, kind):  # class 2 is the unlabeled slot
-        target = canvas_of_raster(np.eye(3)[np.asarray(ids)])
-        return target, softmax_atoms(rng.standard_normal(target.probs.shape)), index, kind
+        rows = np.eye(3)[np.asarray(ids)]
+        target = one_hot_label(rows) if kind == PIXEL_DENSE else canvas_of_raster(rows)
+        return target, softmax_atoms(rng.standard_normal(rows.shape)), index, kind
 
     partial = item([[0, 2], [1, 0]], PIXEL_DENSE)
     weak = item([[1, 2, 0]], BBOX)
@@ -625,6 +646,94 @@ def test_batch_all_unsupervised_raises():
         batch_loss([item])
 
 
+def test_batch_rejects_a_target_of_the_other_population():
+    # a pixel label given as a box or tag item, or a canvas given as a pixel
+    # item, would be divided by the other population's count
+    index = group_index((frozenset({0}), frozenset({1})), 2)
+    probs = softmax_atoms(np.zeros((2, 2, 2)))
+    label = StrongLabel(np.array([[1, 2], [2, 1]]), 2)
+    hot = one_hot_canvas(label, 2)
+    for item in [(label, probs, index, BBOX), (label, probs, index, IMAGE_TAG),
+                 ((label,), probs, (index,), BBOX), (hot, probs, index, PIXEL_DENSE),
+                 (hot, probs, index, PIXEL_COARSE), (label, probs, index, "pixel")]:
+        with pytest.raises(ShapeMismatch, match="supervision kind"):
+            batch_loss([item])
+    for chunk in [[hot], [label, hot], []]:  # a pixel chunk holds pixel labels, one or more
+        with pytest.raises(ShapeMismatch, match="StrongLabels"):
+            batch_loss([(chunk, probs, [index] * len(chunk), PIXEL_DENSE)])
+    for item in [(label, probs, index, PIXEL_COARSE), (hot, probs, index, IMAGE_TAG)]:
+        assert batch_loss([item])[0] == math.log(2.0)
+
+
+def _chunk_case(rng, k, h, w):
+    """k pixel labels of (h, w) over 16 atoms, each with one of two
+    GroupIndexes drawn in runs: three disjoint pairs (not padded), or four
+    overlapping groups of uneven size, one of 12 atoms (padded). Some labels
+    supervise no pixel, some one, and one label of every chunk does some."""
+    plain = group_index((frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})), 16)
+    overlapping = group_index((frozenset(range(12)), frozenset({2, 3}), frozenset({5}),
+                               frozenset({1, 6, 15})), 16)
+    assert overlapping.padded and not plain.padded
+    indexes = [(plain, overlapping)[int(rng.integers(2))] for _ in range(k)]
+    labels = []
+    for index in indexes:
+        ids = rng.integers(0, index.num_classes + 1, size=(h, w))
+        draw = rng.random()
+        if draw < 0.4:  # none, or one supervised pixel
+            ids[:] = 0
+            ids[int(rng.integers(h)), int(rng.integers(w))] = 1 if draw < 0.2 else 0
+        labels.append(StrongLabel(ids, index.num_classes))
+    if not any(label.class_ids.any() for label in labels):
+        labels[-1].class_ids[0, 0] = 1
+    return labels, indexes, softmax_atoms(rng.standard_normal((k * h, w, 16)) * 3.0)
+
+
+@pytest.mark.parametrize("h, w", [(4, 4), (5, 4), (20, 20), (48, 48)])
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_chunk_item_matches_per_image_oracle_bits(k, h, w):
+    # a chunk item's loss and gradient raster are the per-image oracle's, byte
+    # for byte: each image's losses summed alone (above and below numpy's
+    # 128-element pairwise block) and added in image order, each gradient
+    # element divided as one image's. Both GroupIndexes, runs of them and
+    # images with no supervised pixel occur across the cases
+    rng = np.random.default_rng([k, h, w])
+    for _ in range(3):
+        labels, indexes, probs = _chunk_case(rng, k, h, w)
+        terms = [pixel_terms_oracle(label, probs[i * h:(i + 1) * h], index)
+                 for i, (label, index) in enumerate(zip(labels, indexes))]
+        n = sum(t[1] for t in terms)
+        counts, total = (3, n + int(rng.integers(3))), float(rng.random())
+        want_loss = total
+        for losses, count, _ in terms:
+            if count:
+                want_loss += losses.sum() / counts[1]
+        want_grad = np.concatenate([grad(counts[1]) for _, _, grad in terms])
+        chunk = (labels, probs, indexes, PIXEL_DENSE)
+        loss, grads = batch_loss([chunk], counts, total)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        (grad,) = grads
+        assert grad.shape == probs.shape and grad.tobytes() == want_grad.tobytes()
+        if k == 1:  # a bare pixel label is a chunk of one
+            loss, grads = batch_loss([(labels[0], probs, indexes[0], PIXEL_DENSE)], counts, total)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert next(grads).tobytes() == want_grad.tobytes()
+
+
+def test_chunk_item_checks_shapes():
+    labels, indexes, probs = _chunk_case(np.random.default_rng(5), 3, 4, 5)
+    narrow = StrongLabel(labels[0].class_ids[:, :4], labels[0].num_classes)
+    other = indexes[2] if indexes[2] is not indexes[0] else group_index((frozenset({0}),), 16)
+    bad = [(labels[:2], probs, indexes),                        # image count
+           (labels, probs[:-1], indexes),                      # grid
+           (labels, probs[:, :, :15], indexes),                # atom count
+           (labels, probs, indexes[:2]),                       # indexes
+           ([narrow] + labels[1:], probs, indexes),            # one label's grid
+           (labels, probs, [other] + indexes[1:])]             # class slots
+    for chunk_labels, chunk_probs, chunk_indexes in bad:
+        with pytest.raises(ShapeMismatch):
+            batch_loss([(chunk_labels, chunk_probs, chunk_indexes, PIXEL_DENSE)])
+
+
 def test_batch_gradient_matches_finite_differences():
     rng = np.random.default_rng(41)
     index_a = group_index((frozenset({0, 1}), frozenset({2})), 3)
@@ -633,20 +742,19 @@ def test_batch_gradient_matches_finite_differences():
     z2 = rng.standard_normal((1, 3, 3))
     raw1 = rng.random((2, 2, 3))
     t1 = canvas_of_raster(raw1 / raw1.sum(axis=2, keepdims=True))
-    ids2 = np.array([[0, 2, 1]])
-    t2 = canvas_of_raster(np.eye(3)[ids2])
+    t2 = StrongLabel(np.array([[1, 0, 2]]), 2)
     n1 = z1.size
 
     def f(flat):
         a = flat[:n1].reshape(z1.shape)
         b = flat[n1:].reshape(z2.shape)
-        items = [(t1, softmax_atoms(a), index_a, PIXEL_DENSE),
-                 (t2, softmax_atoms(b), index_b, BBOX)]
+        items = [(t1, softmax_atoms(a), index_a, BBOX),
+                 (t2, softmax_atoms(b), index_b, PIXEL_DENSE)]
         return batch_loss(items)[0]
 
     flat = np.concatenate([z1.ravel(), z2.ravel()])
-    items = [(t1, softmax_atoms(z1), index_a, PIXEL_DENSE),
-             (t2, softmax_atoms(z2), index_b, BBOX)]
+    items = [(t1, softmax_atoms(z1), index_a, BBOX),
+             (t2, softmax_atoms(z2), index_b, PIXEL_DENSE)]
     grads = list(batch_loss(items)[1])
     got = np.concatenate([grads[0].ravel(), grads[1].ravel()])
     want = fd_grad(f, flat, eps=1e-5)
@@ -690,13 +798,17 @@ DENSE_SHAPES = [(16, 16, 330, 151), (16, 16, 330, 30), (20, 20, 6, 3),
 @pytest.mark.parametrize("overlapping", [False, True])
 def test_dense_target_matches_one_hot_canvas_bits(h, w, atoms, classes, overlapping):
     rng = np.random.default_rng(h * atoms + classes + overlapping)
+    # the per-image pixel terms (the chunk path's oracle) equal the canvas
+    # path's on the one-hot canvas of the same label, and so do one-item
+    # batches, per-image pixel items, one chunk item of them all (three
+    # GroupIndexes, a void image) and the canvases as box items
     items = {"dense": [], "canvas": []}
     for _ in range(3):
         label, probs, index = _dense_case(rng, h, w, atoms, classes, overlapping)
         if atoms == classes and not overlapping:  # one atom a group: no padding redirect
             assert not index.padded
         dense, hot = strong_to_canvas(label, classes), one_hot_canvas(label, classes)
-        got, want = _item_terms(dense, probs, index), _item_terms(hot, probs, index)
+        got, want = pixel_terms_oracle(dense, probs, index), _canvas_terms(hot, probs, index)
         assert got[1] == want[1] == int((label.class_ids > 0).sum())
         assert got[0].tobytes() == want[0].tobytes()
         assert got[2](1).tobytes() == want[2](1).tobytes()
@@ -704,23 +816,31 @@ def test_dense_target_matches_one_hot_canvas_bits(h, w, atoms, classes, overlapp
         # s* == 1.0 gives the loss -0.0; s* == 0.0 is clamped to 1e-12
         assert got[0][0, 0] == 0.0 and np.signbit(got[0][0, 0])
         assert got[0][0, 1] == -math.log(1e-12)
+        loss, grad = one_item_loss(dense, probs, index)
+        want_loss, want_grad = one_item_loss(hot, probs, index)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
         items["dense"].append((dense, probs, index, PIXEL_DENSE))
-        items["canvas"].append((hot, probs, index, PIXEL_DENSE))
+        items["canvas"].append((hot, probs, index, BBOX))
     void = StrongLabel(np.zeros((h, w), dtype=np.int64), classes)
     probs = softmax_atoms(rng.standard_normal((h, w, atoms)))
-    got = _item_terms(strong_to_canvas(void, classes), probs, index)
-    want = _item_terms(one_hot_canvas(void, classes), probs, index)
+    got = pixel_terms_oracle(strong_to_canvas(void, classes), probs, index)
+    want = _canvas_terms(one_hot_canvas(void, classes), probs, index)
     assert got[1] == want[1] == 0
     assert got[0].tobytes() == want[0].tobytes()
     assert got[2](1).tobytes() == want[2](1).tobytes()
     items["dense"].append((strong_to_canvas(void, classes), probs, index, PIXEL_DENSE))
-    items["canvas"].append((one_hot_canvas(void, classes), probs, index, PIXEL_DENSE))
-    boxes = WeakLabel(boxes=((1, 0, 0, w // 2, h // 2), (classes, 1, 1, w, h)))
-    weak = (canvas_from_boxes(boxes, h, w, classes), probs, index, BBOX)
-    loss, grads = batch_loss(items["dense"] + [weak])
-    want_loss, want_grads = batch_loss(items["canvas"] + [weak])
+    items["canvas"].append((one_hot_canvas(void, classes), probs, index, BBOX))
+    labels, dists, indexes, _ = zip(*items["dense"])
+    chunk = (labels, np.concatenate(dists), indexes, PIXEL_DENSE)
+    want_loss, want_grads = batch_loss(items["canvas"])
+    want_grads = [g.tobytes() for g in want_grads]
+    loss, grads = batch_loss(items["dense"])
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
-    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+    assert [g.tobytes() for g in grads] == want_grads
+    loss, grads = batch_loss([chunk])
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert [g.tobytes() for g in grads] == [b"".join(want_grads)]
 
 
 def _weak_cases(rng, h, w, classes):
@@ -753,7 +873,7 @@ WEAK_SHAPES = [(16, 16, 330, 150), (20, 20, 6, 3), (48, 48, 3, 2), (3, 4, 12, 9)
 @pytest.mark.parametrize("overlapping", [False, True])
 def test_row_canvas_loss_matches_full_raster_oracle_bits(h, w, atoms, classes,
                                                           overlapping):
-    # _item_terms, a one-item and a mixed batch_loss on row canvases read
+    # _canvas_terms, a one-item and a mixed batch_loss on row canvases read
     # the same bits as the weak loss written over the full raster
     rng = np.random.default_rng([h, atoms, classes, overlapping])
     label, probs, index = _dense_case(rng, h, w, atoms, classes, overlapping)
@@ -761,7 +881,7 @@ def test_row_canvas_loss_matches_full_raster_oracle_bits(h, w, atoms, classes,
     refs = [weak_terms_full_raster_oracle(one_hot_canvas(label, classes).probs,
                                           probs, index)]
     for raster, canvas in _weak_cases(rng, h, w, classes):
-        losses, n, grad = _item_terms(canvas, probs, index)
+        losses, n, grad = _canvas_terms(canvas, probs, index)
         ref = weak_terms_full_raster_oracle(raster, probs, index)
         assert n == ref[2] == canvas.rows.size
         assert losses.tobytes() == ref[0].tobytes() and losses.shape == (h, w)

@@ -43,6 +43,7 @@ from htss.model import (
     train_loop,
 )
 from htss.taxonomy import (
+    PIXEL_KINDS,
     AtomPartition,
     LabelSpace,
     RelationTable,
@@ -893,8 +894,8 @@ def _two_head_world():
 
 
 # the items of a step: two boxes, the three 5x4 pixel images (coarse and
-# many), one 4x6 scene image and two tags; per budget, the item count of
-# each chunk, one batch_loss call each
+# many), one 4x6 scene image and two tags; per budget, the image count of
+# each pixel chunk, one batch_loss call and one item each
 @pytest.mark.parametrize("budget, largest_chunk, pixel_5x4_calls", [
     ("default", 3, "one"),  # rasters of a few KB: the 5x4 images share a chunk
     ("two images", 2, "several"),  # a chunk of two, then one alone
@@ -924,8 +925,8 @@ def test_train_loop_equals_the_batched_step_oracle(monkeypatch, budget, largest_
         counts.append(count)
         return real_forward(params, image, count)
 
-    def counting_loss(items, *args):
-        chunks.append(len(items))
+    def counting_loss(items, *args):  # the images of each item
+        chunks.append([len(t) if kind in PIXEL_KINDS else 1 for t, *_, kind in items])
         return real_loss(items, *args)
 
     def optimizer():
@@ -937,8 +938,9 @@ def test_train_loop_equals_the_batched_step_oracle(monkeypatch, budget, largest_
     got = train_loop(datasets, tax, part, plan, optimizer(), epochs=2,
                      refine_threshold=0.0, feature_width=3)
     steps = len(got.losses)
-    pixel_5x4 = {"one": [3], "several": [2, 1] if largest_chunk == 2 else [1, 1, 1]}
-    assert steps == 8 and chunks == ([2] + pixel_5x4[pixel_5x4_calls] + [1, 2]) * steps
+    pixel_5x4 = {"one": [[3]], "several": [[2], [1]] if largest_chunk == 2 else [[1]] * 3}
+    assert steps == 8
+    assert chunks == ([[1, 1]] + pixel_5x4[pixel_5x4_calls] + [[1], [1, 1]]) * steps
     assert max(counts) == largest_chunk
     assert any(voted and not kept for voted, kept in gated)
     assert any(kept for _, kept in gated)
@@ -1018,10 +1020,10 @@ class _Watched:
 def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
     # item k's logit gradient is dead when item k+1's is requested, and its
     # head raster once the gradient iterator has moved past it. The upstream
-    # a backward pass gets (a chunk's, or one item's gradient) is dead when
-    # the next pass starts and, as one of the rasters a chunk's arrays hold
-    # within L2_BYTES, takes at most half of it: a step holds one chunk's
-    # upstream at a time
+    # a backward pass gets (one item's gradient: a box item's, or a pixel
+    # chunk's) is dead when the next pass starts and, as one of the rasters
+    # a chunk's arrays hold within L2_BYTES, takes at most half of it: a step
+    # holds one chunk's upstream at a time
     watched, upstreams, counts = [], [], []
     real_backward = model.backward
 
@@ -1042,10 +1044,10 @@ def test_train_loop_holds_one_gradient_raster_at_a_time(monkeypatch):
     monkeypatch.setattr(model, "batch_loss", watching)
     monkeypatch.setattr(model, "backward", checking_backward)
     many_atom_training(steps=4)
-    assert len(watched) == 8  # a chunk of two box items, then one of two pixel items
-    for chunk in watched:
-        assert len(chunk.handed) == 2
-        assert chunk.log == [(True, True)] * 2  # one request per item
+    assert len(watched) == 8  # a chunk of two box items, then one of two pixel images
+    for boxes, pixels in zip(watched[::2], watched[1::2]):
+        assert len(boxes.handed) == 2 and len(pixels.handed) == 1
+        assert boxes.log == [(True, True)] * 2 and pixels.log == [(True, True)]
     assert counts.count(2) >= 4  # each step's two pixel images share one chunk
 
 
@@ -1091,12 +1093,12 @@ def test_train_loop_step_peak_holds_one_chunk(monkeypatch):
 
 
 def test_train_loop_raises_on_a_non_finite_loss_before_the_update(monkeypatch):
-    # a non-finite item loss at step 2 raises NonFiniteLoss(2) after every
+    # a non-finite image loss at step 2 raises NonFiniteLoss(2) after every
     # chunk's backward pass ran, but before sgd_step: the weights keep the
     # bytes and the version step 1 left them with
     datasets, tax, plan, threshold, width = _mixed_plan([(5, 4)] * 3, "boxes", 0.0)
     made, after, steps = [], [], []
-    real_init, real_sgd, real_terms = model.init_micronet, model.sgd_step, lossgrad._item_terms
+    real_init, real_sgd, real_terms = model.init_micronet, model.sgd_step, lossgrad._chunk_terms
 
     def capturing_init(*args):
         made.append(real_init(*args))
@@ -1107,15 +1109,15 @@ def test_train_loop_raises_on_a_non_finite_loss_before_the_update(monkeypatch):
         steps.append(params.version)
         after[:] = [a.tobytes() for a in params.arrays()]
 
-    def poisoned_terms(target, probs, index):
-        losses, n, grad = real_terms(target, probs, index)
+    def poisoned_terms(labels, probs, indexes):  # the per-image loss sums of a pixel chunk
+        sums, n, grad = real_terms(labels, probs, indexes)
         if len(steps) == 2 and n:
-            losses = np.full_like(losses, np.nan)
-        return losses, n, grad
+            sums = [np.float64(np.nan)] * len(sums)
+        return sums, n, grad
 
     monkeypatch.setattr(model, "init_micronet", capturing_init)
     monkeypatch.setattr(model, "sgd_step", recording_sgd)
-    monkeypatch.setattr(lossgrad, "_item_terms", poisoned_terms)
+    monkeypatch.setattr(lossgrad, "_chunk_terms", poisoned_terms)
     with pytest.raises(NonFiniteLoss) as err:
         train_loop(datasets, tax, None, plan, OptimizerState(learning_rate=0.3, momentum=0.9),
                    epochs=2, refine_threshold=threshold, feature_width=width)

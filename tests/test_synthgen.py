@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,25 @@ def test_scene_deterministic_per_index():
     assert a.objects == b.objects
     c = generate_scene(w, 4)
     assert not np.array_equal(a.fine_ids, c.fine_ids) or a.objects != c.objects
+
+
+def test_scene_tables_are_built_once_per_world():
+    # generate_scene reads the names, background id, placeable ids and the
+    # signature and noise arrays from tables a world builds on first use; a
+    # world with another background builds its own
+    w = tiny_world()
+    scene = generate_scene(w, 3)
+    tables = w.scene_tables
+    generate_scene(w, 4)
+    assert w.scene_tables is tables
+    names, bg_id, placeable, signatures, noise = tables
+    assert names == ("grass", "cat", "dog", "bus") and (bg_id, placeable) == (1, (2, 3, 4))
+    assert signatures.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    assert noise.tolist() == [0.05] * 4
+    assert not (signatures.flags.writeable or noise.flags.writeable)  # shared: read-only
+    assert replace(w, background="bus").scene_tables[1:3] == (4, (1, 2, 3))
+    again = generate_scene(tiny_world(), 3)
+    assert again.features.tobytes() == scene.features.tobytes()
 
 
 def test_scene_ids_and_shapes():
